@@ -39,8 +39,8 @@ from .separator import (
     certify,
     common_complement,
     cube_complement,
+    decay_fit_prefixes,
     derive_seeds,
-    fit_decay,
     hyperplane_complement,
     is_well_separating,
     random_subspace_family,
@@ -119,17 +119,17 @@ def cmd_certify(args) -> int:
         max_exponent = 5.0 * family.codim + 1.0
 
     lines = ["j,delta_measured,delta_certified,fit_exponent,fit_scale"]
-    for j in range(1, measured.size + 1):
-        cum = fit_decay(measured.deltas[:j])
+    exponents, scales = decay_fit_prefixes(measured.deltas)
+    for j in range(measured.size):
         cert_field = ""
         if certified is not None:
-            cert_field = repr(float(certified.deltas[j - 1]))
+            cert_field = repr(float(certified.deltas[j]))
         lines.append(",".join([
-            str(j),
-            repr(float(measured.deltas[j - 1])),
+            str(j + 1),
+            repr(float(measured.deltas[j])),
             cert_field,
-            repr(float(cum.exponent)),
-            repr(float(cum.scale)),
+            repr(float(exponents[j])),
+            repr(float(scales[j])),
         ]))
     if not measured.positive:
         verdict = False

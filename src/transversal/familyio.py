@@ -61,7 +61,11 @@ def family_from_dict(doc: dict):
         raise ValidationError("family document lists no normals")
     members = []
     for idx, block in enumerate(blocks, start=1):
-        arr = np.asarray(block, dtype=float)
+        try:
+            arr = np.asarray(block, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"family member {idx}: normals are not numeric: {exc}") from exc
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.shape != (k, n):
@@ -152,13 +156,18 @@ def complement_from_dict(doc: dict) -> ComplementDoc:
     certified = doc.get("certified")
     measured = doc.get("measured")
     stats = doc.get("rejection_stats")
+    try:
+        rng_seed = None if doc.get("rng_seed") is None else int(doc["rng_seed"])
+        counts = None if stats is None else (int(stats["attempted"]),
+                                             int(stats["accepted"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed complement document: {exc!r}") from exc
     return ComplementDoc(
         span=span,
         certified=None if certified is None else certificate_from_dict(certified),
         measured=None if measured is None else certificate_from_dict(measured),
-        rng_seed=None if doc.get("rng_seed") is None else int(doc["rng_seed"]),
-        rejection_stats=None if stats is None else RejectionStats(
-            int(stats["attempted"]), int(stats["accepted"])),
+        rng_seed=rng_seed,
+        rejection_stats=None if counts is None else RejectionStats(*counts),
     )
 
 

@@ -119,14 +119,44 @@ class DecayFit:
     scale: float
 
 
-def fit_decay(deltas) -> DecayFit:
+def decay_fit_prefixes(deltas) -> tuple[np.ndarray, np.ndarray]:
+    """Decay fits of every prefix: entry j-1 fits deltas[:j] (see DecayFit).
+
+    Closed-form OLS of log(delta_i) on log(i) over the positive entries,
+    computed for all prefixes at once from prefix sums.  The centred sums
+    are prefix sums of Welford increments (x_i - mx)(y_i - my)(c - 1)/c,
+    where the i-th positive entry is the c-th and mx, my are the means of
+    the c - 1 before it; this avoids the cancellation in
+    sum(x y) - sum(x) sum(y) / c.  Returns (exponents, scales), NaN where a
+    prefix has fewer than two positive deltas.
+    """
     d = np.asarray(deltas, dtype=float)
-    j = np.arange(1, d.size + 1, dtype=float)
     pos = d > 0
-    if int(pos.sum()) < 2:
+    x = np.log(np.arange(1.0, d.size + 1.0))
+    y = np.log(np.where(pos, d, 1.0))  # 0 at the entries left out
+    count = np.cumsum(pos)
+    safe = np.maximum(count, 1)
+    mean_x = np.cumsum(x * pos) / safe
+    mean_y = np.cumsum(y) / safe
+    dx, dy = x.copy(), y.copy()
+    dx[1:] -= mean_x[:-1]
+    dy[1:] -= mean_y[:-1]
+    weighted = pos * (count - 1) / safe * dx
+    sxx = np.cumsum(weighted * dx)
+    sxy = np.cumsum(weighted * dy)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = sxy / sxx
+        scale = np.exp(mean_y - slope * mean_x)
+    slope[count < 2] = np.nan
+    scale[count < 2] = np.nan
+    return slope, scale
+
+
+def fit_decay(deltas) -> DecayFit:
+    exponents, scales = decay_fit_prefixes(deltas)
+    if exponents.size == 0:
         return DecayFit(float("nan"), float("nan"))
-    slope, intercept = np.polyfit(np.log(j[pos]), np.log(d[pos]), 1)
-    return DecayFit(float(slope), float(math.exp(intercept)))
+    return DecayFit(float(exponents[-1]), float(scales[-1]))
 
 
 @dataclass(frozen=True)
@@ -247,10 +277,15 @@ def sample_cube_separator(normals, seed: int,
 def adapt_basis(v_list, ambient_dim: int, tol: float = DEFAULT_TOL):
     """Orthonormal c_1..c_m with v_j in span(c_1..c_j) for ordered unit v_j.
 
-    When v_j depends on its predecessors, a filler direction orthogonal to
-    the current frame is inserted so index alignment is preserved.  Returns
-    (OrthonormalFrame, coords) where coords[i, l] = <v_i, c_l> is lower
-    triangular up to ``tol``.
+    The frame is Q^T from one reduced Householder QR factorization
+    V^T = Q R (Golub & Van Loan, Matrix Computations, section 5.2), with
+    the signs of Q's columns chosen so that diag(R) >= 0; on independent
+    input this is the frame Gram-Schmidt would build.  Since R is upper
+    triangular, v_j = sum_{l <= j} R_lj c_l holds whatever the pivots are:
+    when v_j depends on its predecessors, R_jj vanishes and c_j is still a
+    Householder column orthonormal to the rest, so index alignment is
+    preserved.  Returns (OrthonormalFrame, coords) where
+    coords[i, l] = <v_i, c_l> is lower triangular up to ``tol``.
     """
     V = np.atleast_2d(np.asarray(v_list, dtype=float))
     if V.size == 0:
@@ -263,28 +298,9 @@ def adapt_basis(v_list, ambient_dim: int, tol: float = DEFAULT_TOL):
         raise ValidationError(
             f"cannot adapt {m} vectors in R^{n}: more vectors than ambient dimension"
         )
-    rows: list[np.ndarray] = []
-    for v in V:
-        r = v.astype(float)
-        for _ in range(2):
-            for q in rows:
-                r = r - np.dot(q, r) * q
-        norm = float(np.linalg.norm(r))
-        if norm > tol:
-            rows.append(r / norm)
-            continue
-        # dependent input: insert a filler direction orthogonal to the frame.
-        # Some coordinate direction has residual norm^2 >= (n - len(rows)) / n.
-        Q = np.array(rows)
-        residual_sq = 1.0 - np.sum(Q ** 2, axis=0)
-        idx = int(np.argmax(residual_sq))
-        f = np.zeros(n)
-        f[idx] = 1.0
-        for _ in range(2):
-            for q in rows:
-                f = f - np.dot(q, f) * q
-        rows.append(f / np.linalg.norm(f))
-    frame = OrthonormalFrame(np.array(rows), n, ortho_tol=tol)
+    q, r = np.linalg.qr(V.T)
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    frame = OrthonormalFrame((q * signs).T, n, ortho_tol=tol)
     coords = V @ frame.vectors.T
     return frame, coords
 
@@ -432,7 +448,7 @@ def hyperplane_complement(family: SubspaceFamily, seed: int,
         )
     normals = _hyperplane_normals(family)
     frame, coords = adapt_basis(normals, n)
-    # rows of coords are unit up to the dependent-input tolerance; renormalize
+    # rows of coords are unit up to round-off; renormalize
     coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
     x_c, deltas, stats = sample_box_separator(coords, seed, max_tries=max_tries)
     x = frame.vectors.T @ x_c
@@ -590,6 +606,7 @@ __all__ = [
     "MEASURED",
     "SubspaceFamily",
     "DecayFit",
+    "decay_fit_prefixes",
     "fit_decay",
     "SeparationCertificate",
     "RejectionStats",

@@ -25,3 +25,33 @@ def triangular_unit_rows(rng, m):
         r = rng.standard_normal(j + 1)
         rows[j, : j + 1] = r / np.linalg.norm(r)
     return rows
+
+
+def mgs_adapt_basis(V, tol=1e-10):
+    """Reference oracle for ``adapt_basis``: the frame rows c_1..c_m built by
+    modified Gram-Schmidt with re-orthogonalization, one row per input row.
+
+    A row that depends on its predecessors (residual norm <= tol) gets a
+    filler direction: the coordinate axis with the largest residual,
+    orthogonalized against the frame so far.
+    """
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    n = V.shape[1]
+    rows = []
+    for v in V:
+        r = v.copy()
+        for _ in range(2):
+            for q in rows:
+                r = r - np.dot(q, r) * q
+        norm = float(np.linalg.norm(r))
+        if norm > tol:
+            rows.append(r / norm)
+            continue
+        residual_sq = 1.0 - np.sum(np.array(rows) ** 2, axis=0)
+        f = np.zeros(n)
+        f[int(np.argmax(residual_sq))] = 1.0
+        for _ in range(2):
+            for q in rows:
+                f = f - np.dot(q, f) * q
+        rows.append(f / np.linalg.norm(f))
+    return np.array(rows)

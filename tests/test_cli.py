@@ -16,11 +16,13 @@ from transversal.separator import (
 )
 
 
-def run_cli(*args, log=None):
+def run_cli(*args, log=None, blas_threads=None):
     env = dict(os.environ)
     env.pop("TRANSVERSAL_LOG", None)
     if log is not None:
         env["TRANSVERSAL_LOG"] = log
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     cmd = [sys.executable, "-m", "transversal", *map(str, args)]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
@@ -298,3 +300,53 @@ def test_malformed_json_is_input_error(tmp_path):
     path.write_text("{not json")
     cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
     assert cp.returncode == 2
+
+
+def test_non_numeric_normals_are_input_error(tmp_path):
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps({"dim": 3, "codim": 1, "normals": [[["a", 0, 0]]]}))
+    cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
+    assert cp.returncode == 2
+    assert "member 1" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_incomplete_rejection_stats_are_input_error(single_hyperplane, tmp_path):
+    comp = {"ambient_dim": 4, "dim": 1, "basis": [[1.0, 0.0, 0.0, 0.0]],
+            "rejection_stats": {"attempted": 1}}
+    cpath = tmp_path / "comp.json"
+    cpath.write_text(json.dumps(comp))
+    cp = run_cli("certify", "--family", single_hyperplane, "--complement", cpath)
+    assert cp.returncode == 2
+    assert "accepted" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_outputs_are_byte_identical_per_blas_thread_count(tmp_path):
+    """Equal seeds give equal bytes under one BLAS configuration; across
+    thread counts the blocked QR may round differently, so entries agree to
+    1e-12 while everything discrete stays equal."""
+    fpath = tmp_path / "fam.json"
+    write_family(fpath, random_subspace_family(400, 400, 1, 399))
+    runs = {}
+    for threads in (1, 2):
+        outputs = []
+        for rep in range(2):
+            out = tmp_path / f"comp-{threads}-{rep}.json"
+            cp = run_cli("construct", "--family", fpath, "--seed", 6, "--out", out,
+                         blas_threads=threads)
+            assert cp.returncode == 0, cp.stderr
+            cert = run_cli("certify", "--family", fpath, "--complement", out,
+                           blas_threads=threads)
+            assert cert.returncode == 0, cert.stderr
+            outputs.append((out.read_bytes(), cert.stdout))
+        assert outputs[0] == outputs[1]
+        runs[threads] = (json.loads(outputs[0][0]), outputs[0][1].splitlines())
+    (one, csv_one), (two, csv_two) = runs[1], runs[2]
+    np.testing.assert_allclose(one["basis"], two["basis"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(one["measured"]["deltas"], two["measured"]["deltas"],
+                               rtol=0, atol=1e-12)
+    for key in ("certified", "rng_seed", "rejection_stats"):
+        assert one[key] == two[key]
+    measured_one = [float(line.split(",")[1]) for line in csv_one[1:-1]]
+    measured_two = [float(line.split(",")[1]) for line in csv_two[1:-1]]
+    np.testing.assert_allclose(measured_one, measured_two, rtol=0, atol=1e-12)
+    assert csv_one[-1] == csv_two[-1] == "verdict,true"

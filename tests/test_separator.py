@@ -28,6 +28,7 @@ from transversal.separator import (
     certify,
     common_complement,
     cube_complement,
+    decay_fit_prefixes,
     derive_seeds,
     extend_superspace,
     fit_decay,
@@ -40,7 +41,7 @@ from transversal.separator import (
     truncate_l2_normals,
 )
 
-from conftest import random_unit, triangular_unit_rows
+from conftest import mgs_adapt_basis, random_unit, triangular_unit_rows
 
 
 def e(i, n):
@@ -151,6 +152,46 @@ def test_adapt_basis_random_projection_residuals(rng):
     assert np.max(np.abs(np.triu(coords, k=1))) <= 1e-12
 
 
+@st.composite
+def unit_rows(draw):
+    """Unit rows in R^n: random, with exact duplicates, nearly dependent
+    (a combination of earlier rows perturbed by 1e-13), or square (m = n)."""
+    kind = draw(st.sampled_from(["random", "duplicate", "near", "square"]))
+    n = draw(st.integers(1, 12))
+    m = n if kind == "square" else draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.standard_normal((m, n))
+    for j in range(1, m):
+        if kind == "duplicate" and rng.random() < 0.5:
+            V[j] = V[rng.integers(0, j)]
+        elif kind == "near" and rng.random() < 0.5:
+            V[j] = rng.standard_normal(j) @ V[:j] + 1e-13 * rng.standard_normal(n)
+        V[j] /= np.linalg.norm(V[j])
+    V[0] /= np.linalg.norm(V[0])
+    return V
+
+
+@given(V=unit_rows())
+@settings(max_examples=200, deadline=None)
+def test_adapt_basis_properties(V):
+    m = V.shape[0]
+    frame, coords = adapt_basis(V, V.shape[1])
+    C = frame.vectors
+    assert C.shape == V.shape
+    assert np.max(np.abs(C @ C.T - np.eye(m))) <= 1e-12
+    assert np.max(np.abs(np.triu(coords, k=1)), initial=0.0) <= 1e-12
+    assert np.all(np.diagonal(coords) >= -1e-12)
+    assert np.linalg.norm(V - coords @ C) <= 1e-12
+
+
+def test_adapt_basis_matches_gram_schmidt_oracle(rng):
+    V = np.array([random_unit(rng, 200) for _ in range(199)])
+    frame, coords = adapt_basis(V, 200)
+    reference = mgs_adapt_basis(V)
+    np.testing.assert_allclose(frame.vectors, reference, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(coords, V @ reference.T, rtol=0, atol=1e-12)
+
+
 def test_adapt_basis_rejects_overfull_and_non_unit():
     with pytest.raises(ValidationError, match="more vectors"):
         adapt_basis([e(0, 2), e(1, 2), (e(0, 2) + e(1, 2)) / np.sqrt(2)], 2)
@@ -218,6 +259,36 @@ def test_fit_decay_recovers_exact_power_law():
 def test_fit_decay_degenerate_cases():
     assert np.isnan(fit_decay([0.5]).exponent)
     assert np.isnan(fit_decay([0.0, 0.0, 0.5]).exponent)
+
+
+@pytest.mark.parametrize("profile", [
+    "power", "measured", "zeros", "leading_zeros", "single", "pair", "pair_with_zero",
+])
+def test_decay_fit_prefixes_match_polyfit(profile):
+    rng = np.random.default_rng(7)
+    j = np.arange(1, 301, dtype=float)
+    d = {
+        "power": BOX_CONSTANT * j ** -15.0,
+        "measured": 0.3 * j ** -0.1 * np.exp(0.5 * rng.standard_normal(j.size)),
+        "zeros": np.where(rng.random(j.size) < 0.2, 0.0, rng.random(j.size)),
+        "leading_zeros": np.concatenate(([0.0, 0.0, 0.0], j[:40] ** -2.0)),
+        "single": np.array([0.5]),
+        "pair": np.array([0.5, 0.125]),
+        "pair_with_zero": np.array([0.5, 0.0]),
+    }[profile]
+    exponents, scales = decay_fit_prefixes(d)
+    assert exponents.shape == scales.shape == d.shape
+    x = np.log(np.arange(1, d.size + 1, dtype=float))
+    for size in range(1, d.size + 1):
+        pos = d[:size] > 0
+        if pos.sum() < 2:
+            assert np.isnan(exponents[size - 1]) and np.isnan(scales[size - 1])
+            continue
+        slope, intercept = np.polyfit(x[:size][pos], np.log(d[:size][pos]), 1)
+        assert abs(exponents[size - 1] - slope) <= 1e-12 * max(1.0, abs(slope))
+        assert abs(scales[size - 1] / np.exp(intercept) - 1.0) <= 1e-11
+    fit = fit_decay(d)
+    np.testing.assert_array_equal([fit.exponent, fit.scale], [exponents[-1], scales[-1]])
 
 
 def test_certificate_validation():
