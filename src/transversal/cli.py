@@ -157,8 +157,7 @@ def _default_translation(k: int, n: int) -> np.ndarray:
 
 def cmd_mc(args) -> int:
     grid = tuple(float(e) for e in _parse_floats(args.epsilon_grid, "epsilon grid"))
-    config = McConfig(samples=args.samples, seed=args.seed,
-                      epsilon_grid=grid, horizon=args.members)
+    config = McConfig(samples=args.samples, seed=args.seed, epsilon_grid=grid)
     out: dict
     if args.suite == "badset":
         if args.family:

@@ -13,13 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    CodimSubspace,
-    OrthonormalFrame,
-    SpanSubspace,
-    ValidationError,
-    orthonormalize,
-)
+from .geometry import OrthonormalFrame, SpanSubspace, ValidationError
 from .separator import (
     ComplementResult,
     DecayFit,
@@ -39,7 +33,7 @@ def family_to_dict(family: SubspaceFamily, labels=None) -> dict:
     doc = {
         "dim": family.ambient_dim,
         "codim": family.codim,
-        "normals": [_rows(m.normals) for m in family],
+        "normals": family.normals.tolist(),
     }
     if labels is not None:
         labels = [str(l) for l in labels]
@@ -59,32 +53,18 @@ def family_from_dict(doc: dict):
         raise ValidationError(f"malformed family document: {exc}") from exc
     if not isinstance(blocks, list) or not blocks:
         raise ValidationError("family document lists no normals")
-    members = []
-    for idx, block in enumerate(blocks, start=1):
-        try:
-            arr = np.asarray(block, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"family member {idx}: normals are not numeric: {exc}") from exc
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.shape != (k, n):
-            raise ValidationError(
-                f"family member {idx}: expected a {k} x {n} normal block, "
-                f"got shape {arr.shape}"
-            )
-        frame = orthonormalize(arr, tol=FAMILY_TOL)
-        if frame.size < k:
-            raise ValidationError(
-                f"family member {idx}: normals have rank {frame.size} < {k}"
-            )
-        members.append(CodimSubspace(n, k, frame))
+    family = SubspaceFamily.from_normals(blocks, tol=FAMILY_TOL)
+    if (family.codim, family.ambient_dim) != (k, n):
+        raise ValidationError(
+            f"family normal blocks are {family.codim} x {family.ambient_dim}, "
+            f"expected {k} x {n}"
+        )
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != len(members):
+        if not isinstance(labels, list) or len(labels) != len(family):
             raise ValidationError("labels must match the number of members")
         labels = [str(l) for l in labels]
-    return SubspaceFamily(tuple(members)), labels
+    return family, labels
 
 
 def certificate_to_dict(cert: SeparationCertificate) -> dict:

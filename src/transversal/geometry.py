@@ -5,8 +5,8 @@ is stored through an orthonormal basis of its orthogonal complement (its
 "normal frame"), so point-to-subspace distances and degrees of
 transversality reduce to the action of a small k x n matrix.
 
-All operations are pure: inputs are validated, copied and frozen on
-construction, and nothing is mutated afterwards.
+All operations are pure: inputs are validated and frozen on construction
+(copied unless already read-only), and nothing is mutated afterwards.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ def as_vector(x) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Read-only float64 array: read-only float64 input is shared, as views
+    into a frozen family are; anything else is copied."""
+    if isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable:
+        return arr
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
@@ -241,9 +245,19 @@ def degree_of_transversality(C: SpanSubspace, V: CodimSubspace) -> float:
         raise ValidationError(
             f"complement candidate has dim {C.dim}, expected codim {V.codim}"
         )
-    M = V.normals @ C.basis.T
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(np.clip(s[-1], 0.0, 1.0))
+    return float(degrees_of_transversality(V.normals[None], C.basis)[0])
+
+
+def degrees_of_transversality(normals: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Degree of transversality of rowspace(basis) to every member of a stack.
+
+    ``normals`` is a (J, k, n) stack of orthonormal normal frames N_j and
+    ``basis`` a (k, n) orthonormal basis B.  Entry j is the smallest
+    singular value of N_j B^T (see degree_of_transversality), clipped to
+    [0, 1]; all J values come from one stacked product and one stacked SVD.
+    """
+    s = np.linalg.svd(normals @ basis.T, compute_uv=False)[:, -1]
+    return np.clip(s, 0.0, 1.0)
 
 
 def subspace_basis(V: CodimSubspace) -> OrthonormalFrame:
@@ -292,6 +306,7 @@ __all__ = [
     "distance_to_subspace",
     "project_onto_subspace",
     "degree_of_transversality",
+    "degrees_of_transversality",
     "subspace_basis",
     "is_member",
     "random_unit_vector",

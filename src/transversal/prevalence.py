@@ -51,14 +51,12 @@ class McConfig:
     """Shared Monte Carlo knobs.
 
     ``epsilon_grid`` doubles as the eta-grid of the determinant suite and
-    must be strictly decreasing.  ``horizon`` is the number of family
-    members or shift matrices J when the suite generates its own.
+    must be strictly decreasing.
     """
 
     samples: int = 10_000
     seed: int = 0
     epsilon_grid: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
-    horizon: int = 50
 
     def __post_init__(self):
         if self.samples < 1000:
@@ -68,8 +66,6 @@ class McConfig:
             raise ValidationError("epsilon_grid entries must be positive")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ValidationError("epsilon_grid must be strictly decreasing")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be at least 1")
         object.__setattr__(self, "epsilon_grid", grid)
 
 
@@ -152,7 +148,7 @@ def mc_bad_set_measure(family: SubspaceFamily, epsilon: float,
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
     J = len(family)
-    normals = np.vstack([m.normals[0] for m in family])
+    normals = family.normals[:, 0]
     j = np.arange(1, J + 1, dtype=float)
     thresholds = epsilon * j ** -2.0
 
@@ -270,14 +266,16 @@ def inverse_bound_check(A, A_list, delta_list):
     Preconditions: delta_j in (0, 1] and ||A_j||_2 <= 1 / delta_j.  Returns
     (s, eps_hat) with s_j = sigma_min(A + A_j) and
     eps_hat = min_j s_j * j^2 * delta_j^-(k-1), the largest eps consistent
-    with the floor s_j >= eps * j^-2 * delta_j^(k-1).
+    with the floor s_j >= eps * j^-2 * delta_j^(k-1).  A may also be a
+    (samples, k, k) stack; then s is (samples, J) and eps_hat an array of
+    one floor per sample.
     """
     A = np.asarray(A, dtype=float)
     A_arr = np.asarray(A_list, dtype=float)
     delta = np.asarray(delta_list, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1]:
         raise ValidationError("A must be square")
-    k = A.shape[0]
+    k = A.shape[-1]
     if A_arr.ndim != 3 or A_arr.shape[1:] != (k, k):
         raise ValidationError("A_list must be a stack of k x k matrices")
     J = A_arr.shape[0]
@@ -292,31 +290,27 @@ def inverse_bound_check(A, A_list, delta_list):
             f"shift {bad} has spectral norm {norms[bad - 1]:.6g} "
             f"exceeding 1/delta = {1.0 / delta[bad - 1]:.6g}"
         )
-    svals = np.linalg.svd(A[None, :, :] + A_arr, compute_uv=False)
-    s = svals[:, -1]
+    s = np.linalg.svd(A[..., None, :, :] + A_arr, compute_uv=False)[..., -1]
     j = np.arange(1, J + 1, dtype=float)
-    eps_hat = float(np.min(s * j ** 2 * delta ** -(k - 1)))
-    return s, eps_hat
+    eps_hat = np.min(s * j ** 2 * delta ** -(k - 1), axis=-1)
+    return s, (float(eps_hat) if A.ndim == 2 else eps_hat)
 
 
 def mc_inverse_bound(A_list, delta_list, config: McConfig):
     """Sample A (columns uniform in the unit ball) and check eps_hat > 0.
 
-    Returns (McReport, per-sample eps_hat array).
+    Each sample's floor is inverse_bound_check's eps_hat, so its
+    preconditions on the shifts and deltas apply.  Returns (McReport,
+    per-sample eps_hat array).
     """
     A_arr = np.asarray(A_list, dtype=float)
-    delta = np.asarray(delta_list, dtype=float)
     if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
         raise ValidationError("A_list must be a stack of square matrices")
     J, k, _ = A_arr.shape
     rng = _keyed_rng(config.seed)
     cols = sample_ball(rng, config.samples * k, k)
     A = cols.reshape(config.samples, k, k).transpose(0, 2, 1)
-    shifted = A[:, None, :, :] + A_arr[None, :, :, :]
-    svals = np.linalg.svd(shifted, compute_uv=False)
-    s_min = svals[..., -1]
-    j = np.arange(1, J + 1, dtype=float)
-    eps_hat = (s_min * j ** 2 * delta ** -(k - 1)).min(axis=1)
+    _, eps_hat = inverse_bound_check(A, A_arr, delta_list)
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
     report = McReport(frac, stderr, None, frac >= 0.99, metadata={

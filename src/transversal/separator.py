@@ -33,8 +33,9 @@ from .geometry import (
     OrthonormalFrame,
     SpanSubspace,
     ValidationError,
+    _freeze,
     as_vector,
-    degree_of_transversality,
+    degrees_of_transversality,
     orthonormalize,
 )
 
@@ -61,50 +62,118 @@ CERTIFIED = "certified-by-construction"
 MEASURED = "measured-by-svd"
 
 
-@dataclass(frozen=True)
-class SubspaceFamily:
-    """Finite ordered family of subspaces sharing ambient dimension and codim."""
+def _gram_defects(normals: np.ndarray) -> np.ndarray:
+    """max |N_j N_j^T - I| for every block of a (J, k, n) stack; NaN if non-finite."""
+    gram = normals @ normals.transpose(0, 2, 1)
+    return np.max(np.abs(gram - np.eye(normals.shape[1])), axis=(1, 2), initial=0.0)
 
-    members: tuple[CodimSubspace, ...]
+
+def _stack_blocks(normal_blocks) -> np.ndarray:
+    """Writeable (J, k, n) float64 copy of a sequence of normal blocks.
+
+    A 1-D block is a single normal.  Blocks that do not stack as one array
+    are parsed one at a time, so an error names the first bad member.
+    """
+    try:
+        arr = np.array(normal_blocks, dtype=float)
+    except (TypeError, ValueError):
+        arr = None  # ragged or not numeric
+    if arr is not None and arr.ndim in (2, 3):
+        return arr[:, None, :] if arr.ndim == 2 else arr
+    blocks = []
+    for idx, block in enumerate(normal_blocks, start=1):
+        try:
+            b = np.atleast_2d(np.asarray(block, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"family member {idx}: normals are not numeric: {exc}") from exc
+        if b.ndim != 2:
+            raise ValidationError(f"family member {idx}: normal block is not 1-D or 2-D")
+        if blocks and b.shape != blocks[0].shape:
+            raise ValidationError(
+                f"family member {idx} has a normal block of shape {b.shape}, "
+                f"expected {blocks[0].shape}")
+        blocks.append(b)
+    if not blocks:
+        raise ValidationError("family must contain at least one subspace")
+    return np.array(blocks)
+
+
+@dataclass(frozen=True, eq=False)
+class SubspaceFamily:
+    """Finite ordered family of J codimension-k subspaces of R^n.
+
+    The members' orthonormal normal frames are held as one read-only
+    float64 array ``normals`` of shape (J, k, n); every frame must be
+    orthonormal within ``ortho_tol``.  Per-member CodimSubspace views are
+    built only when the family is indexed or iterated.
+    """
+
+    normals: np.ndarray
+    ortho_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
+        arr = np.asarray(self.normals, dtype=float)
+        if arr.ndim != 3:
+            raise ValidationError(
+                f"family normals must form a (J, k, n) array, got shape {arr.shape}")
+        J, k, n = arr.shape
+        if J == 0:
             raise ValidationError("family must contain at least one subspace")
-        n = members[0].ambient_dim
-        k = members[0].codim
-        for i, m in enumerate(members):
-            if m.ambient_dim != n or m.codim != k:
-                raise ValidationError(
-                    f"family member {i + 1} has (n, k) = ({m.ambient_dim}, {m.codim}),"
-                    f" expected ({n}, {k})"
-                )
-        object.__setattr__(self, "members", members)
+        if not 1 <= k < n:
+            raise ValidationError(
+                f"codim must satisfy 1 <= k < n, got k={k}, n={n}")
+        if not (0 < self.ortho_tol < 1):
+            raise ValidationError("ortho_tol must lie in (0, 1)")
+        defects = _gram_defects(arr)
+        bad = np.flatnonzero(~(defects <= self.ortho_tol))
+        if bad.size:
+            raise ValidationError(
+                f"family member {bad[0] + 1}: normals are not orthonormal "
+                f"(max Gram deviation {defects[bad[0]]:.3e})")
+        object.__setattr__(self, "normals", _freeze(arr))
 
     @classmethod
     def from_normals(cls, normal_blocks, tol: float = DEFAULT_TOL) -> "SubspaceFamily":
-        return cls(tuple(CodimSubspace.from_normals(b, tol=tol) for b in normal_blocks))
+        """Family from a sequence of J blocks of k linearly independent normals.
+
+        One stacked Gram check finds the blocks that are not orthonormal
+        within ``tol``; the others keep their bytes.  Only the failing blocks
+        are orthonormalized, one at a time, and a rank-deficient one is
+        rejected by its member index.
+        """
+        normals = _stack_blocks(normal_blocks)
+        k = normals.shape[1]
+        for i in np.flatnonzero(~(_gram_defects(normals) <= tol)):
+            frame = orthonormalize(normals[i], tol=tol)
+            if frame.size < k:
+                raise ValidationError(
+                    f"family member {i + 1}: normals have rank {frame.size} < {k}")
+            normals[i] = frame.vectors
+        normals.setflags(write=False)
+        return cls(normals, tol)
 
     @property
     def ambient_dim(self) -> int:
-        return self.members[0].ambient_dim
+        return self.normals.shape[2]
 
     @property
     def codim(self) -> int:
-        return self.members[0].codim
+        return self.normals.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.normals.shape[0]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.size
+
+    def __getitem__(self, i: int) -> CodimSubspace:
+        frame = OrthonormalFrame(self.normals[i], self.ambient_dim, self.ortho_tol)
+        return CodimSubspace(self.ambient_dim, self.codim, frame)
 
     def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
+        return (self[i] for i in range(self.size))
 
 
 @dataclass(frozen=True)
@@ -366,8 +435,9 @@ def sample_box_separator(v_list, seed: int,
 def certify(C: SpanSubspace, family: SubspaceFamily) -> SeparationCertificate:
     """Measured transversality profile delta_j = degree_of_transversality(C, V_j).
 
-    A zero entry means C is not a common complement.  The decay fit runs
-    over the strictly positive entries.
+    All J degrees come from one stacked SVD over the family's normals.  A
+    zero entry means C is not a common complement.  The decay fit runs over
+    the strictly positive entries.
     """
     if C.ambient_dim != family.ambient_dim:
         raise ValidationError("candidate and family ambient dimensions differ")
@@ -375,7 +445,7 @@ def certify(C: SpanSubspace, family: SubspaceFamily) -> SeparationCertificate:
         raise ValidationError(
             f"candidate dim {C.dim} does not match family codim {family.codim}"
         )
-    deltas = np.array([degree_of_transversality(C, V) for V in family])
+    deltas = degrees_of_transversality(family.normals, C.basis)
     return SeparationCertificate.from_profile(deltas, MEASURED)
 
 
@@ -427,10 +497,6 @@ def extend_superspace(V: CodimSubspace) -> CodimSubspace:
     return CodimSubspace(V.ambient_dim, V.codim - 1, frame)
 
 
-def _hyperplane_normals(family: SubspaceFamily) -> np.ndarray:
-    return np.vstack([m.normals[0] for m in family])
-
-
 def hyperplane_complement(family: SubspaceFamily, seed: int,
                           max_tries: int = DEFAULT_MAX_TRIES) -> ComplementResult:
     """Certified line complementing J <= n hyperplanes, profile BOX_CONSTANT * j^-5.
@@ -446,7 +512,7 @@ def hyperplane_complement(family: SubspaceFamily, seed: int,
         raise ValidationError(
             f"family of {J} hyperplanes in R^{n}: truncation too small (J > n)"
         )
-    normals = _hyperplane_normals(family)
+    normals = family.normals[:, 0]
     frame, coords = adapt_basis(normals, n)
     # rows of coords are unit up to round-off; renormalize
     coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
@@ -471,7 +537,7 @@ def cube_complement(family: SubspaceFamily, seed: int,
         raise ValidationError("cube_complement requires a codimension-1 family")
     n = family.ambient_dim
     J = len(family)
-    normals = _hyperplane_normals(family)
+    normals = family.normals[:, 0]
     x, bound, stats = sample_cube_separator(normals, seed, max_tries=max_tries)
     comp = SpanSubspace.from_frame(OrthonormalFrame(x[None, :], n))
     certificate = SeparationCertificate.from_profile(
@@ -520,23 +586,22 @@ def common_complement(family: SubspaceFamily, seed: int,
         return hyperplane_complement(family, seed, max_tries=max_tries)
 
     seed1, seed2 = derive_seeds(seed, 2)
-    relaxed = SubspaceFamily(tuple(extend_superspace(V) for V in family))
+    relaxed = SubspaceFamily(family.normals[:, : k - 1], family.ortho_tol)
     first = common_complement(relaxed, seed1, max_tries=max_tries)
     B1 = first.complement.basis  # (k-1) x n
 
-    hyper_normals = []
-    for idx, V in enumerate(family, start=1):
-        N = V.normals
-        G = N @ B1.T  # k x (k-1): coordinates of projected C1 inside V-perp
-        U, _, _ = np.linalg.svd(G)
-        u = U[:, -1]
-        if float(np.linalg.norm(G.T @ u)) > 1e-8:
-            raise ConstructionError(
-                f"enlarged member {idx} is degenerate: first-stage complement "
-                "nearly touches the family"
-            )
-        hyper_normals.append(u @ N)
-    enlarged = SubspaceFamily.from_normals([h[None, :] for h in hyper_normals])
+    N = family.normals
+    G = N @ B1.T  # (J, k, k-1): coordinates of projected C1 inside each V_j-perp
+    U, _, _ = np.linalg.svd(G)
+    u = U[:, None, :, -1]  # (J, 1, k): unit null vectors of G_j^T
+    residuals = np.linalg.norm((u @ G)[:, 0], axis=1)
+    degenerate = np.flatnonzero(residuals > 1e-8)
+    if degenerate.size:
+        raise ConstructionError(
+            f"enlarged member {degenerate[0] + 1} is degenerate: first-stage "
+            "complement nearly touches the family"
+        )
+    enlarged = SubspaceFamily.from_normals(u @ N)
     second = hyperplane_complement(enlarged, seed2, max_tries=max_tries)
     x2 = second.complement.basis[0]
 
@@ -585,14 +650,14 @@ def random_subspace_family(seed: int, ambient_dim: int, codim: int,
                            size: int) -> SubspaceFamily:
     """Family of ``size`` independent uniformly random codim-k subspaces."""
     rng = np.random.default_rng(seed)
-    members = []
-    while len(members) < size:
+    blocks = []
+    while len(blocks) < size:
         g = rng.standard_normal((codim, ambient_dim))
         frame = orthonormalize(g)
         if frame.size < codim:  # measure-zero rank drop: redraw
             continue
-        members.append(CodimSubspace(ambient_dim, codim, frame))
-    return SubspaceFamily(tuple(members))
+        blocks.append(frame.vectors)
+    return SubspaceFamily(np.array(blocks))
 
 
 __all__ = [

@@ -55,3 +55,14 @@ def mgs_adapt_basis(V, tol=1e-10):
                 f = f - np.dot(q, f) * q
         rows.append(f / np.linalg.norm(f))
     return np.array(rows)
+
+
+def loop_certify(C, family):
+    """Reference oracle for ``certify``: the measured profile built member by
+    member, one k x k product N_j B^T and one SVD per member, clipped to
+    [0, 1]."""
+    deltas = []
+    for V in family:
+        s = np.linalg.svd(V.normals @ C.basis.T, compute_uv=False)
+        deltas.append(float(np.clip(s[-1], 0.0, 1.0)))
+    return np.array(deltas)

@@ -215,7 +215,7 @@ def test_acceptance_9_translation_stability():
         normals.append((v / np.linalg.norm(v))[None, :])
     fam = SubspaceFamily.from_normals(normals)
     base = cube_complement(fam, seed=1)
-    cfg = McConfig(samples=1000, seed=42, epsilon_grid=(0.1,), horizon=3)
+    cfg = McConfig(samples=1000, seed=42, epsilon_grid=(0.1,))
     rep, certs = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
     ok = rep.estimate >= 0.99
     ok &= bool(rep.verdict)

@@ -92,6 +92,19 @@ def test_construct_rejects_rank_deficient_family(tmp_path):
     assert "member 1" in cp.stderr
 
 
+def test_certify_names_rank_deficient_later_member(codim2_family, tmp_path):
+    path, fam = codim2_family
+    doc = familyio.family_to_dict(fam)
+    doc["normals"][3][1] = [2.0 * x for x in doc["normals"][3][0]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    comp = tmp_path / "comp.json"
+    assert run_cli("construct", "--family", path, "--out", comp).returncode == 0
+    cp = run_cli("certify", "--family", bad, "--complement", comp)
+    assert cp.returncode == 2
+    assert "family member 4: normals have rank 1 < 2" in cp.stderr
+
+
 def test_construct_missing_file_is_input_error(tmp_path):
     cp = run_cli("construct", "--family", tmp_path / "nope.json",
                  "--out", tmp_path / "x.json")

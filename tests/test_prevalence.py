@@ -78,8 +78,6 @@ def test_mc_config_validation():
         McConfig(epsilon_grid=(1e-3, 1e-2))
     with pytest.raises(ValidationError):
         McConfig(epsilon_grid=(1e-2, -1e-3))
-    with pytest.raises(ValidationError):
-        McConfig(horizon=0)
 
 
 def test_mc_report_verdict_must_match_bound():
@@ -99,7 +97,7 @@ def test_badset_single_hyperplane_matches_slab_area():
     inside the unit disk, with exact area 2(eps sqrt(1-eps^2) + asin eps)."""
     eps = 0.01
     fam = SubspaceFamily.from_normals([np.array([[0.0, 1.0]])])
-    cfg = McConfig(samples=400_000, seed=21, epsilon_grid=(eps,), horizon=1)
+    cfg = McConfig(samples=400_000, seed=21, epsilon_grid=(eps,))
     rep = mc_bad_set_measure(fam, eps, cfg)
     exact = 2.0 * (eps * math.sqrt(1.0 - eps**2) + math.asin(eps))
     assert abs(rep.estimate - exact) <= 3.0 * rep.stderr
@@ -113,7 +111,7 @@ def test_badset_estimates_bounded_on_random_families(rng):
         fam = random_subspace_family(int(rng.integers(2**31)), n, 1, 20)
         for i, eps in enumerate((0.1, 0.01)):
             cfg = McConfig(samples=20_000, seed=100 * n + i,
-                           epsilon_grid=(eps,), horizon=20)
+                           epsilon_grid=(eps,))
             rep = mc_bad_set_measure(fam, eps, cfg)
             assert rep.estimate <= rep.analytic_bound + 3.0 * rep.stderr
             assert rep.verdict
@@ -126,7 +124,7 @@ def test_badset_multiplicity_sum_is_linear_in_eps():
     eps_grid = (1e-1, 1e-2, 1e-3)
     sums, errs = [], []
     for i, eps in enumerate(eps_grid):
-        cfg = McConfig(samples=300_000, seed=400 + i, epsilon_grid=(eps,), horizon=30)
+        cfg = McConfig(samples=300_000, seed=400 + i, epsilon_grid=(eps,))
         rep = mc_bad_set_measure(fam, eps, cfg)
         sums.append(rep.metadata["sum_estimate"])
         errs.append(max(rep.stderr, 1e-9))
@@ -140,7 +138,7 @@ def test_badset_multiplicity_sum_is_linear_in_eps():
 
 def test_badset_saturation_notes_vacuous_bound():
     fam = SubspaceFamily.from_normals([np.array([[0.0, 1.0]])])
-    cfg = McConfig(samples=1000, seed=5, epsilon_grid=(2.0,), horizon=1)
+    cfg = McConfig(samples=1000, seed=5, epsilon_grid=(2.0,))
     rep = mc_bad_set_measure(fam, 2.0, cfg)
     assert rep.estimate == pytest.approx(math.pi)  # every sample is bad
     assert rep.stderr == 0.0
@@ -150,7 +148,7 @@ def test_badset_saturation_notes_vacuous_bound():
 
 def test_badset_preconditions():
     fam2 = random_subspace_family(1, 5, 2, 3)
-    cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,), horizon=3)
+    cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
     with pytest.raises(ValidationError, match="codimension-1"):
         mc_bad_set_measure(fam2, 0.1, cfg)
     fam1 = SubspaceFamily.from_normals([np.array([[0.0, 1.0]])])
@@ -185,8 +183,7 @@ def test_det_coefficient_is_shift_stable():
 
 
 def test_det_lower_bound_zero_shifts():
-    cfg = McConfig(samples=10_000, seed=3, epsilon_grid=(1e-1, 1e-2, 1e-3),
-                   horizon=50)
+    cfg = McConfig(samples=10_000, seed=3, epsilon_grid=(1e-1, 1e-2, 1e-3))
     report, eps_hat = mc_det_lower_bound(np.zeros((50, 1, 1)), cfg)
     assert report.verdict
     assert report.estimate == 1.0  # |a| > 0 almost surely
@@ -198,7 +195,7 @@ def test_det_lower_bound_zero_shifts():
 def test_det_lower_bound_random_shifts_k2(rng):
     shifts = rng.standard_normal((50, 2, 2))
     shifts /= np.linalg.norm(shifts, axis=(1, 2), keepdims=True)
-    cfg = McConfig(samples=10_000, seed=4, epsilon_grid=(1e-2, 1e-3), horizon=50)
+    cfg = McConfig(samples=10_000, seed=4, epsilon_grid=(1e-2, 1e-3))
     report, eps_hat = mc_det_lower_bound(shifts, cfg)
     assert float(np.mean(eps_hat >= 1e-6)) >= 0.99
     assert report.metadata["r_squared"] >= 0.99
@@ -253,7 +250,7 @@ def test_mc_inverse_bound_positive_fraction(rng):
     deltas = np.arange(1.0, J + 1.0) ** -1.0
     shifts = rng.standard_normal((J, k, k))
     shifts *= (1.0 / deltas / np.linalg.norm(shifts, axis=(1, 2)))[:, None, None] * 0.9
-    cfg = McConfig(samples=2000, seed=9, epsilon_grid=(1e-2,), horizon=J)
+    cfg = McConfig(samples=2000, seed=9, epsilon_grid=(1e-2,))
     report, eps_hat = mc_inverse_bound(shifts, deltas, cfg)
     assert report.estimate >= 0.99
     assert report.verdict
@@ -291,7 +288,7 @@ def test_translation_decay_ceiling_values():
 def test_translation_experiment_toy_instance():
     fam = toy_family()
     base = cube_complement(fam, seed=1)
-    cfg = McConfig(samples=1000, seed=42, epsilon_grid=(0.1,), horizon=3)
+    cfg = McConfig(samples=1000, seed=42, epsilon_grid=(0.1,))
     report, certs = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
     assert report.estimate >= 0.99
     assert report.verdict
@@ -303,7 +300,7 @@ def test_translation_experiment_toy_instance():
 def test_translation_experiment_is_deterministic():
     fam = toy_family()
     base = cube_complement(fam, seed=1)
-    cfg = McConfig(samples=1000, seed=7, epsilon_grid=(0.1,), horizon=3)
+    cfg = McConfig(samples=1000, seed=7, epsilon_grid=(0.1,))
     r1, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
     r2, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
     assert r1.to_dict() == r2.to_dict()
@@ -312,7 +309,7 @@ def test_translation_experiment_is_deterministic():
 def test_translation_experiment_validates_shapes():
     fam = toy_family()
     base = cube_complement(fam, seed=1)
-    cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,), horizon=3)
+    cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
     with pytest.raises(ValidationError, match="translation"):
         translation_experiment(base, fam, np.array([[1.0, 0.0, 0.0]]), cfg)
     with pytest.raises(ValidationError, match="radius"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transversal import familyio
 from transversal.geometry import (
     CodimSubspace,
     ConstructionError,
@@ -11,6 +12,7 @@ from transversal.geometry import (
     ValidationError,
     degree_of_transversality,
     is_member,
+    orthonormalize,
     subspace_basis,
 )
 from transversal.separator import (
@@ -41,7 +43,7 @@ from transversal.separator import (
     truncate_l2_normals,
 )
 
-from conftest import mgs_adapt_basis, random_unit, triangular_unit_rows
+from conftest import loop_certify, mgs_adapt_basis, random_unit, triangular_unit_rows
 
 
 def e(i, n):
@@ -312,10 +314,61 @@ def test_complement_result_enforces_dominance():
 
 def test_certify_constant_family():
     V = CodimSubspace.from_normals([e(0, 4), e(1, 4)])
-    fam = SubspaceFamily((V, V, V))
+    fam = SubspaceFamily.from_normals([V.normals] * 3)
     cert = certify(SpanSubspace.from_vectors([e(0, 4), e(1, 4)]), fam)
     np.testing.assert_allclose(cert.deltas, 1.0)
     assert cert.decay_fit.exponent == pytest.approx(0.0, abs=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_certify_matches_member_loop_bit_for_bit(seed, k):
+    """The stacked SVD gives the per-member loop's deltas exactly, on
+    families with duplicate members and a member containing the candidate."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 * k + 1, 40))
+    J = int(rng.integers(1, 30))
+    blocks = random_subspace_family(seed, n, k, J).normals
+    duplicates = blocks[rng.integers(0, J, size=3)]
+    containing = np.eye(n)[None, k:2 * k]  # contains span(e_1..e_k)
+    fam = SubspaceFamily.from_normals(np.concatenate([blocks, duplicates, containing]))
+    random_span = SpanSubspace.from_vectors(rng.standard_normal((k, n)))
+    contained = SpanSubspace.from_vectors(np.eye(n)[:k])
+    for C in (random_span, contained):
+        np.testing.assert_array_equal(certify(C, fam).deltas, loop_certify(C, fam))
+    assert certify(contained, fam).deltas[-1] == 0.0
+
+
+def test_family_normals_are_read_only_and_members_are_views():
+    expected = random_subspace_family(3, 6, 2, 4).normals
+    given_normals = expected.copy()
+    fam = SubspaceFamily.from_normals(given_normals)
+    assert not fam.normals.flags.writeable
+    with pytest.raises(ValueError):
+        fam.normals[0, 0, 0] = 1.0
+    given_normals[0] = 0.0  # the family holds its own copy
+    np.testing.assert_array_equal(fam.normals, expected)
+    assert np.shares_memory(fam[1].normals, fam.normals)
+    assert not fam[1].normals.flags.writeable
+
+
+def test_family_loading_orthonormalizes_only_failing_blocks(rng):
+    """Blocks off the Gram tolerance load to the frames per-member
+    orthonormalize gives; orthonormal blocks keep their bytes."""
+    J, k, n = 6, 3, 9
+    blocks = rng.standard_normal((J, k, n))
+    blocks[2] = np.linalg.qr(rng.standard_normal((n, k)))[0].T
+    fam, _ = familyio.family_from_dict({"dim": n, "codim": k, "normals": blocks.tolist()})
+    for j in range(J):
+        np.testing.assert_array_equal(fam.normals[j], orthonormalize(blocks[j]).vectors)
+    np.testing.assert_array_equal(fam.normals[2], blocks[2])
+
+
+def test_from_normals_names_rank_deficient_member():
+    blocks = random_subspace_family(4, 5, 2, 4).normals.copy()
+    blocks[2, 1] = 3.0 * blocks[2, 0]
+    with pytest.raises(ValidationError, match="member 3: normals have rank 1 < 2"):
+        SubspaceFamily.from_normals(blocks)
 
 
 def test_is_well_separating_polynomial_true():
@@ -383,7 +436,9 @@ def test_line_min_norm_matches_brute_grid(seed):
     if exact < 1e-3:  # flat minima magnify the grid discretization error
         return
     ts = np.linspace(-10.0, 10.0, 2_000_001)
-    brute = np.min(np.linalg.norm(np.outer(ts, x1) + np.outer(1.0 - ts, x2), axis=1))
+    brute = min(float(np.min(np.linalg.norm(np.outer(t, x1) + np.outer(1.0 - t, x2),
+                                            axis=1)))
+                for t in np.array_split(ts, 32))  # ~64k rows per chunk
     assert abs(exact - brute) <= 1e-6
 
 
@@ -606,4 +661,4 @@ def test_family_rejects_mixed_members():
     a = CodimSubspace.from_normals([e(0, 3)])
     b = CodimSubspace.from_normals([e(0, 4)])
     with pytest.raises(ValidationError, match="member 2"):
-        SubspaceFamily((a, b))
+        SubspaceFamily.from_normals([a.normals, b.normals])
