@@ -35,13 +35,10 @@ from .prevalence import (
 )
 from .separator import (
     DEFAULT_MAX_TRIES,
-    SubspaceFamily,
     certify,
     common_complement,
-    cube_complement,
     decay_fit_prefixes,
     derive_seeds,
-    hyperplane_complement,
     is_well_separating,
     random_subspace_family,
 )
@@ -87,17 +84,11 @@ def _parse_vectors(text: str, what: str) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _construct(family: SubspaceFamily, seed: int, max_tries: int):
-    if family.codim == 1:
-        return hyperplane_complement(family, seed, max_tries=max_tries)
-    return common_complement(family, seed, max_tries=max_tries)
-
-
 def cmd_construct(args) -> int:
     family, labels = familyio.load_family(args.family)
     logger.info("family: %d members, n=%d, k=%d",
                 len(family), family.ambient_dim, family.codim)
-    result = _construct(family, args.seed, args.max_tries)
+    result = common_complement(family, args.seed, args.max_tries)
     logger.info("construction took %d draws (%d accepted)",
                 result.rejection_stats.attempted, result.rejection_stats.accepted)
     logger.debug("certified profile: %s", result.certificate.deltas.tolist())
@@ -198,13 +189,7 @@ def cmd_mc(args) -> int:
             family_seed = derive_seeds(args.seed, 3)[2]
             family = random_subspace_family(family_seed, args.dim, args.k,
                                             args.members)
-        base_seed = derive_seeds(args.seed, 2)[0]
-        if family.codim == 1 and len(family) > family.ambient_dim:
-            # box construction needs J <= n; fall back to the constant-profile
-            # cube separator, which handles any number of hyperplanes
-            base = cube_complement(family, base_seed)
-        else:
-            base = _construct(family, base_seed, DEFAULT_MAX_TRIES)
+        base = common_complement(family, derive_seeds(args.seed, 2)[0])
         if args.translation:
             translation = _parse_vectors(args.translation, "translation")
         else:

@@ -22,8 +22,6 @@ from .separator import (
     SubspaceFamily,
 )
 
-FAMILY_TOL = 1e-10
-
 
 def _rows(arr: np.ndarray) -> list[list[float]]:
     return [[float(x) for x in row] for row in np.atleast_2d(arr)]
@@ -53,7 +51,7 @@ def family_from_dict(doc: dict):
         raise ValidationError(f"malformed family document: {exc}") from exc
     if not isinstance(blocks, list) or not blocks:
         raise ValidationError("family document lists no normals")
-    family = SubspaceFamily.from_normals(blocks, tol=FAMILY_TOL)
+    family = SubspaceFamily.from_normals(blocks)
     if (family.codim, family.ambient_dim) != (k, n):
         raise ValidationError(
             f"family normal blocks are {family.codim} x {family.ambient_dim}, "
@@ -171,10 +169,6 @@ def load_family(path):
     return family_from_dict(_read_json(path))
 
 
-def save_family(path, family: SubspaceFamily, labels=None) -> None:
-    Path(path).write_text(dump_json(family_to_dict(family, labels)))
-
-
 def load_complement(path) -> ComplementDoc:
     return complement_from_dict(_read_json(path))
 
@@ -184,7 +178,6 @@ def save_complement(path, result: ComplementResult) -> None:
 
 
 __all__ = [
-    "FAMILY_TOL",
     "family_to_dict",
     "family_from_dict",
     "certificate_to_dict",
@@ -194,7 +187,6 @@ __all__ = [
     "ComplementDoc",
     "dump_json",
     "load_family",
-    "save_family",
     "load_complement",
     "save_complement",
 ]

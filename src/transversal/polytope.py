@@ -3,7 +3,8 @@
 The shadow of a box under orthogonal projection onto the hyperplane v-perp
 has an exact closed form (a sum of face volumes weighted by |v_i|).  Slabs
 {|<y, v>| <= delta} intersected with the box are bounded by twice the slab
-width times that shadow volume.  Monte Carlo estimators cross-check both.
+width times that shadow volume.  A Monte Carlo estimator cross-checks the
+shadow volume.
 """
 
 from __future__ import annotations
@@ -79,30 +80,6 @@ class McEstimate:
     estimate: float
     stderr: float
     samples: int
-
-
-def mc_slab_measure(box: Box, v, delta: float, samples: int = 10_000,
-                    seed: int = 0) -> McEstimate:
-    """Monte Carlo estimate of vol({y in box: |<y,v>| <= delta}).
-
-    Uniform sampling in the box; the standard error is the binomial one
-    scaled by the box volume.  Deterministic for a fixed seed.
-    """
-    v = as_vector(v)
-    if v.size != box.dim:
-        raise ValidationError(f"direction dim {v.size} vs box dim {box.dim}")
-    _check_unit(v)
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
-    if samples < 1000:
-        raise ValidationError("need at least 1000 samples")
-    rng = np.random.default_rng(seed)
-    h = box.halfwidths
-    y = rng.uniform(-h, h, size=(samples, box.dim))
-    hits = int(np.count_nonzero(np.abs(y @ v) <= delta))
-    p = hits / samples
-    vol = box.volume
-    return McEstimate(vol * p, vol * float(np.sqrt(p * (1.0 - p) / samples)), samples)
 
 
 def mc_shadow_volume(box: Box, v, samples: int = 1_000_000, seed: int = 0) -> McEstimate:
@@ -183,6 +160,5 @@ __all__ = [
     "McEstimate",
     "box_projection_volume",
     "slab_measure_bound",
-    "mc_slab_measure",
     "mc_shadow_volume",
 ]

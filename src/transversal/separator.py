@@ -28,7 +28,6 @@ import numpy as np
 
 from .geometry import (
     DEFAULT_TOL,
-    CodimSubspace,
     ConstructionError,
     OrthonormalFrame,
     SpanSubspace,
@@ -105,12 +104,10 @@ class SubspaceFamily:
 
     The members' orthonormal normal frames are held as one read-only
     float64 array ``normals`` of shape (J, k, n); every frame must be
-    orthonormal within ``ortho_tol``.  Per-member CodimSubspace views are
-    built only when the family is indexed or iterated.
+    orthonormal within DEFAULT_TOL.
     """
 
     normals: np.ndarray
-    ortho_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         arr = np.asarray(self.normals, dtype=float)
@@ -123,10 +120,8 @@ class SubspaceFamily:
         if not 1 <= k < n:
             raise ValidationError(
                 f"codim must satisfy 1 <= k < n, got k={k}, n={n}")
-        if not (0 < self.ortho_tol < 1):
-            raise ValidationError("ortho_tol must lie in (0, 1)")
         defects = _gram_defects(arr)
-        bad = np.flatnonzero(~(defects <= self.ortho_tol))
+        bad = np.flatnonzero(~(defects <= DEFAULT_TOL))
         if bad.size:
             raise ValidationError(
                 f"family member {bad[0] + 1}: normals are not orthonormal "
@@ -134,24 +129,24 @@ class SubspaceFamily:
         object.__setattr__(self, "normals", _freeze(arr))
 
     @classmethod
-    def from_normals(cls, normal_blocks, tol: float = DEFAULT_TOL) -> "SubspaceFamily":
+    def from_normals(cls, normal_blocks) -> "SubspaceFamily":
         """Family from a sequence of J blocks of k linearly independent normals.
 
         One stacked Gram check finds the blocks that are not orthonormal
-        within ``tol``; the others keep their bytes.  Only the failing blocks
+        within DEFAULT_TOL; the others keep their bytes.  Only the failing blocks
         are orthonormalized, one at a time, and a rank-deficient one is
         rejected by its member index.
         """
         normals = _stack_blocks(normal_blocks)
         k = normals.shape[1]
-        for i in np.flatnonzero(~(_gram_defects(normals) <= tol)):
-            frame = orthonormalize(normals[i], tol=tol)
+        for i in np.flatnonzero(~(_gram_defects(normals) <= DEFAULT_TOL)):
+            frame = orthonormalize(normals[i])
             if frame.size < k:
                 raise ValidationError(
                     f"family member {i + 1}: normals have rank {frame.size} < {k}")
             normals[i] = frame.vectors
         normals.setflags(write=False)
-        return cls(normals, tol)
+        return cls(normals)
 
     @property
     def ambient_dim(self) -> int:
@@ -167,13 +162,6 @@ class SubspaceFamily:
 
     def __len__(self) -> int:
         return self.size
-
-    def __getitem__(self, i: int) -> CodimSubspace:
-        frame = OrthonormalFrame(self.normals[i], self.ambient_dim, self.ortho_tol)
-        return CodimSubspace(self.ambient_dim, self.codim, frame)
-
-    def __iter__(self):
-        return (self[i] for i in range(self.size))
 
 
 @dataclass(frozen=True)
@@ -343,7 +331,7 @@ def sample_cube_separator(normals, seed: int,
     )
 
 
-def adapt_basis(v_list, ambient_dim: int, tol: float = DEFAULT_TOL):
+def adapt_basis(v_list, ambient_dim: int):
     """Orthonormal c_1..c_m with v_j in span(c_1..c_j) for ordered unit v_j.
 
     The frame is Q^T from one reduced Householder QR factorization
@@ -354,7 +342,7 @@ def adapt_basis(v_list, ambient_dim: int, tol: float = DEFAULT_TOL):
     when v_j depends on its predecessors, R_jj vanishes and c_j is still a
     Householder column orthonormal to the rest, so index alignment is
     preserved.  Returns (OrthonormalFrame, coords) where
-    coords[i, l] = <v_i, c_l> is lower triangular up to ``tol``.
+    coords[i, l] = <v_i, c_l> is lower triangular up to DEFAULT_TOL.
     """
     V = np.atleast_2d(np.asarray(v_list, dtype=float))
     if V.size == 0:
@@ -369,18 +357,17 @@ def adapt_basis(v_list, ambient_dim: int, tol: float = DEFAULT_TOL):
         )
     q, r = np.linalg.qr(V.T)
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    frame = OrthonormalFrame((q * signs).T, n, ortho_tol=tol)
+    frame = OrthonormalFrame((q * signs).T, n)
     coords = V @ frame.vectors.T
     return frame, coords
 
 
 def sample_box_separator(v_list, seed: int,
-                         max_tries: int = DEFAULT_MAX_TRIES,
-                         tol: float = DEFAULT_TOL):
+                         max_tries: int = DEFAULT_MAX_TRIES):
     """Unit vector with |<x, v_j>| >= BOX_CONSTANT * j^-5 for adapted unit v_j.
 
     The v_j must be given in adapted coordinates: v_j lives in R^j x {0}
-    (entries past index j vanish within ``tol``).  Draws y uniformly from
+    (entries past index j vanish within DEFAULT_TOL).  Draws y uniformly from
     the box with halfwidths j^-2 and accepts once every |<y, v_j>| clears
     RAW_MARGIN * j^-5; the rejected slabs cover at most half the box volume,
     so each draw accepts with probability >= 1/2.  Since ||y||_2 < NORM_CAP,
@@ -399,7 +386,7 @@ def sample_box_separator(v_list, seed: int,
         )
     _check_unit_rows(V, "adapted vector")
     upper = np.triu(V, k=1)
-    if np.max(np.abs(upper), initial=0.0) > tol:
+    if np.max(np.abs(upper), initial=0.0) > DEFAULT_TOL:
         bad = int(np.argmax(np.max(np.abs(upper), axis=1))) + 1
         raise ValidationError(
             f"vector {bad} has mass above its index: input is not adapted"
@@ -433,7 +420,7 @@ def sample_box_separator(v_list, seed: int,
 
 
 def certify(C: SpanSubspace, family: SubspaceFamily) -> SeparationCertificate:
-    """Measured transversality profile delta_j = degree_of_transversality(C, V_j).
+    """Measured transversality profile: delta_j is C's degree of transversality to V_j.
 
     All J degrees come from one stacked SVD over the family's normals.  A
     zero entry means C is not a common complement.  The decay fit runs over
@@ -470,83 +457,6 @@ def is_well_separating(cert: SeparationCertificate, max_exponent: float) -> bool
     return bool(p <= max_exponent and eps > 0)
 
 
-def line_min_norm(x1, x2) -> float:
-    """min over t of ||t x1 + (1 - t) x2||: distance from 0 to the line through x1, x2.
-
-    For ||x1||, ||x2|| <= 1 with ||x1|| >= mu1 and d(x2, span(x1)) >= mu2
-    the value is at least mu1 * mu2 / sqrt(5).
-    """
-    x1 = as_vector(x1)
-    x2 = as_vector(x2)
-    if x1.size != x2.size:
-        raise ValidationError("points live in different dimensions")
-    d = x1 - x2
-    dd = float(np.dot(d, d))
-    if dd == 0.0:
-        return float(np.linalg.norm(x1))
-    t = -float(np.dot(x2, d)) / dd
-    return float(np.linalg.norm(x2 + t * d))
-
-
-def extend_superspace(V: CodimSubspace) -> CodimSubspace:
-    """Codimension k-1 superspace obtained by dropping the last normal."""
-    if V.codim < 2:
-        raise ValidationError("cannot relax a subspace of codimension 1")
-    frame = OrthonormalFrame(V.normals[: V.codim - 1], V.ambient_dim,
-                             V.normal_frame.ortho_tol)
-    return CodimSubspace(V.ambient_dim, V.codim - 1, frame)
-
-
-def hyperplane_complement(family: SubspaceFamily, seed: int,
-                          max_tries: int = DEFAULT_MAX_TRIES) -> ComplementResult:
-    """Certified line complementing J <= n hyperplanes, profile BOX_CONSTANT * j^-5.
-
-    Adapts an orthonormal basis to the ordered normals, runs the shrinking-
-    box sampler in those coordinates and maps the accepted direction back.
-    """
-    if family.codim != 1:
-        raise ValidationError("hyperplane_complement requires a codimension-1 family")
-    n = family.ambient_dim
-    J = len(family)
-    if J > n:
-        raise ValidationError(
-            f"family of {J} hyperplanes in R^{n}: truncation too small (J > n)"
-        )
-    normals = family.normals[:, 0]
-    frame, coords = adapt_basis(normals, n)
-    # rows of coords are unit up to round-off; renormalize
-    coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-    x_c, deltas, stats = sample_box_separator(coords, seed, max_tries=max_tries)
-    x = frame.vectors.T @ x_c
-    comp = SpanSubspace.from_frame(OrthonormalFrame(x[None, :], n))
-    certificate = SeparationCertificate.from_profile(
-        deltas, CERTIFIED, constants=_certificate_constants(1))
-    measured = certify(comp, family)
-    return ComplementResult(comp, certificate, measured, seed, stats)
-
-
-def cube_complement(family: SubspaceFamily, seed: int,
-                    max_tries: int = DEFAULT_MAX_TRIES) -> ComplementResult:
-    """Certified line complement for J hyperplanes with a constant profile.
-
-    Unlike hyperplane_complement this places no restriction on J relative
-    to n: the cube sampler treats all normals at once and certifies the
-    non-decaying bound 1/(2 J n) at every index.
-    """
-    if family.codim != 1:
-        raise ValidationError("cube_complement requires a codimension-1 family")
-    n = family.ambient_dim
-    J = len(family)
-    normals = family.normals[:, 0]
-    x, bound, stats = sample_cube_separator(normals, seed, max_tries=max_tries)
-    comp = SpanSubspace.from_frame(OrthonormalFrame(x[None, :], n))
-    certificate = SeparationCertificate.from_profile(
-        np.full(J, bound), CERTIFIED,
-        constants={"profile_scale": bound, "profile_exponent": 0.0, "members": J})
-    measured = certify(comp, family)
-    return ComplementResult(comp, certificate, measured, seed, stats)
-
-
 def _certificate_constants(levels: int) -> dict:
     return {
         "profile_scale": BOX_CONSTANT,
@@ -563,30 +473,60 @@ def derive_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
+def _line_complement(family: SubspaceFamily, seed: int,
+                     max_tries: int) -> ComplementResult:
+    """Certified line complementing J hyperplanes in R^n.
+
+    For J <= n the shrinking-box sampler runs in a basis adapted to the
+    ordered normals and certifies BOX_CONSTANT * j^-5; for J > n the cube
+    sampler treats all normals at once and certifies the constant 1/(2 J n).
+    """
+    n = family.ambient_dim
+    J = len(family)
+    normals = family.normals[:, 0]
+    if J <= n:
+        frame, coords = adapt_basis(normals, n)
+        # rows of coords are unit up to round-off; renormalize
+        coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+        x_c, deltas, stats = sample_box_separator(coords, seed, max_tries=max_tries)
+        x = frame.vectors.T @ x_c
+        constants = _certificate_constants(1)
+    else:
+        x, bound, stats = sample_cube_separator(normals, seed, max_tries=max_tries)
+        deltas = np.full(J, bound)
+        constants = {"profile_scale": bound, "profile_exponent": 0.0, "members": J}
+    comp = SpanSubspace.from_frame(OrthonormalFrame(x[None, :], n))
+    certificate = SeparationCertificate.from_profile(deltas, CERTIFIED, constants=constants)
+    measured = certify(comp, family)
+    return ComplementResult(comp, certificate, measured, seed, stats)
+
+
 def common_complement(family: SubspaceFamily, seed: int,
                       max_tries: int = DEFAULT_MAX_TRIES) -> ComplementResult:
-    """Certified common complement for J <= n - k subspaces of codimension k.
+    """Certified common complement of J subspaces of codimension k in R^n.
 
-    Base case k = 1 delegates to hyperplane_complement.  For k >= 2 the
-    family is relaxed by dropping each member's last normal, a complement
-    C1 of the relaxed family is built recursively, each V_j is enlarged to
-    the hyperplane V_j + C1, a second certified direction x2 is produced
-    against those hyperplanes, and C = C1 + span(x2).  Certificates compose
-    as delta_j = delta1_j * delta2_j * LINE_CONSTANT, giving the overall
-    profile LINE_CONSTANT**(k-1) * (BOX_CONSTANT * j^-5)**k.
+    Size bound: any J for k = 1, and J <= n - k for k >= 2.  For k = 1 the
+    complement is a line with the profile BOX_CONSTANT * j^-5 when J <= n,
+    and the constant profile 1/(2 J n) when J > n (see _line_complement).
+    For k >= 2 the family is relaxed by dropping each member's last normal,
+    a complement C1 of the relaxed family is built recursively, each V_j is
+    enlarged to the hyperplane V_j + C1, a second certified direction x2 is
+    produced against those hyperplanes, and C = C1 + span(x2).  Certificates
+    compose as delta_j = delta1_j * delta2_j * LINE_CONSTANT, giving the
+    overall profile LINE_CONSTANT**(k-1) * (BOX_CONSTANT * j^-5)**k.
     """
     n = family.ambient_dim
     k = family.codim
     J = len(family)
+    if k == 1:
+        return _line_complement(family, seed, max_tries)
     if J > n - k:
         raise ValidationError(
             f"family of {J} members with codim {k} in R^{n}: need J <= n - k"
         )
-    if k == 1:
-        return hyperplane_complement(family, seed, max_tries=max_tries)
 
     seed1, seed2 = derive_seeds(seed, 2)
-    relaxed = SubspaceFamily(family.normals[:, : k - 1], family.ortho_tol)
+    relaxed = SubspaceFamily(family.normals[:, : k - 1])
     first = common_complement(relaxed, seed1, max_tries=max_tries)
     B1 = first.complement.basis  # (k-1) x n
 
@@ -602,7 +542,7 @@ def common_complement(family: SubspaceFamily, seed: int,
             "complement nearly touches the family"
         )
     enlarged = SubspaceFamily.from_normals(u @ N)
-    second = hyperplane_complement(enlarged, seed2, max_tries=max_tries)
+    second = _line_complement(enlarged, seed2, max_tries)
     x2 = second.complement.basis[0]
 
     frame = orthonormalize(np.vstack([B1, x2]))
@@ -618,32 +558,6 @@ def common_complement(family: SubspaceFamily, seed: int,
         first.rejection_stats.accepted + second.rejection_stats.accepted,
     )
     return ComplementResult(comp, certificate, measured, seed, stats)
-
-
-def truncate_l2_normals(seqs, tail_tol: float = 1e-8):
-    """Truncate rows of near-unit l2 sequences to a common prefix, renormalized.
-
-    Picks the smallest N such that every row's tail norm beyond N is at most
-    ``tail_tol`` and returns (J x N array of renormalized rows, N).
-    """
-    arr = np.atleast_2d(np.asarray(seqs, dtype=float))
-    if arr.size == 0:
-        raise ValidationError("need at least one sequence")
-    if not tail_tol > 0:
-        raise ValidationError("tail_tol must be positive")
-    tails = np.sqrt(np.cumsum((arr ** 2)[:, ::-1], axis=1))[:, ::-1]
-    N = 0
-    for row_tail in tails:
-        ok = np.nonzero(row_tail <= tail_tol)[0]
-        if ok.size == 0:
-            raise ValidationError("tail norm never drops below tail_tol")
-        N = max(N, int(ok[0]))
-    N = max(N, 1)
-    head = arr[:, :N]
-    norms = np.linalg.norm(head, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValidationError("a truncated row vanished entirely")
-    return head / norms, N
 
 
 def random_subspace_family(seed: int, ambient_dim: int, codim: int,
@@ -681,12 +595,7 @@ __all__ = [
     "sample_box_separator",
     "certify",
     "is_well_separating",
-    "line_min_norm",
-    "extend_superspace",
-    "hyperplane_complement",
-    "cube_complement",
     "common_complement",
-    "truncate_l2_normals",
     "random_subspace_family",
     "derive_seeds",
 ]

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from transversal.geometry import SpanSubspace, ValidationError, as_vector, orthonormalize
+from transversal.polytope import Box, McEstimate
+
 
 @pytest.fixture
 def rng():
@@ -62,7 +65,55 @@ def loop_certify(C, family):
     member, one k x k product N_j B^T and one SVD per member, clipped to
     [0, 1]."""
     deltas = []
-    for V in family:
-        s = np.linalg.svd(V.normals @ C.basis.T, compute_uv=False)
+    for N in family.normals:
+        s = np.linalg.svd(N @ C.basis.T, compute_uv=False)
         deltas.append(float(np.clip(s[-1], 0.0, 1.0)))
     return np.array(deltas)
+
+
+def span(vectors):
+    """SpanSubspace with an orthonormal basis of the given independent vectors."""
+    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
+    frame = orthonormalize(arr)
+    if frame.size < arr.shape[0]:
+        raise ValidationError("spanning vectors are linearly dependent")
+    return SpanSubspace.from_frame(frame)
+
+
+def null_basis(N):
+    """Orthonormal rows spanning the null space of a k x n normal frame N:
+    a basis of the member V itself."""
+    _, _, vt = np.linalg.svd(N, full_matrices=True)
+    return vt[N.shape[0]:]
+
+
+def line_min_norm(x1, x2) -> float:
+    """min over t of ||t x1 + (1 - t) x2||: distance from 0 to the line through x1, x2.
+
+    The lemma behind LINE_CONSTANT: for ||x1||, ||x2|| <= 1 with
+    ||x1|| >= mu1 and d(x2, span(x1)) >= mu2 the value is at least
+    mu1 * mu2 / sqrt(5).
+    """
+    x1 = as_vector(x1)
+    x2 = as_vector(x2)
+    d = x1 - x2
+    dd = float(np.dot(d, d))
+    if dd == 0.0:
+        return float(np.linalg.norm(x1))
+    t = -float(np.dot(x2, d)) / dd
+    return float(np.linalg.norm(x2 + t * d))
+
+
+def mc_slab_measure(box: Box, v, delta: float, samples: int = 10_000,
+                    seed: int = 0) -> McEstimate:
+    """Reference oracle for ``slab_measure_bound``: Monte Carlo estimate of
+    vol({y in box: |<y,v>| <= delta}) from uniform samples in the box, with
+    the binomial standard error scaled by the box volume.  Deterministic for
+    a fixed seed."""
+    rng = np.random.default_rng(seed)
+    h = box.halfwidths
+    y = rng.uniform(-h, h, size=(samples, box.dim))
+    hits = int(np.count_nonzero(np.abs(y @ np.asarray(v, dtype=float)) <= delta))
+    p = hits / samples
+    vol = box.volume
+    return McEstimate(vol * p, vol * float(np.sqrt(p * (1.0 - p) / samples)), samples)

@@ -111,15 +111,20 @@ def test_construct_missing_file_is_input_error(tmp_path):
     assert cp.returncode == 2
 
 
-def test_construct_too_many_hyperplanes_is_input_error(tmp_path):
+def test_construct_many_hyperplanes_gets_cube_profile(tmp_path):
+    """J > n hyperplanes is valid input: the cube sampler certifies the
+    constant profile 1/(2 J n)."""
     rng = np.random.default_rng(3)
     normals = rng.standard_normal((5, 1, 3))
     fam = SubspaceFamily.from_normals(list(normals))
     path = tmp_path / "crowded.json"
     write_family(path, fam)
-    cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
-    assert cp.returncode == 2
-    assert "truncation too small" in cp.stderr
+    out = tmp_path / "x.json"
+    cp = run_cli("construct", "--family", path, "--out", out)
+    assert cp.returncode == 0, cp.stderr
+    doc = familyio.load_complement(out)
+    assert doc.certified.deltas.tolist() == [0.5 / (5 * 3)] * 5
+    assert np.all(doc.measured.deltas >= doc.certified.deltas)
 
 
 def test_certify_construct_output(codim2_family, tmp_path):

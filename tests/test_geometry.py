@@ -1,31 +1,29 @@
-"""Frames, distances, and the transversality functional."""
+"""Frames, orthonormalization, and the transversality functional."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from transversal.geometry import (
-    CodimSubspace,
     OrthonormalFrame,
-    SpanSubspace,
     ValidationError,
-    degree_of_transversality,
-    distance_to_subspace,
-    is_member,
+    degrees_of_transversality,
     orthonormalize,
-    project_onto_subspace,
-    pythagoras_residual,
-    random_unit_vector,
-    subspace_basis,
 )
+from transversal.separator import SubspaceFamily, certify
 
-from conftest import random_unit
+from conftest import random_unit, span
 
 
 def e(i, n):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+def degree(C, N):
+    """Degree of transversality of C to the one member with normal frame N."""
+    return float(degrees_of_transversality(np.atleast_2d(N)[None], C.basis)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,7 @@ def test_orthonormalize_preserves_span(rng):
 
 
 # ---------------------------------------------------------------------------
-# frame / subspace validation
+# frame and family validation
 
 
 def test_frame_rejects_non_orthonormal_rows():
@@ -100,53 +98,9 @@ def test_frame_vectors_are_frozen():
 
 def test_codim_subspace_bounds():
     with pytest.raises(ValidationError):
-        CodimSubspace.from_normals(np.eye(3))  # k = n
-    with pytest.raises(ValidationError, match="dependent"):
-        CodimSubspace.from_normals([e(0, 3), 2.0 * e(0, 3)])
-
-
-def test_span_subspace_from_vectors_rejects_dependent():
-    with pytest.raises(ValidationError):
-        SpanSubspace.from_vectors([e(0, 4), -e(0, 4)])
-
-
-# ---------------------------------------------------------------------------
-# distances
-
-
-def test_distance_axis_cases():
-    V = CodimSubspace.from_normals([e(2, 3)])
-    assert distance_to_subspace(e(2, 3), V) == pytest.approx(1.0)
-    assert distance_to_subspace(e(0, 3) + 2 * e(1, 3), V) == pytest.approx(0.0)
-
-
-def test_distance_matches_grid_minimization():
-    """d((cos t, sin t), span(e1)) = |sin t|, against brute minimization."""
-    V = CodimSubspace.from_normals([e(1, 2)])  # V = span(e1)
-    ts = np.linspace(-5.0, 5.0, 400_001)
-    for theta in (0.3, 1.2, 2.8, -0.7):
-        x = np.array([np.cos(theta), np.sin(theta)])
-        brute = np.min(np.linalg.norm(x[None, :] - np.outer(ts, e(0, 2)), axis=1))
-        d = distance_to_subspace(x, V)
-        assert d == pytest.approx(abs(np.sin(theta)), abs=1e-12)
-        assert d == pytest.approx(brute, abs=1e-6)
-
-
-def test_distance_dimension_mismatch():
-    V = CodimSubspace.from_normals([e(0, 3)])
-    with pytest.raises(ValidationError):
-        distance_to_subspace(np.ones(4), V)
-
-
-def test_projection_lands_in_subspace(rng):
-    V = CodimSubspace.from_normals(rng.standard_normal((2, 6)))
-    x = rng.standard_normal(6)
-    p = project_onto_subspace(x, V)
-    assert is_member(V, p, tol=1e-9)
-    # the residual is orthogonal to V, i.e. lies in the normal span
-    r = x - p
-    np.testing.assert_allclose(np.linalg.norm(V.normals @ r),
-                               np.linalg.norm(r), atol=1e-9)
+        SubspaceFamily.from_normals([np.eye(3)])  # k = n
+    with pytest.raises(ValidationError, match="rank"):
+        SubspaceFamily.from_normals([[e(0, 3), 2.0 * e(0, 3)]])
 
 
 # ---------------------------------------------------------------------------
@@ -154,42 +108,42 @@ def test_projection_lands_in_subspace(rng):
 
 
 def test_degree_orthogonal_complement_is_one():
-    V = CodimSubspace.from_normals([e(0, 4), e(1, 4)])
-    C = SpanSubspace.from_vectors([e(0, 4), e(1, 4)])
-    assert degree_of_transversality(C, V) == pytest.approx(1.0)
+    N = np.array([e(0, 4), e(1, 4)])
+    C = span([e(0, 4), e(1, 4)])
+    assert degree(C, N) == pytest.approx(1.0)
 
 
 def test_degree_contained_subspace_is_zero():
-    V = CodimSubspace.from_normals([e(0, 3)])  # V = span(e2, e3)
-    C = SpanSubspace.from_vectors([e(1, 3)])  # inside V
-    assert degree_of_transversality(C, V) == pytest.approx(0.0, abs=1e-15)
+    N = e(0, 3)  # V = span(e2, e3)
+    C = span([e(1, 3)])  # inside V
+    assert degree(C, N) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_degree_rotating_line():
-    V = CodimSubspace.from_normals([e(1, 2)])  # span(e1)
+    N = e(1, 2)  # V = span(e1)
     for theta in (0.2, 0.9, 1.5):
-        C = SpanSubspace.from_vectors([[np.cos(theta), np.sin(theta)]])
-        assert degree_of_transversality(C, V) == pytest.approx(abs(np.sin(theta)))
+        C = span([[np.cos(theta), np.sin(theta)]])
+        assert degree(C, N) == pytest.approx(abs(np.sin(theta)))
 
 
 def test_degree_matches_dense_sweep_over_unit_circle():
     """For a 2-plane C the unit sphere of C is a circle; sweeping it brutally
     recovers the smallest singular value."""
     rng = np.random.default_rng(17)
-    V = CodimSubspace.from_normals(rng.standard_normal((2, 5)))
-    C = SpanSubspace.from_vectors(rng.standard_normal((2, 5)))
-    deg = degree_of_transversality(C, V)
+    N = orthonormalize(rng.standard_normal((2, 5))).vectors
+    C = span(rng.standard_normal((2, 5)))
+    deg = degree(C, N)
     ts = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
     xs = np.outer(np.cos(ts), C.basis[0]) + np.outer(np.sin(ts), C.basis[1])
-    sweep = np.min(np.linalg.norm(V.normals @ xs.T, axis=0))
+    sweep = np.min(np.linalg.norm(N @ xs.T, axis=0))
     assert sweep >= deg - 1e-9
     assert sweep == pytest.approx(deg, abs=1e-5)
 
 
 def test_degree_requires_matching_dims():
-    V = CodimSubspace.from_normals([e(0, 4), e(1, 4)])
+    fam = SubspaceFamily.from_normals([[e(0, 4), e(1, 4)]])
     with pytest.raises(ValidationError):
-        degree_of_transversality(SpanSubspace.from_vectors([e(2, 4)]), V)
+        certify(span([e(2, 4)]), fam)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -198,16 +152,14 @@ def test_degree_bounds_and_unit_vector_domination(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
     k = int(rng.integers(1, n - 1))
-    V = CodimSubspace.from_normals(
-        orthonormalize(rng.standard_normal((k, n))).vectors)
-    C = SpanSubspace.from_vectors(
-        orthonormalize(rng.standard_normal((k, n))).vectors)
-    deg = degree_of_transversality(C, V)
+    N = orthonormalize(rng.standard_normal((k, n))).vectors
+    C = span(orthonormalize(rng.standard_normal((k, n))).vectors)
+    deg = degree(C, N)
     assert 0.0 <= deg <= 1.0
     for _ in range(20):
-        u = random_unit_vector(rng, k)
+        u = random_unit(rng, k)
         x = u @ C.basis
-        assert distance_to_subspace(x, V) >= deg - 1e-9
+        assert np.linalg.norm(N @ x) >= deg - 1e-9
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -216,42 +168,11 @@ def test_degree_invariant_under_basis_change(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
     k = int(rng.integers(1, n - 1))
-    V = CodimSubspace.from_normals(
-        orthonormalize(rng.standard_normal((k, n))).vectors)
+    N = orthonormalize(rng.standard_normal((k, n))).vectors
     B = orthonormalize(rng.standard_normal((k, n))).vectors
-    C1 = SpanSubspace.from_vectors(B)
+    C1 = span(B)
     q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-    C2 = SpanSubspace.from_vectors(orthonormalize(q @ B).vectors)
-    d1 = degree_of_transversality(C1, V)
-    d2 = degree_of_transversality(C2, V)
+    C2 = span(orthonormalize(q @ B).vectors)
+    d1 = degree(C1, N)
+    d2 = degree(C2, N)
     assert abs(d1 - d2) <= 1e-9
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_pythagoras_identity(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 10))
-    k = int(rng.integers(1, n))
-    V = CodimSubspace.from_normals(
-        orthonormalize(rng.standard_normal((k, n))).vectors)
-    x = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
-    assert pythagoras_residual(x, V) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# bases of V itself
-
-
-def test_subspace_basis_spans_null_space(rng):
-    V = CodimSubspace.from_normals(rng.standard_normal((3, 8)))
-    basis = subspace_basis(V)
-    assert basis.size == V.dim == 5
-    np.testing.assert_allclose(V.normals @ basis.vectors.T,
-                               np.zeros((3, 5)), atol=1e-12)
-
-
-def test_random_unit_vector_is_unit(rng):
-    for dim in (1, 2, 7):
-        u = random_unit_vector(rng, dim)
-        assert np.linalg.norm(u) == pytest.approx(1.0)

@@ -9,12 +9,11 @@ from transversal.polytope import (
     Box,
     box_projection_volume,
     mc_shadow_volume,
-    mc_slab_measure,
     slab_measure_bound,
 )
 from transversal.separator import RAW_MARGIN
 
-from conftest import random_unit
+from conftest import mc_slab_measure, random_unit
 
 
 def cube(n):
@@ -143,11 +142,6 @@ def test_thousand_random_slab_triples_respect_bound():
         est = mc_slab_measure(box, v, delta, samples=1000,
                               seed=int(rng.integers(2**31)))
         assert est.estimate <= slab_measure_bound(box, v, delta) + 3.0 * est.stderr
-
-
-def test_mc_slab_requires_enough_samples():
-    with pytest.raises(ValidationError):
-        mc_slab_measure(cube(2), np.array([1.0, 0.0]), 0.1, samples=10)
 
 
 # ---------------------------------------------------------------------------

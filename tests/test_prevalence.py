@@ -25,7 +25,7 @@ from transversal.prevalence import (
 from transversal.separator import (
     SubspaceFamily,
     certify,
-    cube_complement,
+    common_complement,
     random_subspace_family,
 )
 
@@ -263,7 +263,7 @@ def test_mc_inverse_bound_positive_fraction(rng):
 
 def test_translated_span_identity_fixed_point():
     fam = toy_family()
-    base = cube_complement(fam, seed=1)
+    base = common_complement(fam, seed=1)
     B = base.complement.basis
     span = translated_span(B, np.eye(1), np.zeros((1, 2)))
     np.testing.assert_array_equal(span.basis, B)
@@ -273,7 +273,7 @@ def test_translated_span_identity_fixed_point():
 
 def test_translated_span_rejects_degenerate_coefficients():
     fam = random_subspace_family(2, 8, 2, 3)
-    base = __import__("transversal").common_complement(fam, seed=3)
+    base = common_complement(fam, seed=3)
     with pytest.raises(ValidationError, match="dependent"):
         translated_span(base.complement.basis, np.ones((2, 2)), np.zeros((2, 8)))
     with pytest.raises(ValidationError):
@@ -287,7 +287,7 @@ def test_translation_decay_ceiling_values():
 
 def test_translation_experiment_toy_instance():
     fam = toy_family()
-    base = cube_complement(fam, seed=1)
+    base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=42, epsilon_grid=(0.1,))
     report, certs = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
     assert report.estimate >= 0.99
@@ -299,7 +299,7 @@ def test_translation_experiment_toy_instance():
 
 def test_translation_experiment_is_deterministic():
     fam = toy_family()
-    base = cube_complement(fam, seed=1)
+    base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=7, epsilon_grid=(0.1,))
     r1, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
     r2, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
@@ -308,7 +308,7 @@ def test_translation_experiment_is_deterministic():
 
 def test_translation_experiment_validates_shapes():
     fam = toy_family()
-    base = cube_complement(fam, seed=1)
+    base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
     with pytest.raises(ValidationError, match="translation"):
         translation_experiment(base, fam, np.array([[1.0, 0.0, 0.0]]), cfg)

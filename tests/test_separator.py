@@ -6,14 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from transversal import familyio
 from transversal.geometry import (
-    CodimSubspace,
     ConstructionError,
-    SpanSubspace,
     ValidationError,
-    degree_of_transversality,
-    is_member,
+    degrees_of_transversality,
     orthonormalize,
-    subspace_basis,
 )
 from transversal.separator import (
     BOX_CONSTANT,
@@ -29,21 +25,24 @@ from transversal.separator import (
     adapt_basis,
     certify,
     common_complement,
-    cube_complement,
     decay_fit_prefixes,
     derive_seeds,
-    extend_superspace,
     fit_decay,
-    hyperplane_complement,
     is_well_separating,
-    line_min_norm,
     random_subspace_family,
     sample_box_separator,
     sample_cube_separator,
-    truncate_l2_normals,
 )
 
-from conftest import loop_certify, mgs_adapt_basis, random_unit, triangular_unit_rows
+from conftest import (
+    line_min_norm,
+    loop_certify,
+    mgs_adapt_basis,
+    null_basis,
+    random_unit,
+    span,
+    triangular_unit_rows,
+)
 
 
 def e(i, n):
@@ -305,7 +304,7 @@ def test_certificate_validation():
 
 
 def test_complement_result_enforces_dominance():
-    comp = SpanSubspace.from_vectors([e(0, 3)])
+    comp = span([e(0, 3)])
     good = SeparationCertificate.from_profile([0.9], MEASURED)
     cert = SeparationCertificate.from_profile([0.95], CERTIFIED)
     with pytest.raises(ConstructionError, match="index 1"):
@@ -313,9 +312,9 @@ def test_complement_result_enforces_dominance():
 
 
 def test_certify_constant_family():
-    V = CodimSubspace.from_normals([e(0, 4), e(1, 4)])
-    fam = SubspaceFamily.from_normals([V.normals] * 3)
-    cert = certify(SpanSubspace.from_vectors([e(0, 4), e(1, 4)]), fam)
+    normals = np.array([e(0, 4), e(1, 4)])
+    fam = SubspaceFamily.from_normals([normals] * 3)
+    cert = certify(span([e(0, 4), e(1, 4)]), fam)
     np.testing.assert_allclose(cert.deltas, 1.0)
     assert cert.decay_fit.exponent == pytest.approx(0.0, abs=1e-9)
 
@@ -332,8 +331,8 @@ def test_certify_matches_member_loop_bit_for_bit(seed, k):
     duplicates = blocks[rng.integers(0, J, size=3)]
     containing = np.eye(n)[None, k:2 * k]  # contains span(e_1..e_k)
     fam = SubspaceFamily.from_normals(np.concatenate([blocks, duplicates, containing]))
-    random_span = SpanSubspace.from_vectors(rng.standard_normal((k, n)))
-    contained = SpanSubspace.from_vectors(np.eye(n)[:k])
+    random_span = span(rng.standard_normal((k, n)))
+    contained = span(np.eye(n)[:k])
     for C in (random_span, contained):
         np.testing.assert_array_equal(certify(C, fam).deltas, loop_certify(C, fam))
     assert certify(contained, fam).deltas[-1] == 0.0
@@ -348,8 +347,9 @@ def test_family_normals_are_read_only_and_members_are_views():
         fam.normals[0, 0, 0] = 1.0
     given_normals[0] = 0.0  # the family holds its own copy
     np.testing.assert_array_equal(fam.normals, expected)
-    assert np.shares_memory(fam[1].normals, fam.normals)
-    assert not fam[1].normals.flags.writeable
+    relaxed = SubspaceFamily(fam.normals[:, :1])  # the relaxation step's slice
+    assert np.shares_memory(relaxed.normals, fam.normals)
+    assert not relaxed.normals.flags.writeable
 
 
 def test_family_loading_orthonormalizes_only_failing_blocks(rng):
@@ -455,84 +455,35 @@ def test_line_min_norm_mu_bound(rng):
 
 
 # ---------------------------------------------------------------------------
-# superspace relaxation
-
-
-def test_extend_superspace_containment():
-    V = CodimSubspace.from_normals([e(0, 3), e(1, 3)])
-    W = extend_superspace(V)
-    assert W.codim == 1
-    np.testing.assert_array_equal(W.normals, e(0, 3)[None, :])
-    for b in subspace_basis(V).vectors:
-        assert is_member(W, b, tol=1e-9)
-
-
-def test_extend_superspace_random_membership(rng):
-    V = CodimSubspace.from_normals(
-        np.linalg.qr(rng.standard_normal((8, 8)))[0][:3])
-    W = extend_superspace(V)
-    for b in subspace_basis(V).vectors:
-        assert is_member(W, b, tol=1e-9)
-    W2 = extend_superspace(
-        CodimSubspace.from_normals(np.linalg.qr(rng.standard_normal((8, 8)))[0][:3]))
-    assert extend_superspace(W2).codim == 1 if W2.codim == 2 else True
-
-
-def test_extend_superspace_twice():
-    V = CodimSubspace.from_normals(np.eye(5)[:3])
-    W = extend_superspace(extend_superspace(V))
-    assert W.codim == 1
-    for b in subspace_basis(V).vectors:
-        assert is_member(W, b, tol=1e-12)
-
-
-def test_extend_superspace_rejects_codim_one():
-    with pytest.raises(ValidationError):
-        extend_superspace(CodimSubspace.from_normals([e(0, 3)]))
-
-
-# ---------------------------------------------------------------------------
 # hyperplane complements
 
 
 def test_hyperplane_complement_single_member():
     fam = SubspaceFamily.from_normals([e(0, 4)[None, :]])
-    res = hyperplane_complement(fam, seed=0)
+    res = common_complement(fam, seed=0)
     assert res.measured.deltas[0] == pytest.approx(1.0)
     assert res.certificate.deltas[0] == pytest.approx(BOX_CONSTANT)
 
 
 def test_hyperplane_complement_random_family(rng):
-    normals = [random_unit(rng, 10)[None, :] for _ in range(5)]
-    fam = SubspaceFamily.from_normals(normals)
-    res = hyperplane_complement(fam, seed=1)
-    js = np.arange(1, 6, dtype=float)
-    np.testing.assert_allclose(res.certificate.deltas, BOX_CONSTANT * js**-5.0)
-    assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
-    assert res.certificate.provenance == CERTIFIED
-    assert res.measured.provenance == MEASURED
-
-
-def test_hyperplane_complement_rejects_too_many_members():
-    fam = SubspaceFamily.from_normals(
-        [random_unit(np.random.default_rng(i), 2)[None, :] for i in range(3)])
-    with pytest.raises(ValidationError, match="truncation too small"):
-        hyperplane_complement(fam, seed=0)
+    for n in (10, 5):  # J < n, and J = n: still the box profile
+        normals = [random_unit(rng, n)[None, :] for _ in range(5)]
+        fam = SubspaceFamily.from_normals(normals)
+        res = common_complement(fam, seed=1)
+        js = np.arange(1, 6, dtype=float)
+        np.testing.assert_allclose(res.certificate.deltas, BOX_CONSTANT * js**-5.0)
+        assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
+        assert res.certificate.provenance == CERTIFIED
+        assert res.measured.provenance == MEASURED
 
 
 def test_cube_complement_handles_many_members():
     rng = np.random.default_rng(6)
     fam = SubspaceFamily.from_normals(
         [random_unit(rng, 2)[None, :] for _ in range(7)])
-    res = cube_complement(fam, seed=0)
+    res = common_complement(fam, seed=0)
     np.testing.assert_allclose(res.certificate.deltas, 0.5 / (7 * 2))
     assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
-
-
-def test_cube_complement_requires_codim_one():
-    fam = random_subspace_family(7, 6, 2, 2)
-    with pytest.raises(ValidationError):
-        cube_complement(fam, seed=0)
 
 
 def test_truncation_sweep_is_stable():
@@ -548,7 +499,7 @@ def test_truncation_sweep_is_stable():
         head = seqs[:, :N]
         head = head / np.linalg.norm(head, axis=1, keepdims=True)
         fam = SubspaceFamily.from_normals([h[None, :] for h in head])
-        res = hyperplane_complement(fam, seed=99)
+        res = common_complement(fam, seed=99)
         profiles[N] = (res.certificate.deltas, res.measured.deltas)
     base_cert = profiles[30][0]
     for N in (60, 120):
@@ -556,17 +507,6 @@ def test_truncation_sweep_is_stable():
     tail = float(np.max(np.linalg.norm(seqs[:, 30:], axis=1)))
     for N in (60, 120):
         assert np.max(np.abs(profiles[N][1] - profiles[30][1])) <= max(tail * 100, 1e-6)
-
-
-def test_truncate_l2_normals_finds_minimal_prefix():
-    row = 0.5 ** np.arange(40, dtype=float)
-    normals, N = truncate_l2_normals(row[None, :], tail_tol=1e-6)
-    tails = np.sqrt(np.cumsum((row**2)[::-1])[::-1])
-    assert tails[N] <= 1e-6 if N < 40 else True
-    assert tails[N - 1] > 1e-6 or N == 1
-    assert np.linalg.norm(normals[0]) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        truncate_l2_normals(np.ones((1, 5)), tail_tol=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +537,8 @@ def test_common_complement_codim3_certified_exponent():
     assert res.certificate.decay_fit.exponent == pytest.approx(-15.0, abs=1e-6)
     assert res.complement.dim == 3
     # direct-sum rank check against every member
-    for V in fam:
-        M = np.vstack([res.complement.basis, subspace_basis(V).vectors])
+    for N in fam.normals:
+        M = np.vstack([res.complement.basis, null_basis(N)])
         assert np.linalg.matrix_rank(M, tol=1e-9) == 25
 
 
@@ -606,13 +546,6 @@ def test_common_complement_rejects_insufficient_headroom():
     fam = random_subspace_family(14, 6, 2, 5)  # J = 5 > n - k = 4
     with pytest.raises(ValidationError, match="J <= n - k"):
         common_complement(fam, seed=0)
-
-
-def test_common_complement_delegates_for_codim_one():
-    fam = random_subspace_family(15, 8, 1, 4)
-    a = common_complement(fam, seed=21)
-    b = hyperplane_complement(fam, seed=21)
-    np.testing.assert_array_equal(a.complement.basis, b.complement.basis)
 
 
 def test_construction_is_deterministic():
@@ -640,8 +573,7 @@ def test_common_complement_random_properties(seed):
     js = np.arange(1, J + 1, dtype=float)
     expected = LINE_CONSTANT ** (k - 1) * (BOX_CONSTANT * js**-5.0) ** k
     np.testing.assert_allclose(res.certificate.deltas, expected, rtol=1e-12)
-    for V in fam:
-        assert degree_of_transversality(res.complement, V) > 0
+    assert np.all(degrees_of_transversality(fam.normals, res.complement.basis) > 0)
 
 
 def test_derive_seeds_is_stable():
@@ -653,12 +585,9 @@ def test_derive_seeds_is_stable():
 def test_random_subspace_family_shapes():
     fam = random_subspace_family(1, 9, 2, 4)
     assert fam.ambient_dim == 9 and fam.codim == 2 and len(fam) == 4
-    for V in fam:
-        assert V.normal_frame.size == 2
+    assert fam.normals.shape == (4, 2, 9)
 
 
 def test_family_rejects_mixed_members():
-    a = CodimSubspace.from_normals([e(0, 3)])
-    b = CodimSubspace.from_normals([e(0, 4)])
     with pytest.raises(ValidationError, match="member 2"):
-        SubspaceFamily.from_normals([a.normals, b.normals])
+        SubspaceFamily.from_normals([e(0, 3)[None, :], e(0, 4)[None, :]])
