@@ -34,7 +34,6 @@ from .prevalence import (
     translation_experiment,
 )
 from .separator import (
-    DEFAULT_MAX_TRIES,
     certify,
     common_complement,
     decay_fit_prefixes,
@@ -88,7 +87,7 @@ def cmd_construct(args) -> int:
     family, labels = familyio.load_family(args.family)
     logger.info("family: %d members, n=%d, k=%d",
                 len(family), family.ambient_dim, family.codim)
-    result = common_complement(family, args.seed, args.max_tries)
+    result = common_complement(family, args.seed)
     logger.info("construction took %d draws (%d accepted)",
                 result.rejection_stats.attempted, result.rejection_stats.accepted)
     logger.debug("certified profile: %s", result.certificate.deltas.tolist())
@@ -139,13 +138,6 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _default_translation(k: int, n: int) -> np.ndarray:
-    rows = np.zeros((k, n))
-    for i in range(k):
-        rows[i, i] = 1.0
-    return rows
-
-
 def cmd_mc(args) -> int:
     grid = tuple(float(e) for e in _parse_floats(args.epsilon_grid, "epsilon grid"))
     config = McConfig(samples=args.samples, seed=args.seed, epsilon_grid=grid)
@@ -193,7 +185,7 @@ def cmd_mc(args) -> int:
         if args.translation:
             translation = _parse_vectors(args.translation, "translation")
         else:
-            translation = _default_translation(family.codim, family.ambient_dim)
+            translation = np.eye(family.codim, family.ambient_dim)
         report, _ = translation_experiment(
             base, family, translation, config,
             radius=args.radius, max_exponent=args.max_exponent)
@@ -246,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output complement JSON file")
-    p.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("certify", help="measure a complement against a family (CSV)")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import OrthonormalFrame, SpanSubspace, ValidationError
+from .geometry import OrthonormalFrame, ValidationError
 from .separator import (
     ComplementResult,
     DecayFit,
@@ -21,10 +21,6 @@ from .separator import (
     SeparationCertificate,
     SubspaceFamily,
 )
-
-
-def _rows(arr: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.atleast_2d(arr)]
 
 
 def family_to_dict(family: SubspaceFamily, labels=None) -> dict:
@@ -94,8 +90,8 @@ def certificate_from_dict(doc: dict) -> SeparationCertificate:
 def complement_to_dict(result: ComplementResult) -> dict:
     return {
         "ambient_dim": result.complement.ambient_dim,
-        "dim": result.complement.dim,
-        "basis": _rows(result.complement.basis),
+        "dim": result.complement.size,
+        "basis": result.complement.vectors.tolist(),
         "certified": certificate_to_dict(result.certificate),
         "measured": certificate_to_dict(result.measured),
         "rng_seed": int(result.rng_seed),
@@ -110,7 +106,7 @@ def complement_to_dict(result: ComplementResult) -> dict:
 class ComplementDoc:
     """Loaded complement file: the span plus optional provenance payload."""
 
-    span: SpanSubspace
+    span: OrthonormalFrame
     certified: SeparationCertificate | None
     measured: SeparationCertificate | None
     rng_seed: int | None
@@ -130,7 +126,7 @@ def complement_from_dict(doc: dict) -> ComplementDoc:
         raise ValidationError(
             f"complement basis has shape {basis.shape}, expected ({dim}, {n})"
         )
-    span = SpanSubspace.from_frame(OrthonormalFrame(basis, n))
+    span = OrthonormalFrame(basis)
     certified = doc.get("certified")
     measured = doc.get("measured")
     stats = doc.get("rejection_stats")

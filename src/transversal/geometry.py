@@ -1,9 +1,13 @@
 """Subspace geometry over R^n: orthonormal frames and degrees of transversality.
 
-Vectors are plain 1-D numpy arrays of float64.  A subspace of codimension k
-is stored through an orthonormal basis of its orthogonal complement (its
-"normal frame"), so the degree of transversality of a candidate complement
-reduces to the action of a small k x n matrix.
+Vectors are plain 1-D numpy arrays of float64.  A subspace is held through
+an orthonormal basis: a candidate complement C as an ``OrthonormalFrame``,
+the one subspace type, and a member V of codimension k through an
+orthonormal basis of its orthogonal complement (its "normal frame"), so
+the degree of transversality of C to V reduces to the action of a small
+k x k matrix.  ``orthonormalize`` turns m independent vectors into a frame
+of m rows, or raises naming their rank.  The Gram and unit-norm checks
+shared by every module live here as well.
 
 All operations are pure: inputs are validated and frozen on construction
 (copied unless already read-only), and nothing is mutated afterwards.
@@ -47,38 +51,50 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram_defects(frames: np.ndarray) -> np.ndarray:
+    """max |F F^T - I| of a (k, n) frame, or of every frame of a (..., k, n)
+    stack; NaN if non-finite."""
+    gram = frames @ np.swapaxes(frames, -1, -2)
+    return np.abs(gram - np.eye(frames.shape[-2])).max(axis=(-2, -1), initial=0.0)
+
+
+def _check_unit(arr: np.ndarray, what: str) -> None:
+    """Reject a 2-D array with a row whose norm is off 1 by more than
+    DEFAULT_TOL, naming the worst row."""
+    norms = np.linalg.norm(arr, axis=1)
+    if np.any(np.abs(norms - 1.0) > DEFAULT_TOL):
+        bad = int(np.argmax(np.abs(norms - 1.0))) + 1
+        raise ValidationError(f"{what} {bad} is not unit (norm {norms[bad - 1]!r})")
+
+
 @dataclass(frozen=True)
 class OrthonormalFrame:
-    """Ordered orthonormal vectors, stored as rows of a (size, ambient_dim) array.
+    """Orthonormal basis of a subspace of R^n: the rows of a (size, n) array.
 
-    Pairwise inner products must match the identity within DEFAULT_TOL.
+    The package's one subspace type.  Needs at least one and at most n rows,
+    finite entries, and pairwise inner products within DEFAULT_TOL of the
+    identity.
     """
 
     vectors: np.ndarray
-    ambient_dim: int
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        if arr.ndim != 2:
-            raise ValidationError(f"frame must be a 2-D array, got ndim={arr.ndim}")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValidationError(f"frame must be nonempty and 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("frame has non-finite entries")
-        if arr.shape[1] != self.ambient_dim:
-            raise ValidationError(
-                f"frame vectors have dimension {arr.shape[1]}, expected {self.ambient_dim}"
-            )
-        if arr.shape[0] > self.ambient_dim:
-            raise ValidationError(
-                f"frame of {arr.shape[0]} vectors cannot fit in R^{self.ambient_dim}"
-            )
-        if arr.shape[0] > 0:
-            gram = arr @ arr.T
-            err = np.max(np.abs(gram - np.eye(arr.shape[0])))
-            if err > DEFAULT_TOL:
-                raise ValidationError(
-                    f"vectors are not orthonormal: max Gram deviation {err:.3e}"
-                )
+        m, n = arr.shape
+        if m > n:
+            raise ValidationError(f"frame of {m} vectors cannot fit in R^{n}")
+        err = _gram_defects(arr)
+        if err > DEFAULT_TOL:
+            raise ValidationError(f"vectors are not orthonormal: max Gram deviation {err:.3e}")
         object.__setattr__(self, "vectors", _freeze(arr))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def size(self) -> int:
@@ -88,42 +104,15 @@ class OrthonormalFrame:
         return self.size
 
 
-@dataclass(frozen=True)
-class SpanSubspace:
-    """Subspace C of R^n given by an orthonormal basis (rows of a dim x n array)."""
-
-    ambient_dim: int
-    dim: int
-    basis_frame: OrthonormalFrame
-
-    def __post_init__(self):
-        if not 1 <= self.dim <= self.ambient_dim:
-            raise ValidationError(
-                f"dim must satisfy 1 <= dim <= n, got dim={self.dim}, n={self.ambient_dim}"
-            )
-        if self.basis_frame.ambient_dim != self.ambient_dim:
-            raise ValidationError("basis frame lives in the wrong ambient dimension")
-        if self.basis_frame.size != self.dim:
-            raise ValidationError(
-                f"basis frame has {self.basis_frame.size} vectors, expected {self.dim}"
-            )
-
-    @classmethod
-    def from_frame(cls, frame: OrthonormalFrame) -> "SpanSubspace":
-        return cls(frame.ambient_dim, frame.size, frame)
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.basis_frame.vectors
-
-
 def orthonormalize(vectors) -> OrthonormalFrame:
-    """Modified Gram-Schmidt with re-orthogonalization.
+    """Orthonormal frame with the span of m independent rows, one row per input row.
 
-    Rank-deficient inputs are dropped: the output frame size equals the
-    numerical rank at tolerance DEFAULT_TOL relative to the largest input norm.
-    Inputs that already form an orthonormal frame are returned unchanged,
-    which keeps repeated normalization bit-stable.
+    Modified Gram-Schmidt with re-orthogonalization.  A row whose residual
+    is at most DEFAULT_TOL times the largest input norm counts as dependent,
+    and any dependent row raises ValidationError naming the rank r < m; a
+    shorter frame is never returned.  Inputs that already form an
+    orthonormal frame are returned unchanged, which keeps repeated
+    normalization bit-stable.
     """
     try:
         arr = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -134,17 +123,12 @@ def orthonormalize(vectors) -> OrthonormalFrame:
     if arr.ndim != 2:
         raise ValidationError("inputs must share a common dimension")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("input vectors have non-finite entries")
+        raise ValidationError("non-finite entries")
     m, n = arr.shape
-
-    if m <= n:
-        gram = arr @ arr.T
-        if np.max(np.abs(gram - np.eye(m))) <= DEFAULT_TOL:
-            return OrthonormalFrame(arr, n)
+    if m <= n and _gram_defects(arr) <= DEFAULT_TOL:
+        return OrthonormalFrame(arr)
 
     scale = float(np.max(np.linalg.norm(arr, axis=1)))
-    if scale == 0.0:
-        raise ValidationError("all input vectors are zero")
     rows: list[np.ndarray] = []
     for v in arr:
         r = v.astype(float)
@@ -154,9 +138,9 @@ def orthonormalize(vectors) -> OrthonormalFrame:
         norm = float(np.linalg.norm(r))
         if norm > DEFAULT_TOL * scale:
             rows.append(r / norm)
-    if not rows:
-        raise ValidationError("input vectors are all dependent at the given tolerance")
-    return OrthonormalFrame(np.array(rows), n)
+    if len(rows) < m:
+        raise ValidationError(f"rank {len(rows)} < {m}: vectors are linearly dependent")
+    return OrthonormalFrame(np.array(rows))
 
 
 def degrees_of_transversality(normals: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -179,7 +163,6 @@ __all__ = [
     "ConstructionError",
     "as_vector",
     "OrthonormalFrame",
-    "SpanSubspace",
     "orthonormalize",
     "degrees_of_transversality",
 ]

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ValidationError, as_vector
-
-UNIT_TOL = 1e-10
+from .geometry import ValidationError, _check_unit, as_vector
 
 
 @dataclass(frozen=True)
@@ -49,12 +47,6 @@ class Box:
         return self.volume / (2.0 * self.halfwidths)
 
 
-def _check_unit(v: np.ndarray) -> None:
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise ValidationError(f"direction must be a unit vector, got norm {norm!r}")
-
-
 def box_projection_volume(box: Box, v) -> float:
     """(n-1)-volume of the box's shadow on the hyperplane v-perp.
 
@@ -64,7 +56,7 @@ def box_projection_volume(box: Box, v) -> float:
     v = as_vector(v)
     if v.size != box.dim:
         raise ValidationError(f"direction dim {v.size} vs box dim {box.dim}")
-    _check_unit(v)
+    _check_unit(v[None], "direction")
     return float(box.face_volumes() @ np.abs(v))
 
 
@@ -101,7 +93,7 @@ def mc_shadow_volume(box: Box, v, samples: int = 1_000_000, seed: int = 0) -> Mc
     n = box.dim
     if v.size != n:
         raise ValidationError(f"direction dim {v.size} vs box dim {n}")
-    _check_unit(v)
+    _check_unit(v[None], "direction")
     if samples < 1000:
         raise ValidationError("need at least 1000 samples")
     if n > 4:

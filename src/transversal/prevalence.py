@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SpanSubspace, ValidationError, orthonormalize
+from .geometry import OrthonormalFrame, ValidationError, orthonormalize
 from .separator import (
     ComplementResult,
     SeparationCertificate,
@@ -132,6 +132,13 @@ def sample_ball(rng: np.random.Generator, count: int, dim: int,
     return g * (r / norms)
 
 
+def _ball_matrices(rng: np.random.Generator, count: int, k: int,
+                   radius: float = 1.0) -> np.ndarray:
+    """(count, k, k) stack of matrices whose columns are uniform in the ball,
+    drawn as count * k consecutive ball points."""
+    return sample_ball(rng, count * k, k, radius).reshape(count, k, k).transpose(0, 2, 1)
+
+
 def mc_bad_set_measure(family: SubspaceFamily, epsilon: float,
                        config: McConfig) -> McReport:
     """Ball measure of points within epsilon * j^-2 of some member hyperplane.
@@ -198,9 +205,7 @@ def det_slab_coefficient(A_tilde: np.ndarray, eta_grid, samples: int,
     etas = np.asarray(sorted(float(e) for e in eta_grid), dtype=float)
     if etas.size < 2 or np.any(etas <= 0):
         raise ValidationError("need at least two positive eta values")
-    rng = _keyed_rng(seed)
-    cols = sample_ball(rng, samples * k, k)
-    A = cols.reshape(samples, k, k).transpose(0, 2, 1)  # columns are ball points
+    A = _ball_matrices(_keyed_rng(seed), samples, k)
     dets = np.abs(np.linalg.det(A + A_tilde))
     domain_vol = ball_volume(k) ** k
     mu = np.array([domain_vol * np.count_nonzero(dets <= e) / samples
@@ -231,9 +236,7 @@ def mc_det_lower_bound(A_list, config: McConfig):
     c_hat, r_squared, mu = det_slab_coefficient(
         A_arr[0], config.epsilon_grid, config.samples, config.seed)
 
-    rng = _keyed_rng(config.seed, 1)
-    cols = sample_ball(rng, config.samples * k, k)
-    A = cols.reshape(config.samples, k, k).transpose(0, 2, 1)
+    A = _ball_matrices(_keyed_rng(config.seed, 1), config.samples, k)
     j = np.arange(1, J + 1, dtype=float)
     scaled = np.empty((config.samples, J))
     for idx in range(J):
@@ -307,9 +310,7 @@ def mc_inverse_bound(A_list, delta_list, config: McConfig):
     if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
         raise ValidationError("A_list must be a stack of square matrices")
     J, k, _ = A_arr.shape
-    rng = _keyed_rng(config.seed)
-    cols = sample_ball(rng, config.samples * k, k)
-    A = cols.reshape(config.samples, k, k).transpose(0, 2, 1)
+    A = _ball_matrices(_keyed_rng(config.seed), config.samples, k)
     _, eps_hat = inverse_bound_check(A, A_arr, delta_list)
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
@@ -327,19 +328,15 @@ def mc_inverse_bound(A_list, delta_list, config: McConfig):
 
 
 def translated_span(basis: np.ndarray, coeff: np.ndarray,
-                    translation: np.ndarray) -> SpanSubspace:
+                    translation: np.ndarray) -> OrthonormalFrame:
     """Span of c_i + x_i where c_i = sum_l coeff[l, i] * basis row l.
 
+    Raises ValidationError when the translated tuple is linearly dependent.
     With coeff = identity and zero translation this reproduces the input
     frame bit-for-bit (orthonormalization passes already-orthonormal input
     through unchanged).
     """
-    rows = np.asarray(coeff, dtype=float).T @ np.asarray(basis, dtype=float)
-    rows = rows + np.asarray(translation, dtype=float)
-    frame = orthonormalize(rows)
-    if frame.size < rows.shape[0]:
-        raise ValidationError("translated tuple is linearly dependent")
-    return SpanSubspace.from_frame(frame)
+    return orthonormalize(coeff.T @ basis + translation)
 
 
 def translation_experiment(base: ComplementResult, family: SubspaceFamily,
@@ -365,7 +362,7 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     X = np.atleast_2d(np.asarray(translation, dtype=float))
     if X.shape != (k, n):
         raise ValidationError(f"translation must be {k} vectors in R^{n}")
-    if base.complement.ambient_dim != n or base.complement.dim != k:
+    if base.complement.ambient_dim != n or base.complement.size != k:
         raise ValidationError("base complement does not match the family")
     if not base.certificate.positive:
         raise ValidationError("base is not a certified complement of the family")
@@ -374,13 +371,12 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     if max_exponent is None:
         max_exponent = translation_decay_ceiling(k)
 
-    basis = base.complement.basis
+    basis = base.complement.vectors
     passing = 0
     exponents: list[float] = []
     certs: list[SeparationCertificate | None] = []
     for i in range(config.samples):
-        rng = _keyed_rng(config.seed, i)
-        A = sample_ball(rng, k, k, radius).T  # columns uniform in the ball
+        A = _ball_matrices(_keyed_rng(config.seed, i), 1, k, radius)[0]
         try:
             span = translated_span(basis, A, X)
         except ValidationError:

@@ -30,9 +30,10 @@ from .geometry import (
     DEFAULT_TOL,
     ConstructionError,
     OrthonormalFrame,
-    SpanSubspace,
     ValidationError,
+    _check_unit,
     _freeze,
+    _gram_defects,
     as_vector,
     degrees_of_transversality,
     orthonormalize,
@@ -59,12 +60,6 @@ DOMINANCE_TOL = 1e-9
 
 CERTIFIED = "certified-by-construction"
 MEASURED = "measured-by-svd"
-
-
-def _gram_defects(normals: np.ndarray) -> np.ndarray:
-    """max |N_j N_j^T - I| for every block of a (J, k, n) stack; NaN if non-finite."""
-    gram = normals @ normals.transpose(0, 2, 1)
-    return np.max(np.abs(gram - np.eye(normals.shape[1])), axis=(1, 2), initial=0.0)
 
 
 def _stack_blocks(normal_blocks) -> np.ndarray:
@@ -134,17 +129,15 @@ class SubspaceFamily:
 
         One stacked Gram check finds the blocks that are not orthonormal
         within DEFAULT_TOL; the others keep their bytes.  Only the failing blocks
-        are orthonormalized, one at a time, and a rank-deficient one is
-        rejected by its member index.
+        are orthonormalized, one at a time, and orthonormalize's rejection of
+        a rank-deficient one is re-raised with its member index.
         """
         normals = _stack_blocks(normal_blocks)
-        k = normals.shape[1]
         for i in np.flatnonzero(~(_gram_defects(normals) <= DEFAULT_TOL)):
-            frame = orthonormalize(normals[i])
-            if frame.size < k:
-                raise ValidationError(
-                    f"family member {i + 1}: normals have rank {frame.size} < {k}")
-            normals[i] = frame.vectors
+            try:
+                normals[i] = orthonormalize(normals[i]).vectors
+            except ValidationError as exc:
+                raise ValidationError(f"family member {i + 1}: normals have {exc}") from exc
         normals.setflags(write=False)
         return cls(normals)
 
@@ -271,7 +264,7 @@ class RejectionStats:
 class ComplementResult:
     """A constructed complement with its certified and measured profiles."""
 
-    complement: SpanSubspace
+    complement: OrthonormalFrame
     certificate: SeparationCertificate
     measured: SeparationCertificate
     rng_seed: int
@@ -287,13 +280,6 @@ class ComplementResult:
                 f"measured delta at index {worst} undercuts the certificate by "
                 f"{-float(gap[worst - 1]):.3e}"
             )
-
-
-def _check_unit_rows(arr: np.ndarray, what: str) -> None:
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-10):
-        bad = int(np.argmax(np.abs(norms - 1.0))) + 1
-        raise ValidationError(f"{what} {bad} is not unit (norm {norms[bad - 1]!r})")
 
 
 def sample_cube_separator(normals, seed: int,
@@ -312,7 +298,7 @@ def sample_cube_separator(normals, seed: int,
     if vs.ndim != 2 or vs.size == 0:
         raise ValidationError("normals must be a nonempty set of vectors")
     k, n = vs.shape
-    _check_unit_rows(vs, "normal")
+    _check_unit(vs, "normal")
     if max_tries < 1:
         raise ValidationError("max_tries must be at least 1")
     margin = 0.5 / (k * math.sqrt(n))
@@ -331,7 +317,7 @@ def sample_cube_separator(normals, seed: int,
     )
 
 
-def adapt_basis(v_list, ambient_dim: int):
+def adapt_basis(v_list):
     """Orthonormal c_1..c_m with v_j in span(c_1..c_j) for ordered unit v_j.
 
     The frame is Q^T from one reduced Householder QR factorization
@@ -348,16 +334,14 @@ def adapt_basis(v_list, ambient_dim: int):
     if V.size == 0:
         raise ValidationError("need at least one vector to adapt")
     m, n = V.shape
-    if n != ambient_dim:
-        raise ValidationError(f"vectors of dimension {n}, expected {ambient_dim}")
-    _check_unit_rows(V, "vector")
+    _check_unit(V, "vector")
     if m > n:
         raise ValidationError(
             f"cannot adapt {m} vectors in R^{n}: more vectors than ambient dimension"
         )
     q, r = np.linalg.qr(V.T)
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    frame = OrthonormalFrame((q * signs).T, n)
+    frame = OrthonormalFrame((q * signs).T)
     coords = V @ frame.vectors.T
     return frame, coords
 
@@ -384,7 +368,7 @@ def sample_box_separator(v_list, seed: int,
         raise ValidationError(
             f"adapted vectors must be square ({m} vectors of dimension {m}), got dim {d}"
         )
-    _check_unit_rows(V, "adapted vector")
+    _check_unit(V, "adapted vector")
     upper = np.triu(V, k=1)
     if np.max(np.abs(upper), initial=0.0) > DEFAULT_TOL:
         bad = int(np.argmax(np.max(np.abs(upper), axis=1))) + 1
@@ -419,7 +403,7 @@ def sample_box_separator(v_list, seed: int,
     )
 
 
-def certify(C: SpanSubspace, family: SubspaceFamily) -> SeparationCertificate:
+def certify(C: OrthonormalFrame, family: SubspaceFamily) -> SeparationCertificate:
     """Measured transversality profile: delta_j is C's degree of transversality to V_j.
 
     All J degrees come from one stacked SVD over the family's normals.  A
@@ -428,11 +412,11 @@ def certify(C: SpanSubspace, family: SubspaceFamily) -> SeparationCertificate:
     """
     if C.ambient_dim != family.ambient_dim:
         raise ValidationError("candidate and family ambient dimensions differ")
-    if C.dim != family.codim:
+    if C.size != family.codim:
         raise ValidationError(
-            f"candidate dim {C.dim} does not match family codim {family.codim}"
+            f"candidate dim {C.size} does not match family codim {family.codim}"
         )
-    deltas = degrees_of_transversality(family.normals, C.basis)
+    deltas = degrees_of_transversality(family.normals, C.vectors)
     return SeparationCertificate.from_profile(deltas, MEASURED)
 
 
@@ -473,8 +457,7 @@ def derive_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def _line_complement(family: SubspaceFamily, seed: int,
-                     max_tries: int) -> ComplementResult:
+def _line_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     """Certified line complementing J hyperplanes in R^n.
 
     For J <= n the shrinking-box sampler runs in a basis adapted to the
@@ -485,24 +468,23 @@ def _line_complement(family: SubspaceFamily, seed: int,
     J = len(family)
     normals = family.normals[:, 0]
     if J <= n:
-        frame, coords = adapt_basis(normals, n)
+        frame, coords = adapt_basis(normals)
         # rows of coords are unit up to round-off; renormalize
         coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-        x_c, deltas, stats = sample_box_separator(coords, seed, max_tries=max_tries)
+        x_c, deltas, stats = sample_box_separator(coords, seed)
         x = frame.vectors.T @ x_c
         constants = _certificate_constants(1)
     else:
-        x, bound, stats = sample_cube_separator(normals, seed, max_tries=max_tries)
+        x, bound, stats = sample_cube_separator(normals, seed)
         deltas = np.full(J, bound)
         constants = {"profile_scale": bound, "profile_exponent": 0.0, "members": J}
-    comp = SpanSubspace.from_frame(OrthonormalFrame(x[None, :], n))
+    comp = OrthonormalFrame(x[None, :])
     certificate = SeparationCertificate.from_profile(deltas, CERTIFIED, constants=constants)
     measured = certify(comp, family)
     return ComplementResult(comp, certificate, measured, seed, stats)
 
 
-def common_complement(family: SubspaceFamily, seed: int,
-                      max_tries: int = DEFAULT_MAX_TRIES) -> ComplementResult:
+def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     """Certified common complement of J subspaces of codimension k in R^n.
 
     Size bound: any J for k = 1, and J <= n - k for k >= 2.  For k = 1 the
@@ -519,7 +501,7 @@ def common_complement(family: SubspaceFamily, seed: int,
     k = family.codim
     J = len(family)
     if k == 1:
-        return _line_complement(family, seed, max_tries)
+        return _line_complement(family, seed)
     if J > n - k:
         raise ValidationError(
             f"family of {J} members with codim {k} in R^{n}: need J <= n - k"
@@ -527,8 +509,8 @@ def common_complement(family: SubspaceFamily, seed: int,
 
     seed1, seed2 = derive_seeds(seed, 2)
     relaxed = SubspaceFamily(family.normals[:, : k - 1])
-    first = common_complement(relaxed, seed1, max_tries=max_tries)
-    B1 = first.complement.basis  # (k-1) x n
+    first = common_complement(relaxed, seed1)
+    B1 = first.complement.vectors  # (k-1) x n
 
     N = family.normals
     G = N @ B1.T  # (J, k, k-1): coordinates of projected C1 inside each V_j-perp
@@ -542,13 +524,11 @@ def common_complement(family: SubspaceFamily, seed: int,
             "complement nearly touches the family"
         )
     enlarged = SubspaceFamily.from_normals(u @ N)
-    second = _line_complement(enlarged, seed2, max_tries)
-    x2 = second.complement.basis[0]
-
-    frame = orthonormalize(np.vstack([B1, x2]))
-    if frame.size < k:
-        raise ConstructionError("direct sum of the two stages lost rank")
-    comp = SpanSubspace.from_frame(frame)
+    second = _line_complement(enlarged, seed2)
+    # J <= n - k keeps the second stage on the box path, whose dominance check
+    # puts x2 at distance >= BOX_CONSTANT from V_1 + C1, which contains C1:
+    # the direct sum has full rank k
+    comp = orthonormalize(np.vstack([B1, second.complement.vectors]))
     cert_deltas = first.certificate.deltas * second.certificate.deltas * LINE_CONSTANT
     certificate = SeparationCertificate.from_profile(
         cert_deltas, CERTIFIED, constants=_certificate_constants(k))
@@ -562,16 +542,13 @@ def common_complement(family: SubspaceFamily, seed: int,
 
 def random_subspace_family(seed: int, ambient_dim: int, codim: int,
                            size: int) -> SubspaceFamily:
-    """Family of ``size`` independent uniformly random codim-k subspaces."""
+    """Family of ``size`` independent uniformly random codim-k subspaces.
+
+    One (size, codim, ambient_dim) Gaussian draw, orthonormalized block by
+    block; a rank-deficient block (probability zero) raises ValidationError.
+    """
     rng = np.random.default_rng(seed)
-    blocks = []
-    while len(blocks) < size:
-        g = rng.standard_normal((codim, ambient_dim))
-        frame = orthonormalize(g)
-        if frame.size < codim:  # measure-zero rank drop: redraw
-            continue
-        blocks.append(frame.vectors)
-    return SubspaceFamily(np.array(blocks))
+    return SubspaceFamily.from_normals(rng.standard_normal((size, codim, ambient_dim)))
 
 
 __all__ = [

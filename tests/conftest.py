@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transversal.geometry import SpanSubspace, ValidationError, as_vector, orthonormalize
+from transversal.geometry import as_vector
 from transversal.polytope import Box, McEstimate
 
 
@@ -66,18 +66,9 @@ def loop_certify(C, family):
     [0, 1]."""
     deltas = []
     for N in family.normals:
-        s = np.linalg.svd(N @ C.basis.T, compute_uv=False)
+        s = np.linalg.svd(N @ C.vectors.T, compute_uv=False)
         deltas.append(float(np.clip(s[-1], 0.0, 1.0)))
     return np.array(deltas)
-
-
-def span(vectors):
-    """SpanSubspace with an orthonormal basis of the given independent vectors."""
-    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    frame = orthonormalize(arr)
-    if frame.size < arr.shape[0]:
-        raise ValidationError("spanning vectors are linearly dependent")
-    return SpanSubspace.from_frame(frame)
 
 
 def null_basis(N):

@@ -117,7 +117,7 @@ def test_acceptance_4_recursive_complements():
         expected = LINE_CONSTANT ** (k - 1) * (BOX_CONSTANT * j**-5.0) ** k
         ok &= np.allclose(res.certificate.deltas, expected, rtol=1e-12, atol=0.0)
         ok &= np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
-        B = res.complement.basis_frame.vectors
+        B = res.complement.vectors
         for N in fam.normals:
             stack = np.vstack([B, null_basis(N)])
             ok &= np.linalg.matrix_rank(stack, tol=1e-9) == n
@@ -234,8 +234,8 @@ def test_acceptance_10_roundtrip_determinism(tmp_path):
     cpath = tmp_path / "comp.json"
     familyio.save_complement(cpath, res)
     doc = familyio.load_complement(cpath)
-    ok &= float(np.max(np.abs(doc.span.basis_frame.vectors
-                              - res.complement.basis_frame.vectors))) <= 1e-12
+    ok &= float(np.max(np.abs(doc.span.vectors
+                              - res.complement.vectors))) <= 1e-12
     ok &= float(np.max(np.abs(doc.measured.deltas
                               - res.measured.deltas))) <= 1e-12
     ok &= float(np.max(np.abs(doc.certified.deltas

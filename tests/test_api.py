@@ -1,6 +1,7 @@
 """The library's public surface: no top-level name serves only the tests."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import transversal
@@ -42,3 +43,13 @@ def test_every_public_definition_is_used_by_the_library():
     unused = sorted(name for name in public
                     if name.split(".")[1] not in used | ALLOWED)
     assert unused == []
+
+
+def test_every_exported_name_exists():
+    """Each name in the package's and every module's ``__all__`` is defined."""
+    modules = [transversal] + [importlib.import_module(f"transversal.{stem}")
+                               for stem in _parse_modules() if not stem.startswith("__")]
+    missing = sorted(f"{module.__name__}.{name}" for module in modules
+                     for name in getattr(module, "__all__", ())
+                     if not hasattr(module, name))
+    assert missing == []

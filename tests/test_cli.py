@@ -73,7 +73,7 @@ def test_construct_round_trips_codim2(codim2_family, tmp_path):
     cp = run_cli("construct", "--family", path, "--seed", 5, "--out", out)
     assert cp.returncode == 0, cp.stderr
     doc = familyio.load_complement(out)
-    assert doc.span.dim == 2 and doc.span.ambient_dim == 14
+    assert doc.span.size == 2 and doc.span.ambient_dim == 14
     # reloaded profiles still dominate index-wise
     assert np.all(doc.measured.deltas >= doc.certified.deltas - 1e-9)
     assert doc.rejection_stats.accepted >= 2  # one accept per recursion level

@@ -1,10 +1,13 @@
 """Frames, orthonormalization, and the transversality functional."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from transversal.geometry import (
+    DEFAULT_TOL,
     OrthonormalFrame,
     ValidationError,
     degrees_of_transversality,
@@ -12,7 +15,7 @@ from transversal.geometry import (
 )
 from transversal.separator import SubspaceFamily, certify
 
-from conftest import random_unit, span
+from conftest import random_unit
 
 
 def e(i, n):
@@ -23,7 +26,7 @@ def e(i, n):
 
 def degree(C, N):
     """Degree of transversality of C to the one member with normal frame N."""
-    return float(degrees_of_transversality(np.atleast_2d(N)[None], C.basis)[0])
+    return float(degrees_of_transversality(np.atleast_2d(N)[None], C.vectors)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +38,9 @@ def test_orthonormalize_keeps_orthonormal_input():
     np.testing.assert_array_equal(frame.vectors, np.eye(3)[:2])
 
 
-def test_orthonormalize_drops_dependent_vector():
-    frame = orthonormalize([e(0, 3), 2.0 * e(0, 3)])
-    assert frame.size == 1
-    np.testing.assert_allclose(np.abs(frame.vectors[0]), e(0, 3))
+def test_orthonormalize_rejects_dependent_vector():
+    with pytest.raises(ValidationError, match=r"rank 1 < 2: vectors are linearly dependent"):
+        orthonormalize([e(0, 3), 2.0 * e(0, 3)])
 
 
 def test_orthonormalize_gram_is_identity():
@@ -76,22 +78,70 @@ def test_orthonormalize_preserves_span(rng):
     np.testing.assert_allclose(coeff @ frame.vectors, vecs, atol=1e-9)
 
 
+@st.composite
+def rows_to_orthonormalize(draw):
+    """(V, dropped): m <= n rows in R^n that are random, square (m = n), with
+    exact duplicates, with zero rows, or with rows that are combinations of
+    earlier ones perturbed by 1e-13...1e-6.  ``dropped`` counts the exactly
+    dependent rows; None for the perturbed kind, whose rank is not known."""
+    kind = draw(st.sampled_from(["random", "square", "duplicate", "zero", "near"]))
+    n = draw(st.integers(1, 12))
+    m = n if kind == "square" else draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.standard_normal((m, n))
+    hit = [j for j in range(m) if (j > 0 or kind == "zero") and rng.random() < 0.5]
+    for j in hit:
+        if kind == "zero":
+            V[j] = 0.0
+        elif kind == "duplicate":
+            V[j] = V[rng.integers(0, j)]
+        elif kind == "near":
+            noise = 10.0 ** rng.uniform(-13, -6) * rng.standard_normal(n)
+            V[j] = rng.standard_normal(j) @ V[:j] + noise
+    if kind == "near":
+        return V, None
+    return V, len(hit) if kind in ("zero", "duplicate") else 0
+
+
+@given(case=rows_to_orthonormalize())
+@settings(max_examples=200, deadline=None)
+def test_orthonormalize_returns_full_rank_frame_or_names_rank(case):
+    """Either one orthonormal row per input row, spanning the input, or a
+    ValidationError naming the rank r < m; never a shorter frame."""
+    V, dropped = case
+    m = V.shape[0]
+    try:
+        frame = orthonormalize(V)
+    except ValidationError as exc:
+        found = re.fullmatch(r"rank (\d+) < (\d+): vectors are linearly dependent", str(exc))
+        assert found is not None, str(exc)
+        rank = int(found[1])
+        assert int(found[2]) == m and rank < m
+        assert dropped is None or rank == m - dropped
+        return
+    assert dropped in (0, None)
+    assert frame.size == m
+    F = frame.vectors
+    assert np.max(np.abs(F @ F.T - np.eye(m))) <= DEFAULT_TOL
+    np.testing.assert_allclose((V @ F.T) @ F, V, rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # frame and family validation
 
 
 def test_frame_rejects_non_orthonormal_rows():
     with pytest.raises(ValidationError, match="not orthonormal"):
-        OrthonormalFrame(np.array([[1.0, 0.0], [1.0, 1e-3]]), 2)
+        OrthonormalFrame(np.array([[1.0, 0.0], [1.0, 1e-3]]))
 
 
 def test_frame_rejects_too_many_vectors():
     with pytest.raises(ValidationError):
-        OrthonormalFrame(np.eye(3), 2)
+        OrthonormalFrame(np.eye(3)[:, :2])
 
 
 def test_frame_vectors_are_frozen():
-    frame = OrthonormalFrame(np.eye(2), 2)
+    frame = OrthonormalFrame(np.eye(2))
     with pytest.raises(ValueError):
         frame.vectors[0, 0] = 5.0
 
@@ -109,20 +159,20 @@ def test_codim_subspace_bounds():
 
 def test_degree_orthogonal_complement_is_one():
     N = np.array([e(0, 4), e(1, 4)])
-    C = span([e(0, 4), e(1, 4)])
+    C = orthonormalize([e(0, 4), e(1, 4)])
     assert degree(C, N) == pytest.approx(1.0)
 
 
 def test_degree_contained_subspace_is_zero():
     N = e(0, 3)  # V = span(e2, e3)
-    C = span([e(1, 3)])  # inside V
+    C = orthonormalize([e(1, 3)])  # inside V
     assert degree(C, N) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_degree_rotating_line():
     N = e(1, 2)  # V = span(e1)
     for theta in (0.2, 0.9, 1.5):
-        C = span([[np.cos(theta), np.sin(theta)]])
+        C = orthonormalize([[np.cos(theta), np.sin(theta)]])
         assert degree(C, N) == pytest.approx(abs(np.sin(theta)))
 
 
@@ -131,10 +181,10 @@ def test_degree_matches_dense_sweep_over_unit_circle():
     recovers the smallest singular value."""
     rng = np.random.default_rng(17)
     N = orthonormalize(rng.standard_normal((2, 5))).vectors
-    C = span(rng.standard_normal((2, 5)))
+    C = orthonormalize(rng.standard_normal((2, 5)))
     deg = degree(C, N)
     ts = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
-    xs = np.outer(np.cos(ts), C.basis[0]) + np.outer(np.sin(ts), C.basis[1])
+    xs = np.outer(np.cos(ts), C.vectors[0]) + np.outer(np.sin(ts), C.vectors[1])
     sweep = np.min(np.linalg.norm(N @ xs.T, axis=0))
     assert sweep >= deg - 1e-9
     assert sweep == pytest.approx(deg, abs=1e-5)
@@ -143,7 +193,7 @@ def test_degree_matches_dense_sweep_over_unit_circle():
 def test_degree_requires_matching_dims():
     fam = SubspaceFamily.from_normals([[e(0, 4), e(1, 4)]])
     with pytest.raises(ValidationError):
-        certify(span([e(2, 4)]), fam)
+        certify(orthonormalize([e(2, 4)]), fam)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -153,12 +203,12 @@ def test_degree_bounds_and_unit_vector_domination(seed):
     n = int(rng.integers(3, 9))
     k = int(rng.integers(1, n - 1))
     N = orthonormalize(rng.standard_normal((k, n))).vectors
-    C = span(orthonormalize(rng.standard_normal((k, n))).vectors)
+    C = orthonormalize(rng.standard_normal((k, n)))
     deg = degree(C, N)
     assert 0.0 <= deg <= 1.0
     for _ in range(20):
         u = random_unit(rng, k)
-        x = u @ C.basis
+        x = u @ C.vectors
         assert np.linalg.norm(N @ x) >= deg - 1e-9
 
 
@@ -170,9 +220,9 @@ def test_degree_invariant_under_basis_change(seed):
     k = int(rng.integers(1, n - 1))
     N = orthonormalize(rng.standard_normal((k, n))).vectors
     B = orthonormalize(rng.standard_normal((k, n))).vectors
-    C1 = span(B)
+    C1 = orthonormalize(B)
     q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-    C2 = span(orthonormalize(q @ B).vectors)
+    C2 = orthonormalize(q @ B)
     d1 = degree(C1, N)
     d2 = degree(C2, N)
     assert abs(d1 - d2) <= 1e-9

@@ -264,9 +264,9 @@ def test_mc_inverse_bound_positive_fraction(rng):
 def test_translated_span_identity_fixed_point():
     fam = toy_family()
     base = common_complement(fam, seed=1)
-    B = base.complement.basis
+    B = base.complement.vectors
     span = translated_span(B, np.eye(1), np.zeros((1, 2)))
-    np.testing.assert_array_equal(span.basis, B)
+    np.testing.assert_array_equal(span.vectors, B)
     cert = certify(span, fam)
     np.testing.assert_array_equal(cert.deltas, base.measured.deltas)
 
@@ -275,9 +275,9 @@ def test_translated_span_rejects_degenerate_coefficients():
     fam = random_subspace_family(2, 8, 2, 3)
     base = common_complement(fam, seed=3)
     with pytest.raises(ValidationError, match="dependent"):
-        translated_span(base.complement.basis, np.ones((2, 2)), np.zeros((2, 8)))
+        translated_span(base.complement.vectors, np.ones((2, 2)), np.zeros((2, 8)))
     with pytest.raises(ValidationError):
-        translated_span(base.complement.basis, np.zeros((2, 2)), np.zeros((2, 8)))
+        translated_span(base.complement.vectors, np.zeros((2, 2)), np.zeros((2, 8)))
 
 
 def test_translation_decay_ceiling_values():

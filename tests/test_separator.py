@@ -40,7 +40,6 @@ from conftest import (
     mgs_adapt_basis,
     null_basis,
     random_unit,
-    span,
     triangular_unit_rows,
 )
 
@@ -128,13 +127,13 @@ def test_cube_sampler_exhaustion_is_construction_error():
 
 
 def test_adapt_basis_already_adapted():
-    frame, coords = adapt_basis([e(0, 4), e(1, 4)], 4)
+    frame, coords = adapt_basis([e(0, 4), e(1, 4)])
     np.testing.assert_array_equal(frame.vectors, np.eye(4)[:2])
     np.testing.assert_allclose(coords, np.eye(2, 2), atol=1e-12)
 
 
 def test_adapt_basis_dependent_pair_gets_filler():
-    frame, coords = adapt_basis([e(0, 3), e(0, 3)], 3)
+    frame, coords = adapt_basis([e(0, 3), e(0, 3)])
     assert frame.size == 2
     np.testing.assert_allclose(frame.vectors[0], e(0, 3))
     assert abs(np.dot(frame.vectors[0], frame.vectors[1])) <= 1e-12
@@ -144,7 +143,7 @@ def test_adapt_basis_dependent_pair_gets_filler():
 
 def test_adapt_basis_random_projection_residuals(rng):
     V = np.array([random_unit(rng, 8) for _ in range(5)])
-    frame, coords = adapt_basis(V, 8)
+    frame, coords = adapt_basis(V)
     for j in range(5):
         head = frame.vectors[: j + 1]
         residual = V[j] - (V[j] @ head.T) @ head
@@ -176,7 +175,7 @@ def unit_rows(draw):
 @settings(max_examples=200, deadline=None)
 def test_adapt_basis_properties(V):
     m = V.shape[0]
-    frame, coords = adapt_basis(V, V.shape[1])
+    frame, coords = adapt_basis(V)
     C = frame.vectors
     assert C.shape == V.shape
     assert np.max(np.abs(C @ C.T - np.eye(m))) <= 1e-12
@@ -187,7 +186,7 @@ def test_adapt_basis_properties(V):
 
 def test_adapt_basis_matches_gram_schmidt_oracle(rng):
     V = np.array([random_unit(rng, 200) for _ in range(199)])
-    frame, coords = adapt_basis(V, 200)
+    frame, coords = adapt_basis(V)
     reference = mgs_adapt_basis(V)
     np.testing.assert_allclose(frame.vectors, reference, rtol=0, atol=1e-12)
     np.testing.assert_allclose(coords, V @ reference.T, rtol=0, atol=1e-12)
@@ -195,9 +194,9 @@ def test_adapt_basis_matches_gram_schmidt_oracle(rng):
 
 def test_adapt_basis_rejects_overfull_and_non_unit():
     with pytest.raises(ValidationError, match="more vectors"):
-        adapt_basis([e(0, 2), e(1, 2), (e(0, 2) + e(1, 2)) / np.sqrt(2)], 2)
+        adapt_basis([e(0, 2), e(1, 2), (e(0, 2) + e(1, 2)) / np.sqrt(2)])
     with pytest.raises(ValidationError, match="not unit"):
-        adapt_basis([2.0 * e(0, 3)], 3)
+        adapt_basis([2.0 * e(0, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ def test_certificate_validation():
 
 
 def test_complement_result_enforces_dominance():
-    comp = span([e(0, 3)])
+    comp = orthonormalize([e(0, 3)])
     good = SeparationCertificate.from_profile([0.9], MEASURED)
     cert = SeparationCertificate.from_profile([0.95], CERTIFIED)
     with pytest.raises(ConstructionError, match="index 1"):
@@ -314,7 +313,7 @@ def test_complement_result_enforces_dominance():
 def test_certify_constant_family():
     normals = np.array([e(0, 4), e(1, 4)])
     fam = SubspaceFamily.from_normals([normals] * 3)
-    cert = certify(span([e(0, 4), e(1, 4)]), fam)
+    cert = certify(orthonormalize([e(0, 4), e(1, 4)]), fam)
     np.testing.assert_allclose(cert.deltas, 1.0)
     assert cert.decay_fit.exponent == pytest.approx(0.0, abs=1e-9)
 
@@ -331,8 +330,8 @@ def test_certify_matches_member_loop_bit_for_bit(seed, k):
     duplicates = blocks[rng.integers(0, J, size=3)]
     containing = np.eye(n)[None, k:2 * k]  # contains span(e_1..e_k)
     fam = SubspaceFamily.from_normals(np.concatenate([blocks, duplicates, containing]))
-    random_span = span(rng.standard_normal((k, n)))
-    contained = span(np.eye(n)[:k])
+    random_span = orthonormalize(rng.standard_normal((k, n)))
+    contained = orthonormalize(np.eye(n)[:k])
     for C in (random_span, contained):
         np.testing.assert_array_equal(certify(C, fam).deltas, loop_certify(C, fam))
     assert certify(contained, fam).deltas[-1] == 0.0
@@ -535,10 +534,10 @@ def test_common_complement_codim3_certified_exponent():
     fam = random_subspace_family(12, 25, 3, 8)
     res = common_complement(fam, seed=13)
     assert res.certificate.decay_fit.exponent == pytest.approx(-15.0, abs=1e-6)
-    assert res.complement.dim == 3
+    assert res.complement.size == 3
     # direct-sum rank check against every member
     for N in fam.normals:
-        M = np.vstack([res.complement.basis, null_basis(N)])
+        M = np.vstack([res.complement.vectors, null_basis(N)])
         assert np.linalg.matrix_rank(M, tol=1e-9) == 25
 
 
@@ -552,12 +551,12 @@ def test_construction_is_deterministic():
     fam = random_subspace_family(16, 15, 2, 6)
     a = common_complement(fam, seed=33)
     b = common_complement(fam, seed=33)
-    np.testing.assert_array_equal(a.complement.basis, b.complement.basis)
+    np.testing.assert_array_equal(a.complement.vectors, b.complement.vectors)
     np.testing.assert_array_equal(a.certificate.deltas, b.certificate.deltas)
     np.testing.assert_array_equal(a.measured.deltas, b.measured.deltas)
     assert a.rejection_stats == b.rejection_stats
     c = common_complement(fam, seed=34)
-    assert not np.array_equal(a.complement.basis, c.complement.basis)
+    assert not np.array_equal(a.complement.vectors, c.complement.vectors)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -573,7 +572,7 @@ def test_common_complement_random_properties(seed):
     js = np.arange(1, J + 1, dtype=float)
     expected = LINE_CONSTANT ** (k - 1) * (BOX_CONSTANT * js**-5.0) ** k
     np.testing.assert_allclose(res.certificate.deltas, expected, rtol=1e-12)
-    assert np.all(degrees_of_transversality(fam.normals, res.complement.basis) > 0)
+    assert np.all(degrees_of_transversality(fam.normals, res.complement.vectors) > 0)
 
 
 def test_derive_seeds_is_stable():
@@ -586,6 +585,20 @@ def test_random_subspace_family_shapes():
     fam = random_subspace_family(1, 9, 2, 4)
     assert fam.ambient_dim == 9 and fam.codim == 2 and len(fam) == 4
     assert fam.normals.shape == (4, 2, 9)
+
+
+@pytest.mark.parametrize("seed,n,k,J", [
+    (derive_seeds(0, 3)[2], 6, 1, 50),  # the family `mc` draws at its defaults
+    (derive_seeds(0, 3)[2], 30, 2, 20),
+    (7, 9, 3, 4),
+])
+def test_random_subspace_family_matches_per_block_draws(seed, n, k, J):
+    """One stacked Gaussian draw gives the bytes of J consecutive (k, n)
+    draws, each orthonormalized on its own."""
+    rng = np.random.default_rng(seed)
+    blocks = [orthonormalize(rng.standard_normal((k, n))).vectors for _ in range(J)]
+    np.testing.assert_array_equal(random_subspace_family(seed, n, k, J).normals,
+                                  np.array(blocks))
 
 
 def test_family_rejects_mixed_members():
