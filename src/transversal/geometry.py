@@ -5,9 +5,11 @@ an orthonormal basis: a candidate complement C as an ``OrthonormalFrame``,
 the one subspace type, and a member V of codimension k through an
 orthonormal basis of its orthogonal complement (its "normal frame"), so
 the degree of transversality of C to V reduces to the action of a small
-k x k matrix.  ``orthonormalize`` turns m independent vectors into a frame
-of m rows, or raises naming their rank.  The Gram and unit-norm checks
-shared by every module live here as well.
+k x k matrix.  One sign-fixed Householder QR kernel orthonormalizes
+(..., m, n) stacks of blocks for the whole package: ``orthonormalize``
+(m independent vectors to a frame of m rows, or an error naming their
+rank), ``separator.adapt_basis`` and the stacked translation suite.  The
+Gram and unit-norm checks shared by every module live here as well.
 
 All operations are pure: inputs are validated and frozen on construction
 (copied unless already read-only), and nothing is mutated afterwards.
@@ -104,12 +106,29 @@ class OrthonormalFrame:
         return self.size
 
 
+def _householder_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-fixed Householder QR frames of a (..., m, n) stack, m <= n.
+
+    Each block V gets Q^T from the reduced QR V^T = Q R (Golub & Van Loan,
+    Matrix Computations, section 5.2) with diag(R) >= 0, the frame
+    Gram-Schmidt builds on independent rows.  Returns (frames, full_rank):
+    full_rank holds where every |R_jj| exceeds DEFAULT_TOL times the block's
+    largest row norm, Gram-Schmidt's residual test; other frames still have
+    m orthonormal rows.
+    """
+    q, r = np.linalg.qr(np.swapaxes(stack, -1, -2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    frames = np.swapaxes(q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], -1, -2)
+    floor = DEFAULT_TOL * np.linalg.norm(stack, axis=-1).max(axis=-1, keepdims=True)
+    return frames, np.all(np.abs(diag) > floor, axis=-1)
+
+
 def orthonormalize(vectors) -> OrthonormalFrame:
     """Orthonormal frame with the span of m independent rows, one row per input row.
 
-    Modified Gram-Schmidt with re-orthogonalization.  A row whose residual
-    is at most DEFAULT_TOL times the largest input norm counts as dependent,
-    and any dependent row raises ValidationError naming the rank r < m; a
+    The sign-fixed Householder QR frame of ``_householder_frames``.  A row
+    whose residual is at most DEFAULT_TOL times the largest input norm
+    counts as dependent, and then ValidationError names the rank r < m; a
     shorter frame is never returned.  Inputs that already form an
     orthonormal frame are returned unchanged, which keeps repeated
     normalization bit-stable.
@@ -125,35 +144,29 @@ def orthonormalize(vectors) -> OrthonormalFrame:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("non-finite entries")
     m, n = arr.shape
-    if m <= n and _gram_defects(arr) <= DEFAULT_TOL:
-        return OrthonormalFrame(arr)
-
-    scale = float(np.max(np.linalg.norm(arr, axis=1)))
-    rows: list[np.ndarray] = []
-    for v in arr:
-        r = v.astype(float)
-        for _ in range(2):  # second pass restores orthogonality lost to cancellation
-            for q in rows:
-                r = r - np.dot(q, r) * q
-        norm = float(np.linalg.norm(r))
-        if norm > DEFAULT_TOL * scale:
-            rows.append(r / norm)
-    if len(rows) < m:
-        raise ValidationError(f"rank {len(rows)} < {m}: vectors are linearly dependent")
-    return OrthonormalFrame(np.array(rows))
+    if m <= n:
+        if _gram_defects(arr) <= DEFAULT_TOL:
+            return OrthonormalFrame(arr)
+        frame, full_rank = _householder_frames(arr)
+        if full_rank:
+            return OrthonormalFrame(frame)
+    # sigma_min <= min |R_jj|, so the rank at the same tolerance is below m
+    r = np.linalg.matrix_rank(arr, tol=DEFAULT_TOL * np.linalg.norm(arr, axis=1).max())
+    raise ValidationError(f"rank {r} < {m}: vectors are linearly dependent")
 
 
 def degrees_of_transversality(normals: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Degree of transversality of rowspace(basis) to every member of a stack.
 
     ``normals`` is a (J, k, n) stack of orthonormal normal frames N_j of
-    members V_j and ``basis`` a (k, n) orthonormal basis B of a candidate C.
-    Entry j is min over unit x in C of d(x, V_j), the smallest singular
-    value of N_j B^T, clipped to [0, 1]: it vanishes iff C fails to
+    members V_j and ``basis`` a (..., k, n) stack of orthonormal bases B of
+    candidates C.  Entry j is min over unit x in C of d(x, V_j), the smallest
+    singular value of N_j B^T, clipped to [0, 1]: it vanishes iff C fails to
     complement V_j and equals 1 iff C is the orthogonal complement of V_j.
-    All J values come from one stacked product and one stacked SVD.
+    All (..., J) values come from one stacked product and one stacked SVD.
     """
-    s = np.linalg.svd(normals @ basis.T, compute_uv=False)[:, -1]
+    prods = normals @ np.swapaxes(basis, -1, -2)[..., None, :, :]
+    s = np.linalg.svd(prods, compute_uv=False)[..., -1]
     return np.clip(s, 0.0, 1.0)
 
 

@@ -12,7 +12,8 @@ exceptional:
   value floors via sigma_min * ||inverse||_2 = 1;
 * ``translation_experiment`` perturbs a certified complement by random
   coefficient matrices plus a fixed translation and measures how often the
-  resulting span still separates with a polynomial floor.
+  resulting span still separates with a polynomial floor; the samples run
+  in stacked chunks, one QR and one SVD per chunk.
 
 Sampling uses counter-based RNG keyed by the master seed, so results are
 deterministic and every sample's randomness is addressable by its index.
@@ -25,14 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OrthonormalFrame, ValidationError, orthonormalize
+from .geometry import ValidationError, _householder_frames, degrees_of_transversality
 from .separator import (
+    MEASURED,
     ComplementResult,
     SeparationCertificate,
     SubspaceFamily,
-    certify,
     is_well_separating,
 )
+
+#: Samples per stacked QR and SVD in translation_experiment.
+_TRANSLATION_CHUNK = 256
+
 
 def translation_decay_ceiling(codim: int) -> float:
     """Default decay-exponent ceiling for translated spans: 5 k^2 + 2."""
@@ -62,8 +67,8 @@ class McConfig:
         if self.samples < 1000:
             raise ValidationError("samples must be at least 1000")
         grid = tuple(float(e) for e in self.epsilon_grid)
-        if not grid or any(e <= 0 for e in grid):
-            raise ValidationError("epsilon_grid entries must be positive")
+        if not grid or not all(0 < e < math.inf for e in grid):
+            raise ValidationError("epsilon_grid entries must be positive and finite")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ValidationError("epsilon_grid must be strictly decreasing")
         object.__setattr__(self, "epsilon_grid", grid)
@@ -233,11 +238,12 @@ def mc_det_lower_bound(A_list, config: McConfig):
     if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
         raise ValidationError("A_list must be a stack of square matrices")
     J, k, _ = A_arr.shape
+    if J == 0 or k == 0:
+        raise ValidationError("A_list must hold at least one nonempty matrix")
     c_hat, r_squared, mu = det_slab_coefficient(
         A_arr[0], config.epsilon_grid, config.samples, config.seed)
 
     A = _ball_matrices(_keyed_rng(config.seed, 1), config.samples, k)
-    j = np.arange(1, J + 1, dtype=float)
     scaled = np.empty((config.samples, J))
     for idx in range(J):
         scaled[:, idx] = (idx + 1.0) ** 2 * np.abs(np.linalg.det(A + A_arr[idx]))
@@ -284,7 +290,7 @@ def inverse_bound_check(A, A_list, delta_list):
     J = A_arr.shape[0]
     if delta.shape != (J,):
         raise ValidationError("delta_list length must match A_list")
-    if np.any(delta <= 0) or np.any(delta > 1):
+    if not np.all((delta > 0) & (delta <= 1)):
         raise ValidationError("deltas must lie in (0, 1]")
     norms = np.linalg.norm(A_arr, ord=2, axis=(1, 2))
     if np.any(norms > 1.0 / delta + 1e-9):
@@ -310,6 +316,8 @@ def mc_inverse_bound(A_list, delta_list, config: McConfig):
     if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
         raise ValidationError("A_list must be a stack of square matrices")
     J, k, _ = A_arr.shape
+    if J == 0 or k == 0:
+        raise ValidationError("A_list must hold at least one nonempty matrix")
     A = _ball_matrices(_keyed_rng(config.seed), config.samples, k)
     _, eps_hat = inverse_bound_check(A, A_arr, delta_list)
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
@@ -327,18 +335,6 @@ def mc_inverse_bound(A_list, delta_list, config: McConfig):
     return report, eps_hat
 
 
-def translated_span(basis: np.ndarray, coeff: np.ndarray,
-                    translation: np.ndarray) -> OrthonormalFrame:
-    """Span of c_i + x_i where c_i = sum_l coeff[l, i] * basis row l.
-
-    Raises ValidationError when the translated tuple is linearly dependent.
-    With coeff = identity and zero translation this reproduces the input
-    frame bit-for-bit (orthonormalization passes already-orthonormal input
-    through unchanged).
-    """
-    return orthonormalize(coeff.T @ basis + translation)
-
-
 def translation_experiment(base: ComplementResult, family: SubspaceFamily,
                            translation, config: McConfig,
                            radius: float = 1.0,
@@ -349,10 +345,12 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
 
     For each sample a coefficient matrix A with columns uniform in the ball
     of the given radius is drawn from a stream keyed by (seed, sample), the
-    span of the translated combinations is certified against the family,
-    and is_well_separating is evaluated at ``max_exponent`` (default
-    5 k^2 + 2).  Families with fewer than three members fall back to
-    requiring strictly positive measured deltas.
+    span of the translated combinations A^T B + X is certified against the
+    family, and is_well_separating is evaluated at ``max_exponent``
+    (default 5 k^2 + 2).  Families with fewer than three members fall back
+    to requiring strictly positive measured deltas.  Each chunk of samples
+    takes one stacked QR (orthonormalize's kernel) and one stacked SVD, so
+    every certificate equals certify(orthonormalize(A^T B + X), family).
 
     Returns (McReport, list of per-sample measured certificates or None
     for degenerate draws).
@@ -362,38 +360,37 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     X = np.atleast_2d(np.asarray(translation, dtype=float))
     if X.shape != (k, n):
         raise ValidationError(f"translation must be {k} vectors in R^{n}")
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("translation has non-finite entries")
     if base.complement.ambient_dim != n or base.complement.size != k:
         raise ValidationError("base complement does not match the family")
     if not base.certificate.positive:
         raise ValidationError("base is not a certified complement of the family")
-    if not radius > 0:
-        raise ValidationError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValidationError("radius must be positive and finite")
     if max_exponent is None:
         max_exponent = translation_decay_ceiling(k)
+    if math.isnan(max_exponent):
+        raise ValidationError("max_exponent must be a number")
 
     basis = base.complement.vectors
-    passing = 0
-    exponents: list[float] = []
     certs: list[SeparationCertificate | None] = []
-    for i in range(config.samples):
-        A = _ball_matrices(_keyed_rng(config.seed, i), 1, k, radius)[0]
-        try:
-            span = translated_span(basis, A, X)
-        except ValidationError:
-            certs.append(None)
+    for start in range(0, config.samples, _TRANSLATION_CHUNK):
+        stop = min(start + _TRANSLATION_CHUNK, config.samples)
+        A = np.concatenate([_ball_matrices(_keyed_rng(config.seed, i), 1, k, radius)
+                            for i in range(start, stop)])
+        spans, full_rank = _householder_frames(np.swapaxes(A, -1, -2) @ basis + X)
+        deltas = iter(degrees_of_transversality(family.normals, spans[full_rank]))
+        certs.extend(SeparationCertificate.from_profile(next(deltas), MEASURED)
+                     if ok else None for ok in full_rank)
+
+    exponents: list[float] = []
+    for cert in certs:
+        if cert is None or not cert.positive:
             continue
-        cert = certify(span, family)
-        certs.append(cert)
-        if not cert.positive:
-            continue
-        if len(family) >= 3:
-            ok = is_well_separating(cert, max_exponent)
-        else:
-            ok = True
-        if ok:
-            passing += 1
+        if len(family) < 3 or is_well_separating(cert, max_exponent):
             exponents.append(-cert.decay_fit.exponent)
-    frac = passing / config.samples
+    frac = len(exponents) / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
     exp_max = max(exponents) if exponents else float("nan")
     exp_median = float(np.median(exponents)) if exponents else float("nan")
@@ -424,6 +421,5 @@ __all__ = [
     "mc_det_lower_bound",
     "inverse_bound_check",
     "mc_inverse_bound",
-    "translated_span",
     "translation_experiment",
 ]

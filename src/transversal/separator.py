@@ -34,6 +34,7 @@ from .geometry import (
     _check_unit,
     _freeze,
     _gram_defects,
+    _householder_frames,
     as_vector,
     degrees_of_transversality,
     orthonormalize,
@@ -320,14 +321,13 @@ def sample_cube_separator(normals, seed: int,
 def adapt_basis(v_list):
     """Orthonormal c_1..c_m with v_j in span(c_1..c_j) for ordered unit v_j.
 
-    The frame is Q^T from one reduced Householder QR factorization
-    V^T = Q R (Golub & Van Loan, Matrix Computations, section 5.2), with
-    the signs of Q's columns chosen so that diag(R) >= 0; on independent
-    input this is the frame Gram-Schmidt would build.  Since R is upper
-    triangular, v_j = sum_{l <= j} R_lj c_l holds whatever the pivots are:
-    when v_j depends on its predecessors, R_jj vanishes and c_j is still a
-    Householder column orthonormal to the rest, so index alignment is
-    preserved.  Returns (OrthonormalFrame, coords) where
+    The frame is the sign-fixed Householder QR frame of V (see
+    geometry._householder_frames), the frame Gram-Schmidt would build on
+    independent input.  Since R is upper triangular, v_j = sum_{l <= j}
+    R_lj c_l holds whatever the pivots are: when v_j depends on its
+    predecessors, R_jj vanishes and c_j is still a Householder column
+    orthonormal to the rest, so the full-rank flag is ignored and index
+    alignment is preserved.  Returns (OrthonormalFrame, coords) where
     coords[i, l] = <v_i, c_l> is lower triangular up to DEFAULT_TOL.
     """
     V = np.atleast_2d(np.asarray(v_list, dtype=float))
@@ -339,9 +339,7 @@ def adapt_basis(v_list):
         raise ValidationError(
             f"cannot adapt {m} vectors in R^{n}: more vectors than ambient dimension"
         )
-    q, r = np.linalg.qr(V.T)
-    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    frame = OrthonormalFrame((q * signs).T)
+    frame = OrthonormalFrame(_householder_frames(V)[0])
     coords = V @ frame.vectors.T
     return frame, coords
 

@@ -237,15 +237,47 @@ def test_mc_translation_toy_family(tmp_path):
 
 
 def test_mc_reports_are_byte_identical_for_equal_seeds():
-    a = run_cli("mc", "badset", "--samples", 2000, "--seed", 11, "--dim", 3,
-                "--members", 10)
-    b = run_cli("mc", "badset", "--samples", 2000, "--seed", 11, "--dim", 3,
-                "--members", 10)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-    c = run_cli("mc", "badset", "--samples", 2000, "--seed", 12, "--dim", 3,
-                "--members", 10)
-    assert c.stdout != a.stdout
+    for suite, args in (
+        ("badset", ("--samples", 2000, "--dim", 3, "--members", 10)),
+        ("translation", ("--samples", 1000, "--k", 2, "--dim", 12, "--members", 8)),
+    ):
+        a = run_cli("mc", suite, *args, "--seed", 11)
+        b = run_cli("mc", suite, *args, "--seed", 11)
+        assert a.returncode == b.returncode == 0, a.stderr
+        assert a.stdout == b.stdout
+        c = run_cli("mc", suite, *args, "--seed", 12)
+        assert c.returncode == 0, c.stderr
+        assert c.stdout != a.stdout
+
+
+def test_mc_translation_is_byte_identical_across_blas_thread_counts():
+    """The translation suite factors small blocks only, so its report does
+    not depend on the BLAS thread count."""
+    args = ("mc", "translation", "--samples", 1000, "--k", 2, "--dim", 30,
+            "--members", 20)
+    one = run_cli(*args, blas_threads=1)
+    two = run_cli(*args, blas_threads=2)
+    assert one.returncode == two.returncode == 0, one.stderr
+    assert one.stdout == two.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("det", "--k", 0),
+    ("inverse", "--k", 0),
+    ("det", "--members", 0),
+    ("inverse", "--members", 0),
+    ("inverse", "--delta-exponent", "nan"),
+    ("det", "--epsilon-grid", "nan,0.1"),
+    ("badset", "--epsilon-grid", "inf,1"),
+    ("translation", "--max-exponent", "nan"),
+    ("translation", "--radius", "inf"),
+    ("translation", "--translation", "1,0,0,0,0,inf"),
+])
+def test_mc_invalid_input_exits_2_without_traceback(args):
+    cp = run_cli("mc", *args, "--samples", 1000)
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("error: ")
 
 
 def test_mc_unknown_suite_is_input_error():

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from transversal.geometry import ValidationError
+from transversal.geometry import ValidationError, orthonormalize
 from transversal.prevalence import (
+    _TRANSLATION_CHUNK,
     McConfig,
     McReport,
+    _ball_matrices,
     _keyed_rng,
     ball_volume,
     det_slab_coefficient,
@@ -18,7 +20,6 @@ from transversal.prevalence import (
     mc_det_lower_bound,
     mc_inverse_bound,
     sample_ball,
-    translated_span,
     translation_decay_ceiling,
     translation_experiment,
 )
@@ -261,23 +262,50 @@ def test_mc_inverse_bound_positive_fraction(rng):
 # translations
 
 
-def test_translated_span_identity_fixed_point():
-    fam = toy_family()
-    base = common_complement(fam, seed=1)
+def test_translation_certificates_match_per_sample_certify():
+    """The stacked chunks reproduce certify(orthonormalize(A_i^T B + X))
+    bit for bit, on both sides of every chunk boundary."""
+    fam = random_subspace_family(4, 12, 2, 8)
+    base = common_complement(fam, seed=3)
     B = base.complement.vectors
-    span = translated_span(B, np.eye(1), np.zeros((1, 2)))
-    np.testing.assert_array_equal(span.vectors, B)
-    cert = certify(span, fam)
-    np.testing.assert_array_equal(cert.deltas, base.measured.deltas)
+    X = np.eye(2, 12)
+    cfg = McConfig(samples=1000, seed=5, epsilon_grid=(0.1,))
+    _, certs = translation_experiment(base, fam, X, cfg, radius=0.5)
+    assert len(certs) == cfg.samples
+    for i in (0, 1, _TRANSLATION_CHUNK - 1, _TRANSLATION_CHUNK,
+              _TRANSLATION_CHUNK + 1, cfg.samples - 1):
+        A = _ball_matrices(_keyed_rng(cfg.seed, i), 1, 2, 0.5)[0]
+        reference = certify(orthonormalize(A.T @ B + X), fam)
+        assert np.array_equal(certs[i].deltas, reference.deltas), i
 
 
-def test_translated_span_rejects_degenerate_coefficients():
+def test_translation_degenerate_draws_are_none():
+    """Equal translation rows swamp coefficients of radius 1e-12: every
+    translated pair is dependent, so no draw is certified or passes."""
     fam = random_subspace_family(2, 8, 2, 3)
     base = common_complement(fam, seed=3)
-    with pytest.raises(ValidationError, match="dependent"):
-        translated_span(base.complement.vectors, np.ones((2, 2)), np.zeros((2, 8)))
-    with pytest.raises(ValidationError):
-        translated_span(base.complement.vectors, np.zeros((2, 2)), np.zeros((2, 8)))
+    X = np.vstack([np.eye(1, 8), np.eye(1, 8)])
+    cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
+    report, certs = translation_experiment(base, fam, X, cfg, radius=1e-12)
+    assert len(certs) == cfg.samples
+    assert all(c is None for c in certs)
+    assert report.estimate == 0.0
+    assert not report.verdict
+
+
+@pytest.mark.parametrize("translation, kwargs, match", [
+    ([[1.0, 0.0]], {"radius": math.inf}, "radius"),
+    ([[1.0, 0.0]], {"radius": math.nan}, "radius"),
+    ([[1.0, math.inf]], {}, "translation"),
+    ([[math.nan, 0.0]], {}, "translation"),
+    ([[1.0, 0.0]], {"max_exponent": math.nan}, "max_exponent"),
+])
+def test_translation_experiment_rejects_non_finite_input(translation, kwargs, match):
+    fam = toy_family()
+    base = common_complement(fam, seed=1)
+    cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
+    with pytest.raises(ValidationError, match=match):
+        translation_experiment(base, fam, translation, cfg, **kwargs)
 
 
 def test_translation_decay_ceiling_values():

@@ -190,6 +190,10 @@ def test_adapt_basis_matches_gram_schmidt_oracle(rng):
     reference = mgs_adapt_basis(V)
     np.testing.assert_allclose(frame.vectors, reference, rtol=0, atol=1e-12)
     np.testing.assert_allclose(coords, V @ reference.T, rtol=0, atol=1e-12)
+    # orthonormalize shares the QR kernel; pin it on rows that are not unit
+    W = rng.standard_normal((40, 60)) * rng.uniform(0.5, 3.0, (40, 1))
+    np.testing.assert_allclose(orthonormalize(W).vectors, mgs_adapt_basis(W),
+                               rtol=0, atol=1e-12)
 
 
 def test_adapt_basis_rejects_overfull_and_non_unit():
