@@ -122,12 +122,8 @@ def cmd_certify(args) -> int:
             repr(float(scales[j])),
         ]))
     if not measured.positive:
-        verdict = False
         logger.info("candidate misses at least one member (zero measured delta)")
-    elif measured.size >= 3:
-        verdict = is_well_separating(measured, max_exponent)
-    else:
-        verdict = True
+    verdict = is_well_separating(measured.deltas, max_exponent)
     lines.append(f"verdict,{str(verdict).lower()}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -139,6 +135,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    for name in ("k", "members", "dim"):
+        if getattr(args, name) < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {getattr(args, name)}")
     grid = tuple(float(e) for e in _parse_floats(args.epsilon_grid, "epsilon grid"))
     config = McConfig(samples=args.samples, seed=args.seed, epsilon_grid=grid)
     out: dict

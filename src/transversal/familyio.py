@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import OrthonormalFrame, ValidationError
 from .separator import (
     ComplementResult,
-    DecayFit,
     RejectionStats,
     SeparationCertificate,
     SubspaceFamily,
@@ -62,26 +61,23 @@ def family_from_dict(doc: dict):
 
 
 def certificate_to_dict(cert: SeparationCertificate) -> dict:
+    """Document of a certificate; ``decay_fit`` is written for readers of
+    the file and recomputed from the deltas on load."""
+    fit = cert.decay_fit
     return {
         "deltas": [float(d) for d in cert.deltas],
         "provenance": cert.provenance,
         "constants": {str(k): float(v) for k, v in cert.constants.items()},
-        "decay_fit": {
-            "exponent": float(cert.decay_fit.exponent),
-            "scale": float(cert.decay_fit.scale),
-        },
+        "decay_fit": {"exponent": fit.exponent, "scale": fit.scale},
     }
 
 
 def certificate_from_dict(doc: dict) -> SeparationCertificate:
     try:
-        fit = doc.get("decay_fit") or {}
         return SeparationCertificate(
             np.asarray(doc["deltas"], dtype=float),
             str(doc["provenance"]),
             {str(k): float(v) for k, v in (doc.get("constants") or {}).items()},
-            DecayFit(float(fit.get("exponent", "nan")),
-                     float(fit.get("scale", "nan"))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed certificate: {exc}") from exc

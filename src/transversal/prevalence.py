@@ -32,6 +32,7 @@ from .separator import (
     ComplementResult,
     SeparationCertificate,
     SubspaceFamily,
+    decay_fit_prefixes,
     is_well_separating,
 )
 
@@ -347,10 +348,10 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     of the given radius is drawn from a stream keyed by (seed, sample), the
     span of the translated combinations A^T B + X is certified against the
     family, and is_well_separating is evaluated at ``max_exponent``
-    (default 5 k^2 + 2).  Families with fewer than three members fall back
-    to requiring strictly positive measured deltas.  Each chunk of samples
-    takes one stacked QR (orthonormalize's kernel) and one stacked SVD, so
-    every certificate equals certify(orthonormalize(A^T B + X), family).
+    (default 5 k^2 + 2).  Each chunk of samples takes one stacked QR
+    (orthonormalize's kernel), one stacked SVD, one stacked decay fit and
+    one stacked verdict, so every certificate equals
+    certify(orthonormalize(A^T B + X), family).
 
     Returns (McReport, list of per-sample measured certificates or None
     for degenerate draws).
@@ -375,25 +376,24 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
 
     basis = base.complement.vectors
     certs: list[SeparationCertificate | None] = []
+    passing = []  # per chunk, minus the fitted slope of each passing profile
     for start in range(0, config.samples, _TRANSLATION_CHUNK):
         stop = min(start + _TRANSLATION_CHUNK, config.samples)
         A = np.concatenate([_ball_matrices(_keyed_rng(config.seed, i), 1, k, radius)
                             for i in range(start, stop)])
         spans, full_rank = _householder_frames(np.swapaxes(A, -1, -2) @ basis + X)
-        deltas = iter(degrees_of_transversality(family.normals, spans[full_rank]))
-        certs.extend(SeparationCertificate.from_profile(next(deltas), MEASURED)
-                     if ok else None for ok in full_rank)
+        deltas = degrees_of_transversality(family.normals, spans[full_rank])
+        slopes = decay_fit_prefixes(deltas)[0][:, -1]
+        passing.append(-slopes[is_well_separating(deltas, max_exponent)])
+        rows = iter(deltas)
+        certs.extend(SeparationCertificate(next(rows), MEASURED) if ok else None
+                     for ok in full_rank)
 
-    exponents: list[float] = []
-    for cert in certs:
-        if cert is None or not cert.positive:
-            continue
-        if len(family) < 3 or is_well_separating(cert, max_exponent):
-            exponents.append(-cert.decay_fit.exponent)
-    frac = len(exponents) / config.samples
+    exponents = np.concatenate(passing)
+    frac = exponents.size / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
-    exp_max = max(exponents) if exponents else float("nan")
-    exp_median = float(np.median(exponents)) if exponents else float("nan")
+    exp_max = float(exponents.max()) if exponents.size else float("nan")
+    exp_median = float(np.median(exponents)) if exponents.size else float("nan")
     report = McReport(frac, stderr, None, frac >= target, metadata={
         "suite": "translation",
         "criterion": f"passing_fraction >= {target}",

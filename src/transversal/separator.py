@@ -22,7 +22,7 @@ inequality losing a factor 1/sqrt(5) per level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,9 +89,19 @@ def _stack_blocks(normal_blocks) -> np.ndarray:
                 f"family member {idx} has a normal block of shape {b.shape}, "
                 f"expected {blocks[0].shape}")
         blocks.append(b)
-    if not blocks:
-        raise ValidationError("family must contain at least one subspace")
     return np.array(blocks)
+
+
+def _check_family_shape(arr: np.ndarray) -> None:
+    """Raise unless arr is a (J, k, n) stack with J >= 1 and 1 <= k < n."""
+    if arr.shape[:1] == (0,):
+        raise ValidationError("family must contain at least one subspace")
+    if arr.ndim != 3:
+        raise ValidationError(
+            f"family normals must form a (J, k, n) array, got shape {arr.shape}")
+    _, k, n = arr.shape
+    if not 1 <= k < n:
+        raise ValidationError(f"codim must satisfy 1 <= k < n, got k={k}, n={n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +117,7 @@ class SubspaceFamily:
 
     def __post_init__(self):
         arr = np.asarray(self.normals, dtype=float)
-        if arr.ndim != 3:
-            raise ValidationError(
-                f"family normals must form a (J, k, n) array, got shape {arr.shape}")
-        J, k, n = arr.shape
-        if J == 0:
-            raise ValidationError("family must contain at least one subspace")
-        if not 1 <= k < n:
-            raise ValidationError(
-                f"codim must satisfy 1 <= k < n, got k={k}, n={n}")
+        _check_family_shape(arr)
         defects = _gram_defects(arr)
         bad = np.flatnonzero(~(defects <= DEFAULT_TOL))
         if bad.size:
@@ -128,12 +130,14 @@ class SubspaceFamily:
     def from_normals(cls, normal_blocks) -> "SubspaceFamily":
         """Family from a sequence of J blocks of k linearly independent normals.
 
-        One stacked Gram check finds the blocks that are not orthonormal
-        within DEFAULT_TOL; the others keep their bytes.  Only the failing blocks
-        are orthonormalized, one at a time, and orthonormalize's rejection of
-        a rank-deficient one is re-raised with its member index.
+        The (J, k, n) shape is checked first.  One stacked Gram check then
+        finds the blocks that are not orthonormal within DEFAULT_TOL; the
+        others keep their bytes.  Only the failing blocks are orthonormalized,
+        one at a time, and orthonormalize's rejection of a rank-deficient one
+        is re-raised with its member index.
         """
         normals = _stack_blocks(normal_blocks)
+        _check_family_shape(normals)
         for i in np.flatnonzero(~(_gram_defects(normals) <= DEFAULT_TOL)):
             try:
                 normals[i] = orthonormalize(normals[i]).vectors
@@ -171,43 +175,39 @@ class DecayFit:
 
 
 def decay_fit_prefixes(deltas) -> tuple[np.ndarray, np.ndarray]:
-    """Decay fits of every prefix: entry j-1 fits deltas[:j] (see DecayFit).
+    """Decay fits of every prefix of each (..., J) profile along the last
+    axis: entry j-1 fits deltas[..., :j] (see DecayFit).
 
     Closed-form OLS of log(delta_i) on log(i) over the positive entries,
     computed for all prefixes at once from prefix sums.  The centred sums
     are prefix sums of Welford increments (x_i - mx)(y_i - my)(c - 1)/c,
     where the i-th positive entry is the c-th and mx, my are the means of
     the c - 1 before it; this avoids the cancellation in
-    sum(x y) - sum(x) sum(y) / c.  Returns (exponents, scales), NaN where a
-    prefix has fewer than two positive deltas.
+    sum(x y) - sum(x) sum(y) / c.  Every row of a stack gets the bits of
+    its own 1-D call.  Returns (exponents, scales) shaped like deltas, NaN
+    where a prefix has fewer than two positive deltas.
     """
     d = np.asarray(deltas, dtype=float)
     pos = d > 0
-    x = np.log(np.arange(1.0, d.size + 1.0))
+    x = np.log(np.arange(1.0, d.shape[-1] + 1.0))
     y = np.log(np.where(pos, d, 1.0))  # 0 at the entries left out
-    count = np.cumsum(pos)
+    count = np.cumsum(pos, axis=-1)
     safe = np.maximum(count, 1)
-    mean_x = np.cumsum(x * pos) / safe
-    mean_y = np.cumsum(y) / safe
-    dx, dy = x.copy(), y.copy()
-    dx[1:] -= mean_x[:-1]
-    dy[1:] -= mean_y[:-1]
+    mean_x = np.cumsum(x * pos, axis=-1) / safe
+    mean_y = np.cumsum(y, axis=-1) / safe
+    dx = np.broadcast_to(x, d.shape).copy()
+    dy = y.copy()
+    dx[..., 1:] -= mean_x[..., :-1]
+    dy[..., 1:] -= mean_y[..., :-1]
     weighted = pos * (count - 1) / safe * dx
-    sxx = np.cumsum(weighted * dx)
-    sxy = np.cumsum(weighted * dy)
+    sxx = np.cumsum(weighted * dx, axis=-1)
+    sxy = np.cumsum(weighted * dy, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slope = sxy / sxx
         scale = np.exp(mean_y - slope * mean_x)
     slope[count < 2] = np.nan
     scale[count < 2] = np.nan
     return slope, scale
-
-
-def fit_decay(deltas) -> DecayFit:
-    exponents, scales = decay_fit_prefixes(deltas)
-    if exponents.size == 0:
-        return DecayFit(float("nan"), float("nan"))
-    return DecayFit(float(exponents[-1]), float(scales[-1]))
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,7 @@ class SeparationCertificate:
 
     deltas: np.ndarray
     provenance: str
-    constants: dict
-    decay_fit: DecayFit
+    constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
         d = as_vector(self.deltas)
@@ -236,11 +235,11 @@ class SeparationCertificate:
         d.setflags(write=False)
         object.__setattr__(self, "deltas", d)
 
-    @classmethod
-    def from_profile(cls, deltas, provenance: str,
-                     constants: dict | None = None) -> "SeparationCertificate":
-        return cls(np.asarray(deltas, dtype=float), provenance,
-                   dict(constants or {}), fit_decay(deltas))
+    @property
+    def decay_fit(self) -> DecayFit:
+        """Fit of the whole profile (the last prefix of decay_fit_prefixes)."""
+        exponents, scales = decay_fit_prefixes(self.deltas)
+        return DecayFit(float(exponents[-1]), float(scales[-1]))
 
     @property
     def size(self) -> int:
@@ -415,28 +414,28 @@ def certify(C: OrthonormalFrame, family: SubspaceFamily) -> SeparationCertificat
             f"candidate dim {C.size} does not match family codim {family.codim}"
         )
     deltas = degrees_of_transversality(family.normals, C.vectors)
-    return SeparationCertificate.from_profile(deltas, MEASURED)
+    return SeparationCertificate(deltas, MEASURED)
 
 
-def is_well_separating(cert: SeparationCertificate, max_exponent: float) -> bool:
-    """Whether the profile admits a polynomial floor delta_j >= eps * j^-p.
+def is_well_separating(deltas, max_exponent: float):
+    """Whether a profile admits a polynomial floor delta_j >= eps * j^-p.
 
-    Fits p as minus the log-log OLS slope and sets eps = min_j delta_j * j^p;
-    true iff p <= max_exponent (and eps > 0, automatic for positive deltas).
-    At least three indices are required for the fit to mean anything.
+    ``deltas`` is one profile or a (..., J) stack of them; the verdict is a
+    bool or a (...) boolean array.  A profile with a zero entry fails, and
+    a positive profile with J < 3 passes, as no fit is meaningful there.
+    Otherwise p is minus the log-log OLS slope of the whole profile and
+    eps = min_j delta_j * j^p; the profile passes iff p <= max_exponent and
+    eps > 0.
     """
-    if cert.size < 3:
-        raise ValidationError("need at least 3 indices to assess separation decay")
-    d = cert.deltas
-    if np.any(d <= 0):
-        raise ValidationError("profile has nonpositive deltas")
-    fit = cert.decay_fit
-    if math.isnan(fit.exponent):
-        fit = fit_decay(d)
-    p = -fit.exponent
-    j = np.arange(1, d.size + 1, dtype=float)
-    eps = float(np.min(d * j ** p))
-    return bool(p <= max_exponent and eps > 0)
+    d = np.asarray(deltas, dtype=float)
+    verdict = np.all(d > 0, axis=-1)
+    if d.shape[-1] >= 3:
+        p = -decay_fit_prefixes(d)[0][..., -1:]
+        j = np.arange(1.0, d.shape[-1] + 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps = np.min(d * j ** p, axis=-1)
+        verdict &= (p[..., 0] <= max_exponent) & (eps > 0)
+    return verdict if verdict.ndim else bool(verdict)
 
 
 def _certificate_constants(levels: int) -> dict:
@@ -477,7 +476,7 @@ def _line_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
         deltas = np.full(J, bound)
         constants = {"profile_scale": bound, "profile_exponent": 0.0, "members": J}
     comp = OrthonormalFrame(x[None, :])
-    certificate = SeparationCertificate.from_profile(deltas, CERTIFIED, constants=constants)
+    certificate = SeparationCertificate(deltas, CERTIFIED, constants)
     measured = certify(comp, family)
     return ComplementResult(comp, certificate, measured, seed, stats)
 
@@ -528,8 +527,8 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     # the direct sum has full rank k
     comp = orthonormalize(np.vstack([B1, second.complement.vectors]))
     cert_deltas = first.certificate.deltas * second.certificate.deltas * LINE_CONSTANT
-    certificate = SeparationCertificate.from_profile(
-        cert_deltas, CERTIFIED, constants=_certificate_constants(k))
+    certificate = SeparationCertificate(
+        cert_deltas, CERTIFIED, _certificate_constants(k))
     measured = certify(comp, family)
     stats = RejectionStats(
         first.rejection_stats.attempted + second.rejection_stats.attempted,
@@ -561,7 +560,6 @@ __all__ = [
     "SubspaceFamily",
     "DecayFit",
     "decay_fit_prefixes",
-    "fit_decay",
     "SeparationCertificate",
     "RejectionStats",
     "ComplementResult",

@@ -105,6 +105,15 @@ def test_certify_names_rank_deficient_later_member(codim2_family, tmp_path):
     assert "family member 4: normals have rank 1 < 2" in cp.stderr
 
 
+def test_family_with_empty_normals_is_shape_error(tmp_path):
+    """The (J, k, n) shape is checked before any block is repaired."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 0, "codim": 1, "normals": [[]]}))
+    cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
+    assert cp.returncode == 2
+    assert cp.stderr == "error: codim must satisfy 1 <= k < n, got k=1, n=0\n"
+
+
 def test_construct_missing_file_is_input_error(tmp_path):
     cp = run_cli("construct", "--family", tmp_path / "nope.json",
                  "--out", tmp_path / "x.json")
@@ -272,6 +281,12 @@ def test_mc_translation_is_byte_identical_across_blas_thread_counts():
     ("translation", "--max-exponent", "nan"),
     ("translation", "--radius", "inf"),
     ("translation", "--translation", "1,0,0,0,0,inf"),
+    ("det", "--k", -1),
+    ("inverse", "--members", -1),
+    ("badset", "--members", -1),
+    ("translation", "--members", -1),
+    ("translation", "--dim", -3),
+    ("det", "--zero-shifts", "--members", -1),
 ])
 def test_mc_invalid_input_exits_2_without_traceback(args):
     cp = run_cli("mc", *args, "--samples", 1000)

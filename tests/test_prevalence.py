@@ -27,6 +27,7 @@ from transversal.separator import (
     SubspaceFamily,
     certify,
     common_complement,
+    is_well_separating,
     random_subspace_family,
 )
 
@@ -264,19 +265,30 @@ def test_mc_inverse_bound_positive_fraction(rng):
 
 def test_translation_certificates_match_per_sample_certify():
     """The stacked chunks reproduce certify(orthonormalize(A_i^T B + X))
-    bit for bit, on both sides of every chunk boundary."""
+    bit for bit, on both sides of every chunk boundary, and the report's
+    statistics are those of a per-sample loop over the certificates."""
     fam = random_subspace_family(4, 12, 2, 8)
     base = common_complement(fam, seed=3)
     B = base.complement.vectors
     X = np.eye(2, 12)
     cfg = McConfig(samples=1000, seed=5, epsilon_grid=(0.1,))
-    _, certs = translation_experiment(base, fam, X, cfg, radius=0.5)
+    # a ceiling inside the spread of the fitted exponents, so that the
+    # verdict splits the samples
+    report, certs = translation_experiment(base, fam, X, cfg, radius=0.5,
+                                           max_exponent=0.5)
     assert len(certs) == cfg.samples
     for i in (0, 1, _TRANSLATION_CHUNK - 1, _TRANSLATION_CHUNK,
               _TRANSLATION_CHUNK + 1, cfg.samples - 1):
         A = _ball_matrices(_keyed_rng(cfg.seed, i), 1, 2, 0.5)[0]
         reference = certify(orthonormalize(A.T @ B + X), fam)
         assert np.array_equal(certs[i].deltas, reference.deltas), i
+    ceiling = report.metadata["max_exponent"]
+    passing = [-c.decay_fit.exponent for c in certs
+               if c is not None and is_well_separating(c.deltas, ceiling)]
+    assert 0 < len(passing) < cfg.samples
+    assert report.estimate == len(passing) / cfg.samples
+    assert report.metadata["exponent_max"] == max(passing)
+    assert report.metadata["exponent_median"] == float(np.median(passing))
 
 
 def test_translation_degenerate_draws_are_none():

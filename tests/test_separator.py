@@ -27,7 +27,6 @@ from transversal.separator import (
     common_complement,
     decay_fit_prefixes,
     derive_seeds,
-    fit_decay,
     is_well_separating,
     random_subspace_family,
     sample_box_separator,
@@ -255,14 +254,14 @@ def test_box_sampler_rejects_non_adapted_input():
 
 def test_fit_decay_recovers_exact_power_law():
     j = np.arange(1, 21, dtype=float)
-    fit = fit_decay(j**-5.0)
+    fit = SeparationCertificate(j**-5.0, MEASURED).decay_fit
     assert fit.exponent == pytest.approx(-5.0, abs=1e-9)
     assert fit.scale == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_decay_degenerate_cases():
-    assert np.isnan(fit_decay([0.5]).exponent)
-    assert np.isnan(fit_decay([0.0, 0.0, 0.5]).exponent)
+    assert np.isnan(SeparationCertificate([0.5], MEASURED).decay_fit.exponent)
+    assert np.isnan(SeparationCertificate([0.0, 0.0, 0.5], MEASURED).decay_fit.exponent)
 
 
 @pytest.mark.parametrize("profile", [
@@ -291,25 +290,47 @@ def test_decay_fit_prefixes_match_polyfit(profile):
         slope, intercept = np.polyfit(x[:size][pos], np.log(d[:size][pos]), 1)
         assert abs(exponents[size - 1] - slope) <= 1e-12 * max(1.0, abs(slope))
         assert abs(scales[size - 1] / np.exp(intercept) - 1.0) <= 1e-11
-    fit = fit_decay(d)
-    np.testing.assert_array_equal([fit.exponent, fit.scale], [exponents[-1], scales[-1]])
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8),
+       J=st.integers(1, 60), zero_frac=st.sampled_from([0.0, 0.05, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_stacked_decay_fit_and_verdict_match_rows(seed, rows, J, zero_frac):
+    """An (S, J) stack gets, row by row, the bits of the 1-D fit and
+    verdict, and each certificate's decay_fit is its profile's last prefix."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(1.0, J + 1.0)
+    deltas = rng.uniform(0.5, 1.0, (rows, J)) * j ** -rng.uniform(0.0, 12.0, (rows, 1))
+    deltas[rng.random((rows, J)) < zero_frac] = 0.0
+    exponents, scales = decay_fit_prefixes(deltas)
+    verdicts = is_well_separating(deltas, 6.0)
+    assert exponents.shape == scales.shape == deltas.shape
+    assert verdicts.shape == (rows,)
+    for row, row_exponents, row_scales, verdict in zip(deltas, exponents, scales, verdicts):
+        one_exponents, one_scales = decay_fit_prefixes(row)
+        assert row_exponents.tobytes() == one_exponents.tobytes()
+        assert row_scales.tobytes() == one_scales.tobytes()
+        assert verdict == is_well_separating(row, 6.0)
+        fit = SeparationCertificate(row, MEASURED).decay_fit
+        assert np.array([fit.exponent, fit.scale]).tobytes() == \
+            np.array([one_exponents[-1], one_scales[-1]]).tobytes()
 
 
 def test_certificate_validation():
     with pytest.raises(ValidationError):
-        SeparationCertificate.from_profile([0.5, 1.5], MEASURED)
+        SeparationCertificate([0.5, 1.5], MEASURED)
     with pytest.raises(ValidationError):
-        SeparationCertificate.from_profile([0.5, 0.0], CERTIFIED)
+        SeparationCertificate([0.5, 0.0], CERTIFIED)
     with pytest.raises(ValidationError):
-        SeparationCertificate.from_profile([0.5], "guessed")
-    cert = SeparationCertificate.from_profile([0.5, 0.0], MEASURED)
+        SeparationCertificate([0.5], "guessed")
+    cert = SeparationCertificate([0.5, 0.0], MEASURED)
     assert not cert.positive
 
 
 def test_complement_result_enforces_dominance():
     comp = orthonormalize([e(0, 3)])
-    good = SeparationCertificate.from_profile([0.9], MEASURED)
-    cert = SeparationCertificate.from_profile([0.95], CERTIFIED)
+    good = SeparationCertificate([0.9], MEASURED)
+    cert = SeparationCertificate([0.95], CERTIFIED)
     with pytest.raises(ConstructionError, match="index 1"):
         ComplementResult(comp, cert, good, 0, RejectionStats(1, 1))
 
@@ -376,29 +397,29 @@ def test_from_normals_names_rank_deficient_member():
 
 def test_is_well_separating_polynomial_true():
     j = np.arange(1, 25, dtype=float)
-    cert = SeparationCertificate.from_profile(j**-5.0, MEASURED)
-    assert is_well_separating(cert, max_exponent=10.0)
+    assert is_well_separating(j**-5.0, max_exponent=10.0)
 
 
 def test_is_well_separating_geometric_false():
     # over 60 indices the fitted log-log slope of 2^-j exceeds 10
     j = np.arange(1, 61, dtype=float)
-    cert = SeparationCertificate.from_profile(0.5**j, MEASURED)
-    assert not is_well_separating(cert, max_exponent=10.0)
+    assert not is_well_separating(0.5**j, max_exponent=10.0)
 
 
 def test_is_well_separating_constant_true():
-    cert = SeparationCertificate.from_profile([0.3, 0.3, 0.3, 0.3], MEASURED)
-    assert is_well_separating(cert, max_exponent=1.0)
+    assert is_well_separating([0.3, 0.3, 0.3, 0.3], max_exponent=1.0)
 
 
 def test_is_well_separating_preconditions():
-    with pytest.raises(ValidationError):
-        is_well_separating(
-            SeparationCertificate.from_profile([0.5, 0.5], MEASURED), 5.0)
-    with pytest.raises(ValidationError):
-        is_well_separating(
-            SeparationCertificate.from_profile([0.5, 0.0, 0.5], MEASURED), 5.0)
+    """A zero entry fails; a positive profile with J < 3 passes whatever
+    the ceiling; a stack gets one verdict per profile."""
+    assert is_well_separating([0.5, 0.0, 0.5], 5.0) is False
+    assert is_well_separating([0.0, 0.5], 5.0) is False
+    assert is_well_separating([0.0], 5.0) is False
+    assert is_well_separating([0.5, 1e-300], 0.0) is True
+    assert is_well_separating([0.5], 0.0) is True
+    verdicts = is_well_separating([[0.3, 0.3, 0.3], [0.3, 0.0, 0.3]], 1.0)
+    np.testing.assert_array_equal(verdicts, [True, False])
 
 
 # ---------------------------------------------------------------------------
