@@ -212,17 +212,19 @@ def cmd_volume(args) -> int:
     normal = normal / norm
     box = Box(halfwidths)
     exact = box_projection_volume(box, normal)
-    print(f"projection_volume {exact!r}")
+    lines = [f"projection_volume {exact!r}"]
     if args.delta is not None:
-        print(f"slab_bound {slab_measure_bound(box, normal, args.delta)!r}")
+        lines.append(f"slab_bound {slab_measure_bound(box, normal, args.delta)!r}")
     if args.mc:
         est = mc_shadow_volume(box, normal, samples=args.samples, seed=args.seed)
         rel = abs(est.estimate - exact) / exact if exact > 0 else float("inf")
         agree = abs(est.estimate - exact) <= 0.01 * exact + 3.0 * est.stderr
-        print(f"mc_estimate {est.estimate!r}")
-        print(f"mc_stderr {est.stderr!r}")
-        print(f"mc_rel_error {rel!r}")
-        print(f"mc_agreement {'ok' if agree else 'mismatch'}")
+        lines += [f"mc_estimate {est.estimate!r}",
+                  f"mc_stderr {est.stderr!r}",
+                  f"mc_rel_error {rel!r}",
+                  f"mc_agreement {'ok' if agree else 'mismatch'}"]
+    # printed only once every value exists, so a rejected input prints nothing
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -290,6 +292,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (ValidationError, FileNotFoundError) as exc:
         logger.debug("input failure", exc_info=True)

@@ -9,6 +9,7 @@ shadow volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ def box_projection_volume(box: Box, v) -> float:
 
 def slab_measure_bound(box: Box, v, delta: float) -> float:
     """Upper bound 2 * delta * shadow_volume for vol({y in box: |<y,v>| <= delta})."""
-    if not delta > 0:
-        raise ValidationError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValidationError("delta must be positive and finite")
     return 2.0 * float(delta) * box_projection_volume(box, v)
 
 

@@ -9,7 +9,8 @@ exceptional:
   matrices A, checking the measure of near-singular shifts is linear in
   the slab height and that eps_hat = min_j j^2 |det(A + A_j)| is positive;
 * ``inverse_bound_check`` turns determinant floors into smallest-singular-
-  value floors via sigma_min * ||inverse||_2 = 1;
+  value floors via sigma_min * ||inverse||_2 = 1; determinants bracket each
+  sigma_min, so the SVD runs only on the pairs that can set a floor;
 * ``translation_experiment`` perturbs a certified complement by random
   coefficient matrices plus a fixed translation and measures how often the
   resulting span still separates with a polynomial floor; the samples run
@@ -38,6 +39,12 @@ from .separator import (
 
 #: Samples per stacked QR and SVD in translation_experiment.
 _TRANSLATION_CHUNK = 256
+
+#: (sample, shift) pairs per chunk of _sigma_min_floors.
+_FLOOR_PAIRS = 1 << 18
+
+#: c in the slack tau = c k^3 2^k eps ||M||_F of _sigma_min_bracket.
+_FLOOR_SLACK = 8.0
 
 
 def translation_decay_ceiling(codim: int) -> float:
@@ -145,6 +152,28 @@ def _ball_matrices(rng: np.random.Generator, count: int, k: int,
     return sample_ball(rng, count * k, k, radius).reshape(count, k, k).transpose(0, 2, 1)
 
 
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., k, k) stack.
+
+    For k <= 3 the cofactor expansion along the first row runs on the k^2
+    component arrays, each made contiguous once; every monomial passes
+    through at most 2k - 1 roundings, so the error is at most
+    gamma_{2k-1} per(|M|) <= gamma_{2k-1} ||M||_F^k, and k = 1 is exact.
+    For k >= 4 it is LAPACK's LU (np.linalg.det).
+    """
+    k = M.shape[-1]
+    if k > 3:
+        return np.linalg.det(M)
+    m = [[np.ascontiguousarray(M[..., i, j]) for j in range(k)] for i in range(k)]
+    if k == 1:
+        return m[0][0]
+    if k == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
 def mc_bad_set_measure(family: SubspaceFamily, epsilon: float,
                        config: McConfig) -> McReport:
     """Ball measure of points within epsilon * j^-2 of some member hyperplane.
@@ -167,7 +196,8 @@ def mc_bad_set_measure(family: SubspaceFamily, epsilon: float,
 
     rng = _keyed_rng(config.seed)
     x = sample_ball(rng, config.samples, n)
-    hits = np.abs(x @ normals.T) <= thresholds
+    proj = x @ normals.T
+    hits = np.abs(proj, out=proj) <= thresholds
     bad = np.any(hits, axis=1)
     count = int(np.count_nonzero(bad))
     p = count / config.samples
@@ -212,7 +242,7 @@ def det_slab_coefficient(A_tilde: np.ndarray, eta_grid, samples: int,
     if etas.size < 2 or np.any(etas <= 0):
         raise ValidationError("need at least two positive eta values")
     A = _ball_matrices(_keyed_rng(seed), samples, k)
-    dets = np.abs(np.linalg.det(A + A_tilde))
+    dets = np.abs(_det(A + A_tilde))
     domain_vol = ball_volume(k) ** k
     mu = np.array([domain_vol * np.count_nonzero(dets <= e) / samples
                    for e in etas])
@@ -245,10 +275,12 @@ def mc_det_lower_bound(A_list, config: McConfig):
         A_arr[0], config.epsilon_grid, config.samples, config.seed)
 
     A = _ball_matrices(_keyed_rng(config.seed, 1), config.samples, k)
-    scaled = np.empty((config.samples, J))
+    A_c = np.ascontiguousarray(np.moveaxis(A, 0, -1))  # (k, k, samples)
+    scaled = np.empty((J, config.samples))
     for idx in range(J):
-        scaled[:, idx] = (idx + 1.0) ** 2 * np.abs(np.linalg.det(A + A_arr[idx]))
-    eps_hat = scaled.min(axis=1)
+        M = np.moveaxis(A_c + A_arr[idx][..., None], -1, 0)
+        scaled[idx] = (idx + 1.0) ** 2 * np.abs(_det(M))
+    eps_hat = scaled.min(axis=0)
 
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
@@ -277,8 +309,8 @@ def inverse_bound_check(A, A_list, delta_list):
     (s, eps_hat) with s_j = sigma_min(A + A_j) and
     eps_hat = min_j s_j * j^2 * delta_j^-(k-1), the largest eps consistent
     with the floor s_j >= eps * j^-2 * delta_j^(k-1).  A may also be a
-    (samples, k, k) stack; then s is (samples, J) and eps_hat an array of
-    one floor per sample.
+    (samples, k, k) stack; then s is None and eps_hat an array of one floor
+    per sample, computed by SVDs of only the pairs that can set it.
     """
     A = np.asarray(A, dtype=float)
     A_arr = np.asarray(A_list, dtype=float)
@@ -300,10 +332,73 @@ def inverse_bound_check(A, A_list, delta_list):
             f"shift {bad} has spectral norm {norms[bad - 1]:.6g} "
             f"exceeding 1/delta = {1.0 / delta[bad - 1]:.6g}"
         )
-    s = np.linalg.svd(A[..., None, :, :] + A_arr, compute_uv=False)[..., -1]
-    j = np.arange(1, J + 1, dtype=float)
-    eps_hat = np.min(s * j ** 2 * delta ** -(k - 1), axis=-1)
-    return s, (float(eps_hat) if A.ndim == 2 else eps_hat)
+    eps_hat = _sigma_min_floors(A.reshape(-1, k, k), A_arr, delta)
+    if A.ndim == 3:
+        return None, eps_hat
+    return np.linalg.svd(A + A_arr, compute_uv=False)[:, -1], float(eps_hat[0])
+
+
+def _sigma_min_bracket(M: np.ndarray):
+    """(lo, hi) with lo <= sigma_min(M) <= hi for a (..., k, k) stack, valid
+    for the exact sigma_min and for LAPACK's computed one.
+
+    Above: the smallest column norm.  Below: |det M| / (||M||_F^2 /
+    (k-1))^((k-1)/2), by AM-GM on sigma_1..sigma_{k-1} (|m| when k = 1).
+    Both ends move out by tau = c k^3 2^k eps ||M||_F.  It covers LAPACK's
+    absolute error in sigma_min and _det's rounding: for k <= 3 that moves
+    the lower end by at most (k-1)^((k-1)/2) gamma_{2k-1} ||M||_F; for the
+    LU, a backward error E of up to about k^2 2^(k-1) eps ||M||_F (growth
+    factor 2^(k-1)) moves it by at most k ||E||_2.  Where ||M||_F^max(k,2)
+    leaves [2^-900, 2^900], under- or overflow could break the bounds, so
+    the bracket is [0, inf).  Fastest when each component M[..., i, j] is
+    contiguous, as _det then copies nothing.
+    """
+    k = M.shape[-1]
+    power = max(k, 2)
+    with np.errstate(all="ignore"):  # out-of-range entries are widened below
+        col_sq = np.sum(M * M, axis=-2)
+        fro_sq = np.sum(col_sq, axis=-1)
+        fro = np.sqrt(fro_sq)
+        lower = np.abs(_det(M))
+        if k > 1:
+            lower /= (fro_sq / (k - 1)) ** ((k - 1) / 2)
+        tau = _FLOOR_SLACK * k ** 3 * 2.0 ** k * np.finfo(float).eps * fro
+        trusted = (fro > 2.0 ** (-900 / power)) & (fro < 2.0 ** (900 / power))
+        lo = np.where(trusted, np.maximum(lower - tau, 0.0), 0.0)
+        hi = np.where(trusted, np.sqrt(np.min(col_sq, axis=-1)) + tau, np.inf)
+    return lo, hi
+
+
+def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
+                      delta: np.ndarray) -> np.ndarray:
+    """eps_hat_s = min_j sigma_min(A_s + A_j) * j^2 * delta_j^-(k-1) for an
+    (S, k, k) stack, bit-equal to one SVD over all S * J sums.
+
+    The weighting (x * j^2) * delta^-(k-1) rounds monotonically, so a pair
+    whose weighted _sigma_min_bracket lower end exceeds its sample's
+    smallest weighted upper end cannot hold the minimum; the same LAPACK
+    SVD runs on the remaining pairs, in the same rounding order.
+    """
+    S, k, _ = A.shape
+    J = len(A_arr)
+    j2 = np.arange(1, J + 1, dtype=float) ** 2
+    dpow = delta ** -(k - 1)
+    A_c = np.moveaxis(A, 0, -1)
+    shifts_c = np.moveaxis(A_arr, 0, -1)[..., None, :]
+    chunk = max(1, _FLOOR_PAIRS // J)
+    eps_hat = np.empty(S)
+    for start in range(0, S, chunk):
+        # component-major (k, k, chunk, J) sums, seen as a (chunk, J, k, k) stack
+        M_c = np.add(A_c[..., start:start + chunk, None], shifts_c, order="C")
+        M = np.moveaxis(M_c, (0, 1), (-2, -1))
+        lo, hi = _sigma_min_bracket(M)
+        cutoff = np.min((hi * j2) * dpow, axis=1, keepdims=True)
+        rows, cols = np.nonzero(~((lo * j2) * dpow > cutoff))
+        s = np.linalg.svd(M[rows, cols], compute_uv=False)[:, -1]
+        floors = np.full(len(lo), np.inf)
+        np.minimum.at(floors, rows, (s * j2[cols]) * dpow[cols])
+        eps_hat[start:start + len(lo)] = floors
+    return eps_hat
 
 
 def mc_inverse_bound(A_list, delta_list, config: McConfig):

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -108,3 +111,17 @@ def mc_slab_measure(box: Box, v, delta: float, samples: int = 10_000,
     p = hits / samples
     vol = box.volume
     return McEstimate(vol * p, vol * float(np.sqrt(p * (1.0 - p) / samples)), samples)
+
+
+def fraction_det(M) -> Fraction:
+    """Reference oracle for ``prevalence._det``: the exact determinant of a
+    float k x k matrix, summed over all permutations in rational arithmetic."""
+    k = len(M)
+    total = Fraction(0)
+    for perm in permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Fraction(float(M[i][j]))
+        total += term
+    return total

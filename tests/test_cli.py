@@ -287,6 +287,10 @@ def test_mc_translation_is_byte_identical_across_blas_thread_counts():
     ("translation", "--members", -1),
     ("translation", "--dim", -3),
     ("det", "--zero-shifts", "--members", -1),
+    ("badset", "--seed", -1),
+    ("det", "--seed", -1),
+    ("inverse", "--seed", -1),
+    ("translation", "--seed", -1),
 ])
 def test_mc_invalid_input_exits_2_without_traceback(args):
     cp = run_cli("mc", *args, "--samples", 1000)
@@ -317,6 +321,28 @@ def test_volume_axis_and_slab_bound():
     data = dict(line.split(" ", 1) for line in cp.stdout.strip().splitlines())
     assert float(data["projection_volume"]) == pytest.approx(4.0)
     assert float(data["slab_bound"]) == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("args", [
+    ("--mc", "--seed", -1),
+    ("--delta", "inf"),
+    ("--delta", "nan"),
+    ("--delta", 0),
+])
+def test_volume_invalid_input_exits_2_before_any_output(args):
+    cp = run_cli("volume", "--halfwidths", "1,1", "--normal", "1,1", *args)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
+
+
+def test_construct_negative_seed_is_input_error(single_hyperplane, tmp_path):
+    out = tmp_path / "c.json"
+    cp = run_cli("construct", "--family", single_hyperplane, "--seed", -1,
+                 "--out", out)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
+    assert not out.exists()
 
 
 def test_volume_zero_normal_is_input_error():

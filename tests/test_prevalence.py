@@ -2,9 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transversal.geometry import ValidationError, orthonormalize
 from transversal.prevalence import (
@@ -12,7 +14,9 @@ from transversal.prevalence import (
     McConfig,
     McReport,
     _ball_matrices,
+    _det,
     _keyed_rng,
+    _sigma_min_bracket,
     ball_volume,
     det_slab_coefficient,
     inverse_bound_check,
@@ -31,7 +35,7 @@ from transversal.separator import (
     random_subspace_family,
 )
 
-from conftest import random_unit
+from conftest import fraction_det, random_unit
 
 
 def toy_family():
@@ -203,6 +207,35 @@ def test_det_lower_bound_random_shifts_k2(rng):
     assert report.metadata["r_squared"] >= 0.99
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_det_matches_exact_fractions(k):
+    """k <= 3: within c u ||M||_F^k of the exact determinant (c = 2k covers
+    the at most 2k - 1 roundings per monomial, since per(|M|) <= ||M||_F^k),
+    on random stacks and on near-singular ones (a row repeated plus 1e-9
+    noise); k = 1 is exact."""
+    rng = np.random.default_rng(100 + k)
+    M = rng.standard_normal((400, k, k))
+    M *= rng.choice([1e-3, 1.0, 1e3], size=(400, 1, 1))
+    near = M[200:]
+    near[:, -1] = near[:, 0] + 1e-9 * rng.standard_normal((200, k))
+    dets = _det(M)
+    u = np.finfo(float).eps / 2
+    for m, d in zip(M, dets):
+        exact = fraction_det(m)
+        bound = 2 * k * u * np.linalg.norm(m) ** k
+        assert abs(Fraction(float(d)) - exact) <= Fraction(bound)
+        if k == 1:
+            assert Fraction(float(d)) == exact
+    # a component-major view, as mc_det_lower_bound passes, gives the same bits
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(M, 0, -1)), -1, 0)
+    assert np.array_equal(_det(view), dets)
+
+
+def test_det_falls_back_to_lapack_for_k_above_3(rng):
+    M = rng.standard_normal((50, 4, 4))
+    assert np.array_equal(_det(M), np.linalg.det(M))
+
+
 def test_det_rejects_ragged_shifts():
     with pytest.raises(ValidationError):
         mc_det_lower_bound(np.zeros((3, 2, 1)), McConfig(samples=1000, seed=0))
@@ -257,6 +290,87 @@ def test_mc_inverse_bound_positive_fraction(rng):
     assert report.estimate >= 0.99
     assert report.verdict
     assert eps_hat.shape == (2000,)
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+       kind=st.sampled_from(["random", "near", "rank", "graded"]))
+@settings(max_examples=60, deadline=None)
+def test_sigma_min_bracket_holds_lapack_sigma_min(seed, k, kind):
+    """lo <= LAPACK's sigma_min <= hi on random stacks, nearly and exactly
+    rank-deficient ones, and ones with entries spread over 1e-150..1e150."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((500, k, k))
+    if kind == "near":
+        M[:, -1] = M[:, 0] + 1e-9 * rng.standard_normal((500, k))
+    elif kind == "rank":
+        M[:, -1] = M[:, 0] * 2.0
+    elif kind == "graded":
+        M *= 10.0 ** rng.uniform(-150, 150, size=(500, 1, 1))
+    lo, hi = _sigma_min_bracket(M)
+    s = np.linalg.svd(M, compute_uv=False)[:, -1]
+    assert np.all(lo <= s) and np.all(s <= hi)
+
+
+def _full_svd_floor(A, shifts, delta):
+    """eps_hat over every (sample, shift) pair: one SVD of the whole stack."""
+    k = A.shape[-1]
+    s = np.linalg.svd(A[:, None] + shifts, compute_uv=False)[..., -1]
+    j = np.arange(1, len(shifts) + 1, dtype=float)
+    return np.min(s * j ** 2 * delta ** -(k - 1), axis=-1)
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 4]),
+       J=st.integers(1, 50), q=st.sampled_from([0.0, 1.0, 2.0]),
+       kind=st.sampled_from(["random", "zero", "near", "singular"]))
+@settings(max_examples=40, deadline=None)
+def test_mc_inverse_floor_is_bit_equal_to_full_svd(seed, k, J, q, kind):
+    """The pruned floors equal the full-SVD floors bit for bit, with zero
+    shifts, shifts that nearly cancel a sample (A_j = -A_s + 1e-9 noise)
+    and shifts that cancel it exactly (then that sample's eps_hat is 0)."""
+    cfg = McConfig(samples=1000, seed=seed)
+    A = _ball_matrices(_keyed_rng(seed), cfg.samples, k)
+    rng = np.random.default_rng(seed)
+    delta = 0.5 * np.arange(1.0, J + 1.0) ** -q   # 1/delta >= 2 >= ||A_s||_F
+    shifts = rng.standard_normal((J, k, k))
+    shifts *= (rng.uniform(0.1, 1.0, J) / delta
+               / np.linalg.norm(shifts, ord=2, axis=(1, 2)))[:, None, None]
+    if kind == "zero":
+        shifts[:] = 0.0
+    picked = rng.choice(cfg.samples, size=(J + 1) // 2, replace=False)
+    if kind in ("near", "singular"):
+        shifts[:len(picked)] = -A[picked]
+    if kind == "near":
+        shifts[:len(picked)] += 1e-9 * rng.standard_normal((len(picked), k, k))
+    _, eps_hat = mc_inverse_bound(shifts, delta, cfg)
+    assert np.array_equal(eps_hat, _full_svd_floor(A, shifts, delta))
+    if kind == "singular":
+        assert np.all(eps_hat[picked] == 0.0)
+
+
+def test_inverse_bound_check_stack_returns_floors_only(rng):
+    A = rng.standard_normal((7, 2, 2))
+    shifts = rng.standard_normal((5, 2, 2)) * 0.3
+    deltas = np.full(5, 0.5)
+    s, eps_hat = inverse_bound_check(A, shifts, deltas)
+    assert s is None
+    assert np.array_equal(eps_hat, _full_svd_floor(A, shifts, deltas))
+    for a, e in zip(A, eps_hat):
+        assert inverse_bound_check(a, shifts, deltas)[1] == e
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("scale", [1e-200, 1e120])
+def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
+    """Where squares or determinants under- or overflow (1e-200 underflows
+    m^2, 1e120 overflows a 3 x 3 determinant), the bracket widens to
+    [0, inf) and the pair goes to the SVD, so the floor is the full-SVD one."""
+    A = scale * np.eye(k)[None].repeat(3, axis=0)
+    A[1] *= 2.0
+    shifts = np.zeros((4, k, k))
+    shifts[1] = 0.5 * np.eye(k)
+    deltas = np.ones(4)
+    _, eps_hat = inverse_bound_check(A, shifts, deltas)
+    np.testing.assert_array_equal(eps_hat, _full_svd_floor(A, shifts, deltas))
 
 
 # ---------------------------------------------------------------------------
