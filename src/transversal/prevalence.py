@@ -29,9 +29,7 @@ import numpy as np
 
 from .geometry import ValidationError, _householder_frames, degrees_of_transversality
 from .separator import (
-    MEASURED,
     ComplementResult,
-    SeparationCertificate,
     SubspaceFamily,
     decay_fit_prefixes,
     is_well_separating,
@@ -74,6 +72,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1000:
             raise ValidationError("samples must be at least 1000")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         grid = tuple(float(e) for e in self.epsilon_grid)
         if not grid or not all(0 < e < math.inf for e in grid):
             raise ValidationError("epsilon_grid entries must be positive and finite")
@@ -445,11 +445,11 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     family, and is_well_separating is evaluated at ``max_exponent``
     (default 5 k^2 + 2).  Each chunk of samples takes one stacked QR
     (orthonormalize's kernel), one stacked SVD, one stacked decay fit and
-    one stacked verdict, so every certificate equals
+    one stacked verdict, so every delta row equals the deltas of
     certify(orthonormalize(A^T B + X), family).
 
-    Returns (McReport, list of per-sample measured certificates or None
-    for degenerate draws).
+    Returns (McReport, list with one entry per sample: its read-only (J,)
+    row of measured deltas, or None for a degenerate draw).
     """
     k = family.codim
     n = family.ambient_dim
@@ -470,7 +470,7 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         raise ValidationError("max_exponent must be a number")
 
     basis = base.complement.vectors
-    certs: list[SeparationCertificate | None] = []
+    measured: list[np.ndarray | None] = []
     passing = []  # per chunk, minus the fitted slope of each passing profile
     for start in range(0, config.samples, _TRANSLATION_CHUNK):
         stop = min(start + _TRANSLATION_CHUNK, config.samples)
@@ -478,11 +478,11 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
                             for i in range(start, stop)])
         spans, full_rank = _householder_frames(np.swapaxes(A, -1, -2) @ basis + X)
         deltas = degrees_of_transversality(family.normals, spans[full_rank])
+        deltas.setflags(write=False)
         slopes = decay_fit_prefixes(deltas)[0][:, -1]
         passing.append(-slopes[is_well_separating(deltas, max_exponent)])
         rows = iter(deltas)
-        certs.extend(SeparationCertificate(next(rows), MEASURED) if ok else None
-                     for ok in full_rank)
+        measured.extend(next(rows) if ok else None for ok in full_rank)
 
     exponents = np.concatenate(passing)
     frac = exponents.size / config.samples
@@ -502,7 +502,7 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         "exponent_max": exp_max,
         "exponent_median": exp_median,
     })
-    return report, certs
+    return report, measured
 
 
 __all__ = [

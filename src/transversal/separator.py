@@ -494,6 +494,8 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     compose as delta_j = delta1_j * delta2_j * LINE_CONSTANT, giving the
     overall profile LINE_CONSTANT**(k-1) * (BOX_CONSTANT * j^-5)**k.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     n = family.ambient_dim
     k = family.codim
     J = len(family)

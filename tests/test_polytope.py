@@ -1,9 +1,12 @@
 """Box shadow volumes and slab measure bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transversal import polytope
 from transversal.geometry import ValidationError
 from transversal.polytope import (
     Box,
@@ -152,6 +155,9 @@ def test_shadow_oracle_2d_diagonal():
     v = np.array([1.0, 1.0]) / np.sqrt(2)
     est = mc_shadow_volume(cube(2), v, samples=1_000_000, seed=12)
     assert est.estimate == pytest.approx(2.0 * np.sqrt(2), rel=0.01)
+    # at n = 2 every fiber over the corner-projection interval hits
+    assert est.stderr == 0.0
+    assert est.estimate == pytest.approx(2.0 * np.sqrt(2), rel=1e-12)
 
 
 def test_shadow_oracle_3d_matches_closed_form():
@@ -182,6 +188,32 @@ def test_shadow_oracle_handles_axis_directions():
 def test_shadow_oracle_1d_is_trivial():
     est = mc_shadow_volume(cube(1), np.array([1.0]), samples=1000, seed=18)
     assert est.estimate == 1.0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shadow_oracle_chunks_match_one_draw(n, monkeypatch):
+    """Chunks consume the uniform stream in order, so a sample count that
+    straddles three chunk boundaries gives the bits of a single draw."""
+    rng = np.random.default_rng(20 + n)
+    box = Box(rng.uniform(0.4, 1.6, size=n))
+    v = random_unit(rng, n)
+    samples = 3 * polytope._SHADOW_CHUNK + 17
+    chunked = mc_shadow_volume(box, v, samples=samples, seed=21)
+    monkeypatch.setattr(polytope, "_SHADOW_CHUNK", samples + 1)
+    whole = mc_shadow_volume(box, v, samples=samples, seed=21)
+    assert chunked == whole
+
+
+def test_shadow_oracle_memory_is_bounded():
+    box = Box(np.array([1.0, 0.5, 0.25, 0.125]))
+    v = np.array([1.0, 2.0, 3.0, 4.0]) / np.sqrt(30.0)
+    tracemalloc.start()
+    try:
+        mc_shadow_volume(box, v, samples=1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_shadow_oracle_rejects_high_dimension():

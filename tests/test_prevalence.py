@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transversal.geometry import ValidationError, orthonormalize
+from transversal.polytope import Box, mc_shadow_volume
 from transversal.prevalence import (
     _TRANSLATION_CHUNK,
     McConfig,
@@ -31,6 +32,7 @@ from transversal.separator import (
     SubspaceFamily,
     certify,
     common_complement,
+    decay_fit_prefixes,
     is_well_separating,
     random_subspace_family,
 )
@@ -84,6 +86,16 @@ def test_mc_config_validation():
         McConfig(epsilon_grid=(1e-3, 1e-2))
     with pytest.raises(ValidationError):
         McConfig(epsilon_grid=(1e-2, -1e-3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: McConfig(seed=-1),
+    lambda: common_complement(toy_family(), -1),
+    lambda: mc_shadow_volume(Box(np.ones(2)), np.array([1.0, 0.0]), seed=-1),
+], ids=["McConfig", "common_complement", "mc_shadow_volume"])
+def test_library_rejects_negative_seed(call):
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        call()
 
 
 def test_mc_report_verdict_must_match_bound():
@@ -380,7 +392,7 @@ def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
 def test_translation_certificates_match_per_sample_certify():
     """The stacked chunks reproduce certify(orthonormalize(A_i^T B + X))
     bit for bit, on both sides of every chunk boundary, and the report's
-    statistics are those of a per-sample loop over the certificates."""
+    statistics are those of a per-sample loop over the delta rows."""
     fam = random_subspace_family(4, 12, 2, 8)
     base = common_complement(fam, seed=3)
     B = base.complement.vectors
@@ -395,10 +407,11 @@ def test_translation_certificates_match_per_sample_certify():
               _TRANSLATION_CHUNK + 1, cfg.samples - 1):
         A = _ball_matrices(_keyed_rng(cfg.seed, i), 1, 2, 0.5)[0]
         reference = certify(orthonormalize(A.T @ B + X), fam)
-        assert np.array_equal(certs[i].deltas, reference.deltas), i
+        assert np.array_equal(certs[i], reference.deltas), i
+        assert not certs[i].flags.writeable
     ceiling = report.metadata["max_exponent"]
-    passing = [-c.decay_fit.exponent for c in certs
-               if c is not None and is_well_separating(c.deltas, ceiling)]
+    passing = [-decay_fit_prefixes(d)[0][-1] for d in certs
+               if d is not None and is_well_separating(d, ceiling)]
     assert 0 < len(passing) < cfg.samples
     assert report.estimate == len(passing) / cfg.samples
     assert report.metadata["exponent_max"] == max(passing)
