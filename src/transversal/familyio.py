@@ -2,12 +2,15 @@
 
 Floats are serialized through Python's shortest-repr encoding, which
 round-trips float64 exactly, so save/load cycles are bit-stable and equal
-seeds yield byte-identical files.
+seeds yield byte-identical files.  Output is strict JSON (RFC 8259): an
+undefined fit is written as null, and any other non-finite float is an
+error rather than a bare NaN token.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,15 +63,19 @@ def family_from_dict(doc: dict):
     return family, labels
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def certificate_to_dict(cert: SeparationCertificate) -> dict:
     """Document of a certificate; ``decay_fit`` is written for readers of
-    the file and recomputed from the deltas on load."""
+    the file (null where undefined) and recomputed from the deltas on load."""
     fit = cert.decay_fit
     return {
         "deltas": [float(d) for d in cert.deltas],
         "provenance": cert.provenance,
         "constants": {str(k): float(v) for k, v in cert.constants.items()},
-        "decay_fit": {"exponent": fit.exponent, "scale": fit.scale},
+        "decay_fit": {"exponent": _finite(fit.exponent), "scale": _finite(fit.scale)},
     }
 
 
@@ -142,8 +149,9 @@ def complement_from_dict(doc: dict) -> ComplementDoc:
 
 
 def dump_json(doc: dict) -> str:
-    """Deterministic JSON rendering (sorted keys, exact float round-trip)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic strict JSON rendering (sorted keys, exact float
+    round-trip); a non-finite float raises ValueError."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _read_json(path) -> dict:

@@ -163,10 +163,14 @@ def degrees_of_transversality(normals: np.ndarray, basis: np.ndarray) -> np.ndar
     candidates C.  Entry j is min over unit x in C of d(x, V_j), the smallest
     singular value of N_j B^T, clipped to [0, 1]: it vanishes iff C fails to
     complement V_j and equals 1 iff C is the orthogonal complement of V_j.
-    All (..., J) values come from one stacked product and one stacked SVD.
+    All (..., J) values come from one stacked product; at k = 1 they are
+    |N_j b^T| (LAPACK's 1 x 1 SVD agrees, but rescales products below
+    sqrt(tiny) / eps, about 6.7e-139, and can then be 1 ulp off), and at
+    k >= 2 one stacked SVD gives them.
     """
     prods = normals @ np.swapaxes(basis, -1, -2)[..., None, :, :]
-    s = np.linalg.svd(prods, compute_uv=False)[..., -1]
+    s = (np.abs(prods[..., 0, 0]) if prods.shape[-1] == 1
+         else np.linalg.svd(prods, compute_uv=False)[..., -1])
     return np.clip(s, 0.0, 1.0)
 
 

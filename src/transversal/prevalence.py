@@ -13,8 +13,9 @@ exceptional:
   sigma_min, so the SVD runs only on the pairs that can set a floor;
 * ``translation_experiment`` perturbs a certified complement by random
   coefficient matrices plus a fixed translation and measures how often the
-  resulting span still separates with a polynomial floor; the samples run
-  in stacked chunks, one QR and one SVD per chunk.
+  resulting span still separates with a polynomial floor; each chunk of
+  samples maps its per-sample draws to ball points as one stack, then takes
+  one QR and one degree evaluation (|N_j b| at k = 1, one SVD at k >= 2).
 
 Sampling uses counter-based RNG keyed by the master seed, so results are
 deterministic and every sample's randomness is addressable by its index.
@@ -35,7 +36,7 @@ from .separator import (
     is_well_separating,
 )
 
-#: Samples per stacked QR and SVD in translation_experiment.
+#: Samples per stacked draw, QR and degree evaluation in translation_experiment.
 _TRANSLATION_CHUNK = 256
 
 #: (sample, shift) pairs per chunk of _sigma_min_floors.
@@ -115,14 +116,17 @@ class McReport:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
+    """Recursively convert numpy scalars/arrays for strict JSON serialization;
+    non-finite floats become None."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
         return obj.item()
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -134,15 +138,19 @@ def _keyed_rng(seed: int, *index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(index)))
 
 
+def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """Ball points from (count, dim) Gaussians and (count, 1) uniforms: the
+    direction of each row of g times radius * u^(1/dim)."""
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return g * (radius * u ** (1.0 / g.shape[1]) / norms)
+
+
 def sample_ball(rng: np.random.Generator, count: int, dim: int,
                 radius: float = 1.0) -> np.ndarray:
     """Uniform points in the ball of the given radius: Gaussian direction
     times radius * U^(1/dim) scaling."""
-    g = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    r = radius * rng.random((count, 1)) ** (1.0 / dim)
-    return g * (r / norms)
+    return _to_ball(rng.standard_normal((count, dim)), rng.random((count, 1)), radius)
 
 
 def _ball_matrices(rng: np.random.Generator, count: int, k: int,
@@ -443,10 +451,11 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     of the given radius is drawn from a stream keyed by (seed, sample), the
     span of the translated combinations A^T B + X is certified against the
     family, and is_well_separating is evaluated at ``max_exponent``
-    (default 5 k^2 + 2).  Each chunk of samples takes one stacked QR
-    (orthonormalize's kernel), one stacked SVD, one stacked decay fit and
-    one stacked verdict, so every delta row equals the deltas of
-    certify(orthonormalize(A^T B + X), family).
+    (default 5 k^2 + 2).  The per-sample loop only draws, in sample_ball's
+    order; each chunk then maps all its draws to ball points at once and
+    takes one stacked QR (orthonormalize's kernel), one stacked degree
+    evaluation, one stacked decay fit and one stacked verdict, so every
+    delta row equals the deltas of certify(orthonormalize(A^T B + X), family).
 
     Returns (McReport, list with one entry per sample: its read-only (J,)
     row of measured deltas, or None for a degenerate draw).
@@ -470,13 +479,19 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         raise ValidationError("max_exponent must be a number")
 
     basis = base.complement.vectors
+    g = np.empty((_TRANSLATION_CHUNK, k, k))
+    u = np.empty((_TRANSLATION_CHUNK, k, 1))
     measured: list[np.ndarray | None] = []
     passing = []  # per chunk, minus the fitted slope of each passing profile
     for start in range(0, config.samples, _TRANSLATION_CHUNK):
-        stop = min(start + _TRANSLATION_CHUNK, config.samples)
-        A = np.concatenate([_ball_matrices(_keyed_rng(config.seed, i), 1, k, radius)
-                            for i in range(start, stop)])
-        spans, full_rank = _householder_frames(np.swapaxes(A, -1, -2) @ basis + X)
+        m = min(_TRANSLATION_CHUNK, config.samples - start)
+        for s in range(m):
+            rng = _keyed_rng(config.seed, start + s)
+            rng.standard_normal(out=g[s])
+            rng.random(out=u[s])
+        # the rows of sample s's A^T are its k ball points
+        At = _to_ball(g[:m].reshape(-1, k), u[:m].reshape(-1, 1), radius)
+        spans, full_rank = _householder_frames(At.reshape(m, k, k) @ basis + X)
         deltas = degrees_of_transversality(family.normals, spans[full_rank])
         deltas.setflags(write=False)
         slopes = decay_fit_prefixes(deltas)[0][:, -1]

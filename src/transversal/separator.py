@@ -403,9 +403,9 @@ def sample_box_separator(v_list, seed: int,
 def certify(C: OrthonormalFrame, family: SubspaceFamily) -> SeparationCertificate:
     """Measured transversality profile: delta_j is C's degree of transversality to V_j.
 
-    All J degrees come from one stacked SVD over the family's normals.  A
-    zero entry means C is not a common complement.  The decay fit runs over
-    the strictly positive entries.
+    All J degrees come from one stacked product with the family's normals
+    (see degrees_of_transversality).  A zero entry means C is not a common
+    complement.  The decay fit runs over the strictly positive entries.
     """
     if C.ambient_dim != family.ambient_dim:
         raise ValidationError("candidate and family ambient dimensions differ")

@@ -1,6 +1,7 @@
 """Subprocess golden tests for the command-line surface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,14 @@ def run_cli(*args, log=None, blas_threads=None):
 def write_family(path, family, labels=None):
     with open(path, "w") as fh:
         fh.write(familyio.dump_json(familyio.family_to_dict(family, labels=labels)))
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON, rejecting the NaN and Infinity tokens that
+    Python's parser accepts by default."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -257,6 +266,37 @@ def test_mc_reports_are_byte_identical_for_equal_seeds():
         c = run_cli("mc", suite, *args, "--seed", 12)
         assert c.returncode == 0, c.stderr
         assert c.stdout != a.stdout
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("--max-exponent", -100), id="no-sample-passes"),
+    pytest.param(("--members", 1), id="one-member"),
+])
+def test_mc_translation_undefined_exponents_are_null(args):
+    """Without a fitted exponent to summarize, the report holds null, not NaN."""
+    cp = run_cli("mc", "translation", *args, "--samples", 1000)
+    assert cp.returncode == 0, cp.stderr
+    meta = strict_json(cp.stdout)["reports"][0]["metadata"]
+    assert meta["exponent_max"] is None
+    assert meta["exponent_median"] is None
+
+
+def test_construct_one_member_writes_null_fit(single_hyperplane, tmp_path):
+    """A one-member profile has no decay fit: the file says null, loads back,
+    and a NaN anywhere else cannot be written."""
+    out = tmp_path / "comp.json"
+    cp = run_cli("construct", "--family", single_hyperplane, "--out", out)
+    assert cp.returncode == 0, cp.stderr
+    doc = strict_json(out.read_text())
+    for key in ("certified", "measured"):
+        assert doc[key]["decay_fit"] == {"exponent": None, "scale": None}
+    loaded = familyio.load_complement(out)
+    assert loaded.measured.deltas[0] == pytest.approx(1.0)
+    assert math.isnan(loaded.measured.decay_fit.exponent)
+    cert = run_cli("certify", "--family", single_hyperplane, "--complement", out)
+    assert cert.returncode == 0, cert.stderr
+    with pytest.raises(ValueError):
+        familyio.dump_json({"x": math.nan})
 
 
 def test_mc_translation_is_byte_identical_across_blas_thread_counts():

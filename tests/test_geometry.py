@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transversal.geometry import (
     DEFAULT_TOL,
@@ -22,6 +22,12 @@ def e(i, n):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+#: dgesdd scales a block whose norm is below sqrt(tiny) / eps (about
+#: 6.7e-139) up before it factors it; a 1 x 1 singular value can then come
+#: back 1 ulp off.
+LAPACK_SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 
 def degree(C, N):
@@ -194,6 +200,40 @@ def test_degree_requires_matching_dims():
     fam = SubspaceFamily.from_normals([[e(0, 4), e(1, 4)]])
     with pytest.raises(ValidationError):
         certify(orthonormalize([e(2, 4)]), fam)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+       log_scale=st.floats(-323.0, 0.0))
+@example(seed=2, n=2, log_scale=-200.0)  # the candidate's own product is 1 + eps
+@settings(max_examples=200, deadline=None)
+def test_k1_degrees_are_abs_of_product(seed, n, log_scale):
+    """At k = 1 the degrees are |N_j b^T|, clipped to [0, 1]: bit-equal to the
+    stacked 1 x 1 SVD at or above LAPACK's rescaling threshold, within 1 ulp
+    below it, and 1 where rounding pushes |N_j b^T| above 1."""
+    rng = np.random.default_rng(seed)
+    b = random_unit(rng, n)
+    p = int(rng.integers(n))
+    axis = np.eye(n)[p] * rng.choice([-1.0, 1.0])
+    # members at exact tiny products t with the axis candidate: the unit
+    # vector t e_p + sqrt(1 - t^2) w with w a unit vector orthogonal to e_p
+    t = rng.uniform(0.1, 1.0, 4) * rng.choice([-1.0, 1.0], 4) * 10.0 ** log_scale
+    w = rng.standard_normal((4, n))
+    w[:, p] = 0.0
+    w *= (np.sqrt(1.0 - t * t) / np.linalg.norm(w, axis=1))[:, None]
+    w[:, p] = t
+    normals = np.vstack([b, axis, w, [random_unit(rng, n) for _ in range(4)]])[:, None, :]
+    basis = np.stack([b, axis])[:, None, :]
+
+    got = degrees_of_transversality(normals, basis)
+    prods = (normals @ np.swapaxes(basis, -1, -2)[..., None, :, :])[..., 0, 0]
+    svd = np.clip(np.linalg.svd(prods[..., None, None], compute_uv=False)[..., -1],
+                  0.0, 1.0)
+    size = np.abs(prods)
+    big = size >= LAPACK_SMLNUM
+    np.testing.assert_array_equal(got[big], svd[big])
+    assert np.all(np.abs(got - svd) <= np.spacing(svd))
+    np.testing.assert_array_equal(got, np.minimum(size, 1.0))
+    np.testing.assert_array_equal(degrees_of_transversality(normals, b[None]), got[0])
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -389,23 +389,31 @@ def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
 # translations
 
 
-def test_translation_certificates_match_per_sample_certify():
-    """The stacked chunks reproduce certify(orthonormalize(A_i^T B + X))
-    bit for bit, on both sides of every chunk boundary, and the report's
-    statistics are those of a per-sample loop over the delta rows."""
-    fam = random_subspace_family(4, 12, 2, 8)
+@pytest.mark.parametrize("n, k, J, ceiling", [
+    pytest.param(12, 1, 8, -0.4, id="k1"),
+    pytest.param(12, 2, 8, 0.5, id="k2"),
+    pytest.param(12, 3, 8, 0.0, id="k3"),
+    # J > n: the base comes from the cube sampler, as at the CLI defaults
+    pytest.param(6, 1, 50, -0.05, id="k1-J50"),
+])
+def test_translation_certificates_match_per_sample_certify(n, k, J, ceiling):
+    """The stacked draws and chunks reproduce certify(orthonormalize(A_i^T B
+    + X)) for A_i drawn alone by _ball_matrices, bit for bit, on both sides
+    of every chunk boundary, and the report's statistics are those of a
+    per-sample loop over the delta rows."""
+    fam = random_subspace_family(4, n, k, J)
     base = common_complement(fam, seed=3)
     B = base.complement.vectors
-    X = np.eye(2, 12)
+    X = np.eye(k, n)
     cfg = McConfig(samples=1000, seed=5, epsilon_grid=(0.1,))
     # a ceiling inside the spread of the fitted exponents, so that the
     # verdict splits the samples
     report, certs = translation_experiment(base, fam, X, cfg, radius=0.5,
-                                           max_exponent=0.5)
+                                           max_exponent=ceiling)
     assert len(certs) == cfg.samples
     for i in (0, 1, _TRANSLATION_CHUNK - 1, _TRANSLATION_CHUNK,
               _TRANSLATION_CHUNK + 1, cfg.samples - 1):
-        A = _ball_matrices(_keyed_rng(cfg.seed, i), 1, 2, 0.5)[0]
+        A = _ball_matrices(_keyed_rng(cfg.seed, i), 1, k, 0.5)[0]
         reference = certify(orthonormalize(A.T @ B + X), fam)
         assert np.array_equal(certs[i], reference.deltas), i
         assert not certs[i].flags.writeable
