@@ -123,7 +123,7 @@ def cmd_certify(args) -> int:
         ]))
     if not measured.positive:
         logger.info("candidate misses at least one member (zero measured delta)")
-    verdict = is_well_separating(measured.deltas, max_exponent)
+    verdict, _ = is_well_separating(measured.deltas, max_exponent)
     lines.append(f"verdict,{str(verdict).lower()}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -295,7 +295,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         logger.debug("input failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -22,21 +22,16 @@ from .separator import (
     RejectionStats,
     SeparationCertificate,
     SubspaceFamily,
+    decay_fit_prefixes,
 )
 
 
-def family_to_dict(family: SubspaceFamily, labels=None) -> dict:
-    doc = {
+def family_to_dict(family: SubspaceFamily) -> dict:
+    return {
         "dim": family.ambient_dim,
         "codim": family.codim,
         "normals": family.normals.tolist(),
     }
-    if labels is not None:
-        labels = [str(l) for l in labels]
-        if len(labels) != len(family):
-            raise ValidationError("labels must match the number of members")
-        doc["labels"] = labels
-    return doc
 
 
 def family_from_dict(doc: dict):
@@ -68,14 +63,16 @@ def _finite(x: float) -> float | None:
 
 
 def certificate_to_dict(cert: SeparationCertificate) -> dict:
-    """Document of a certificate; ``decay_fit`` is written for readers of
-    the file (null where undefined) and recomputed from the deltas on load."""
-    fit = cert.decay_fit
+    """Document of a certificate.  ``decay_fit`` is the whole profile's fit,
+    the last prefix of decay_fit_prefixes; it is written for readers of the
+    file (null where undefined) and not read back on load."""
+    exponents, scales = decay_fit_prefixes(cert.deltas)
     return {
         "deltas": [float(d) for d in cert.deltas],
         "provenance": cert.provenance,
         "constants": {str(k): float(v) for k, v in cert.constants.items()},
-        "decay_fit": {"exponent": _finite(fit.exponent), "scale": _finite(fit.scale)},
+        "decay_fit": {"exponent": _finite(float(exponents[-1])),
+                      "scale": _finite(float(scales[-1]))},
     }
 
 

@@ -40,10 +40,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(2.0 * self.halfwidths))
 
-    @property
-    def diameter(self) -> float:
-        return float(2.0 * np.linalg.norm(self.halfwidths))
-
     def face_volumes(self) -> np.ndarray:
         """(n-1)-volume of the face orthogonal to each axis."""
         return self.volume / (2.0 * self.halfwidths)
@@ -73,7 +69,6 @@ def slab_measure_bound(box: Box, v, delta: float) -> float:
 class McEstimate:
     estimate: float
     stderr: float
-    samples: int
 
 
 #: Fiber samples drawn per chunk in mc_shadow_volume.
@@ -135,8 +130,7 @@ def mc_shadow_volume(box: Box, v, samples: int = 1_000_000, seed: int = 0) -> Mc
         hits += int(np.count_nonzero(feasible & (t_lo <= t_hi)))
     p = hits / samples
     return McEstimate(bbox_vol * p,
-                      bbox_vol * float(np.sqrt(p * (1.0 - p) / samples)),
-                      samples)
+                      bbox_vol * float(np.sqrt(p * (1.0 - p) / samples)))
 
 
 __all__ = [

@@ -162,29 +162,18 @@ class SubspaceFamily:
         return self.size
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares fit of log(delta_j) against log(j).
-
-    ``exponent`` is the OLS slope (negative for decaying profiles) and
-    ``scale`` is exp(intercept).  NaN when fewer than two positive deltas.
-    """
-
-    exponent: float
-    scale: float
-
-
 def decay_fit_prefixes(deltas) -> tuple[np.ndarray, np.ndarray]:
     """Decay fits of every prefix of each (..., J) profile along the last
-    axis: entry j-1 fits deltas[..., :j] (see DecayFit).
+    axis: entry j-1 fits deltas[..., :j].
 
-    Closed-form OLS of log(delta_i) on log(i) over the positive entries,
-    computed for all prefixes at once from prefix sums.  The centred sums
-    are prefix sums of Welford increments (x_i - mx)(y_i - my)(c - 1)/c,
-    where the i-th positive entry is the c-th and mx, my are the means of
-    the c - 1 before it; this avoids the cancellation in
-    sum(x y) - sum(x) sum(y) / c.  Every row of a stack gets the bits of
-    its own 1-D call.  Returns (exponents, scales) shaped like deltas, NaN
+    A fit's exponent is the OLS slope of log(delta_i) on log(i) over the
+    positive entries (negative for decaying profiles) and its scale is
+    exp(intercept).  All prefixes are fitted at once, in closed form, from
+    prefix sums.  The centred sums are prefix sums of Welford increments
+    (x_i - mx)(y_i - my)(c - 1)/c, where the i-th positive entry is the
+    c-th and mx, my are the means of the c - 1 before it; this avoids the
+    cancellation in sum(x y) - sum(x) sum(y) / c.  Every row of a stack gets
+    the bits of its own 1-D call.  Returns (exponents, scales) shaped like deltas, NaN
     where a prefix has fewer than two positive deltas.
     """
     d = np.asarray(deltas, dtype=float)
@@ -236,12 +225,6 @@ class SeparationCertificate:
         object.__setattr__(self, "deltas", d)
 
     @property
-    def decay_fit(self) -> DecayFit:
-        """Fit of the whole profile (the last prefix of decay_fit_prefixes)."""
-        exponents, scales = decay_fit_prefixes(self.deltas)
-        return DecayFit(float(exponents[-1]), float(scales[-1]))
-
-    @property
     def size(self) -> int:
         return self.deltas.size
 
@@ -282,8 +265,7 @@ class ComplementResult:
             )
 
 
-def sample_cube_separator(normals, seed: int,
-                          max_tries: int = DEFAULT_MAX_TRIES):
+def sample_cube_separator(normals, seed: int):
     """Unit vector keeping |<x, v_j>| >= 1/(2 k n) from k unit normals in R^n.
 
     Draws y uniformly from [-1,1]^n and accepts once every |<y, v_j>| clears
@@ -291,20 +273,19 @@ def sample_cube_separator(normals, seed: int,
     draw accepts with probability >= 1/2.  Normalizing y preserves the
     margin up to the factor ||y||_2 <= sqrt(n).
 
-    Returns (x, certified_bound, RejectionStats).  The certified bound is
-    re-checked on the returned vector (hard assertion).
+    Gives up with ConstructionError after DEFAULT_MAX_TRIES draws.  Returns
+    (x, certified_bound, RejectionStats).  The certified bound is re-checked
+    on the returned vector (hard assertion).
     """
     vs = np.atleast_2d(np.asarray(normals, dtype=float))
     if vs.ndim != 2 or vs.size == 0:
         raise ValidationError("normals must be a nonempty set of vectors")
     k, n = vs.shape
     _check_unit(vs, "normal")
-    if max_tries < 1:
-        raise ValidationError("max_tries must be at least 1")
     margin = 0.5 / (k * math.sqrt(n))
     bound = 0.5 / (k * n)
     rng = np.random.default_rng(seed)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, DEFAULT_MAX_TRIES + 1):
         y = rng.uniform(-1.0, 1.0, size=n)
         if np.min(np.abs(vs @ y)) >= margin:
             x = y / np.linalg.norm(y)
@@ -312,8 +293,8 @@ def sample_cube_separator(normals, seed: int,
                 raise ConstructionError("accepted draw violates the certified bound")
             return x, bound, RejectionStats(attempt, 1)
     raise ConstructionError(
-        f"no acceptable cube draw in {max_tries} tries "
-        f"(failure probability <= 2**-{max_tries} per construction)"
+        f"no acceptable cube draw in {DEFAULT_MAX_TRIES} tries "
+        f"(failure probability <= 2**-{DEFAULT_MAX_TRIES} per construction)"
     )
 
 
@@ -343,8 +324,7 @@ def adapt_basis(v_list):
     return frame, coords
 
 
-def sample_box_separator(v_list, seed: int,
-                         max_tries: int = DEFAULT_MAX_TRIES):
+def sample_box_separator(v_list, seed: int):
     """Unit vector with |<x, v_j>| >= BOX_CONSTANT * j^-5 for adapted unit v_j.
 
     The v_j must be given in adapted coordinates: v_j lives in R^j x {0}
@@ -354,8 +334,9 @@ def sample_box_separator(v_list, seed: int,
     so each draw accepts with probability >= 1/2.  Since ||y||_2 < NORM_CAP,
     normalization yields the certified profile.
 
-    Returns (x, certified_deltas, RejectionStats), hard-checking both the
-    chain RAW_MARGIN * j^-5 / max(||y||, guard) and the stated profile.
+    Gives up with ConstructionError after DEFAULT_MAX_TRIES draws.  Returns
+    (x, certified_deltas, RejectionStats), hard-checking both the chain
+    RAW_MARGIN * j^-5 / max(||y||, guard) and the stated profile.
     """
     V = np.atleast_2d(np.asarray(v_list, dtype=float))
     if V.size == 0:
@@ -372,14 +353,12 @@ def sample_box_separator(v_list, seed: int,
         raise ValidationError(
             f"vector {bad} has mass above its index: input is not adapted"
         )
-    if max_tries < 1:
-        raise ValidationError("max_tries must be at least 1")
     j = np.arange(1, m + 1, dtype=float)
     halfw = j ** -2.0
     thresholds = RAW_MARGIN * j ** -5.0
     deltas = BOX_CONSTANT * j ** -5.0
     rng = np.random.default_rng(seed)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, DEFAULT_MAX_TRIES + 1):
         y = rng.uniform(-halfw, halfw)
         if np.all(np.abs(V @ y) >= thresholds):
             norm_y = float(np.linalg.norm(y))
@@ -395,8 +374,8 @@ def sample_box_separator(v_list, seed: int,
                 raise ConstructionError("accepted draw violates the certified profile")
             return x, deltas, RejectionStats(attempt, 1)
     raise ConstructionError(
-        f"no acceptable box draw in {max_tries} tries "
-        f"(failure probability <= 2**-{max_tries} per construction)"
+        f"no acceptable box draw in {DEFAULT_MAX_TRIES} tries "
+        f"(failure probability <= 2**-{DEFAULT_MAX_TRIES} per construction)"
     )
 
 
@@ -420,22 +399,30 @@ def certify(C: OrthonormalFrame, family: SubspaceFamily) -> SeparationCertificat
 def is_well_separating(deltas, max_exponent: float):
     """Whether a profile admits a polynomial floor delta_j >= eps * j^-p.
 
-    ``deltas`` is one profile or a (..., J) stack of them; the verdict is a
-    bool or a (...) boolean array.  A profile with a zero entry fails, and
-    a positive profile with J < 3 passes, as no fit is meaningful there.
-    Otherwise p is minus the log-log OLS slope of the whole profile and
-    eps = min_j delta_j * j^p; the profile passes iff p <= max_exponent and
-    eps > 0.
+    ``deltas`` is one nonempty profile or a (..., J) stack of them, and a
+    NaN max_exponent is rejected.  p is minus the log-log OLS slope of the
+    whole profile (the last prefix of decay_fit_prefixes, NaN with fewer
+    than two positive deltas).  A profile with a zero entry fails, and a
+    positive profile with J < 3 passes, as no fit is meaningful there.
+    Otherwise eps = min_j delta_j * j^p and the profile passes iff
+    p <= max_exponent and eps > 0.  Returns (verdict, p): a bool and a
+    float, or a (...) boolean array and a (...) float array.
     """
+    if math.isnan(max_exponent):
+        raise ValidationError("max_exponent must be a number")
     d = np.asarray(deltas, dtype=float)
+    if d.ndim == 0 or d.shape[-1] == 0:
+        raise ValidationError("a profile needs at least one delta")
     verdict = np.all(d > 0, axis=-1)
+    p = -decay_fit_prefixes(d)[0][..., -1]
     if d.shape[-1] >= 3:
-        p = -decay_fit_prefixes(d)[0][..., -1:]
         j = np.arange(1.0, d.shape[-1] + 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            eps = np.min(d * j ** p, axis=-1)
-        verdict &= (p[..., 0] <= max_exponent) & (eps > 0)
-    return verdict if verdict.ndim else bool(verdict)
+            eps = np.min(d * j ** p[..., None], axis=-1)
+        verdict &= (p <= max_exponent) & (eps > 0)
+    if verdict.ndim:
+        return verdict, p
+    return bool(verdict), float(p)
 
 
 def _certificate_constants(levels: int) -> dict:
@@ -560,7 +547,6 @@ __all__ = [
     "CERTIFIED",
     "MEASURED",
     "SubspaceFamily",
-    "DecayFit",
     "decay_fit_prefixes",
     "SeparationCertificate",
     "RejectionStats",

@@ -110,7 +110,7 @@ def mc_slab_measure(box: Box, v, delta: float, samples: int = 10_000,
     hits = int(np.count_nonzero(np.abs(y @ np.asarray(v, dtype=float)) <= delta))
     p = hits / samples
     vol = box.volume
-    return McEstimate(vol * p, vol * float(np.sqrt(p * (1.0 - p) / samples)), samples)
+    return McEstimate(vol * p, vol * float(np.sqrt(p * (1.0 - p) / samples)))
 
 
 def fraction_det(M) -> Fraction:

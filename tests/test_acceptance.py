@@ -122,7 +122,7 @@ def test_acceptance_4_recursive_complements():
             stack = np.vstack([B, null_basis(N)])
             ok &= np.linalg.matrix_rank(stack, tol=1e-9) == n
         if J >= 3:
-            ok &= is_well_separating(res.measured.deltas, 5 * k + 1)
+            ok &= is_well_separating(res.measured.deltas, 5 * k + 1)[0]
     report(4, "recursive complement certificates", ok)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import transversal
@@ -11,6 +12,10 @@ PACKAGE = Path(transversal.__file__).parent
 #: Public names no other library code needs to reference.  family_to_dict is
 #: the family-file writer: no command writes families, but tests round-trip it.
 ALLOWED = {"family_to_dict"}
+
+#: Defaulted parameters no library call needs to set.  Tests and the
+#: benchmark call main(argv) in-process; the console script calls main().
+ALLOWED_DEFAULTS = {"cli.main.argv"}
 
 
 def _parse_modules() -> dict[str, ast.Module]:
@@ -43,6 +48,68 @@ def test_every_public_definition_is_used_by_the_library():
     unused = sorted(name for name in public
                     if name.split(".")[1] not in used | ALLOWED)
     assert unused == []
+
+
+def _signatures(tree: ast.Module):
+    """(qualified name, callee, parameters, defaulted) of each public
+    function, public method and dataclass.  ``parameters`` are the names a
+    caller can pass positionally, in order; ``defaulted`` are the names
+    that have a default, keyword-only ones included."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, *_arguments(node.args)
+        else:
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                yield node.name, node.name, [f.target.id for f in fields], \
+                    {f.target.id for f in fields if f.value is not None}
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    static = "staticmethod" in map(ast.unparse, fn.decorator_list)
+                    names, defaulted = _arguments(fn.args)
+                    yield f"{node.name}.{fn.name}", fn.name, \
+                        names if static else names[1:], defaulted
+
+
+def _arguments(args: ast.arguments):
+    names = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = set(names[len(names) - len(args.defaults):])
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None}
+    return names, defaulted
+
+
+def _calls(tree: ast.Module):
+    """(callee name, positional count, keyword names) of each call; a
+    starred argument counts as every position and ** as every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        yield name, math.inf if starred else len(node.args), \
+            {k.arg for k in node.keywords}
+
+
+def test_every_default_is_set_by_some_library_call():
+    """A defaulted parameter that no library call sets, by position or by
+    keyword, is a knob only tests can turn."""
+    modules = _parse_modules()
+    calls = [call for tree in modules.values() for call in _calls(tree)]
+    unset = sorted(
+        f"{module}.{qualified}.{param}"
+        for module, tree in modules.items()
+        for qualified, callee, names, defaulted in _signatures(tree)
+        for param in defaulted
+        if f"{module}.{qualified}.{param}" not in ALLOWED_DEFAULTS
+        and not any(name == callee and (param in keywords or None in keywords
+                                        or names.index(param) < count)
+                    for name, count, keywords in calls))
+    assert unset == []
 
 
 def test_every_exported_name_exists():

@@ -28,9 +28,9 @@ def run_cli(*args, log=None, blas_threads=None):
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
-def write_family(path, family, labels=None):
+def write_family(path, family):
     with open(path, "w") as fh:
-        fh.write(familyio.dump_json(familyio.family_to_dict(family, labels=labels)))
+        fh.write(familyio.dump_json(familyio.family_to_dict(family)))
 
 
 def strict_json(text):
@@ -112,6 +112,19 @@ def test_certify_names_rank_deficient_later_member(codim2_family, tmp_path):
     cp = run_cli("certify", "--family", bad, "--complement", comp)
     assert cp.returncode == 2
     assert "family member 4: normals have rank 1 < 2" in cp.stderr
+
+
+def test_family_labels_load_and_are_checked(tmp_path):
+    """The loader returns a family file's optional labels as strings and
+    rejects a label list whose length does not match the members."""
+    doc = familyio.family_to_dict(random_subspace_family(3, 4, 1, 2))
+    _, labels = familyio.family_from_dict({**doc, "labels": ["a", 7]})
+    assert labels == ["a", "7"]
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({**doc, "labels": ["a"]}))
+    cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
+    assert cp.returncode == 2
+    assert cp.stderr == "error: labels must match the number of members\n"
 
 
 def test_family_with_empty_normals_is_shape_error(tmp_path):
@@ -207,6 +220,28 @@ def test_certify_dimension_mismatch(tmp_path, single_hyperplane):
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--family", "{dir}", "--out", "{out}"),
+    ("construct", "--family", "{family}", "--out", "{dir}"),
+    ("certify", "--family", "{family}", "--complement", "{comp}", "--out", "{dir}"),
+    ("certify", "--family", "{family}", "--complement", "{comp}",
+     "--max-exponent", "nan"),
+], ids=["family-dir", "construct-out-dir", "certify-out-dir", "nan-ceiling"])
+def test_construct_and_certify_input_errors_exit_2(argv, single_hyperplane, tmp_path):
+    """A directory where a file is expected, and a NaN decay ceiling (as
+    for mc translation), are bad input: exit 2 with one error line and no
+    output, not a traceback."""
+    comp = tmp_path / "comp.json"
+    assert run_cli("construct", "--family", single_hyperplane,
+                   "--out", comp).returncode == 0
+    paths = {"dir": tmp_path, "out": tmp_path / "out.json",
+             "family": single_hyperplane, "comp": comp}
+    cp = run_cli(*(arg.format(**paths) for arg in argv))
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
 def test_mc_badset_toy_passes(tmp_path):
     fam = SubspaceFamily.from_normals([np.array([[0.0, 1.0]])])
     path = tmp_path / "fam.json"
@@ -292,7 +327,8 @@ def test_construct_one_member_writes_null_fit(single_hyperplane, tmp_path):
         assert doc[key]["decay_fit"] == {"exponent": None, "scale": None}
     loaded = familyio.load_complement(out)
     assert loaded.measured.deltas[0] == pytest.approx(1.0)
-    assert math.isnan(loaded.measured.decay_fit.exponent)
+    assert familyio.certificate_to_dict(loaded.measured)["decay_fit"] == \
+        {"exponent": None, "scale": None}
     cert = run_cli("certify", "--family", single_hyperplane, "--complement", out)
     assert cert.returncode == 0, cert.stderr
     with pytest.raises(ValueError):

@@ -258,16 +258,22 @@ def test_det_rejects_ragged_shifts():
 
 
 def test_inverse_identity_family():
-    s, eps_hat = inverse_bound_check(2.0 * np.eye(3), np.zeros((4, 3, 3)),
-                                     np.ones(4))
+    """One sample 2 I against four zero shifts: every sigma_min is 2, and
+    the floor min_j 2 j^2 is set by j = 1."""
+    eps_hat = inverse_bound_check(2.0 * np.eye(3)[None], np.zeros((4, 3, 3)),
+                                  np.ones(4))
+    np.testing.assert_allclose(eps_hat, [2.0])
+    s = inverse_bound_check(np.full((4, 3, 3), 2.0 * np.eye(3)),
+                            np.zeros((1, 3, 3)), np.ones(1))
     np.testing.assert_allclose(s, 2.0)
-    assert eps_hat == pytest.approx(2.0)
 
 
 def test_inverse_scalar_reduction(rng):
+    """Against one zero shift with delta 1 a sample's floor is its own
+    sigma_min, which is |a + A_j| for 1 x 1 sums."""
     a = float(rng.uniform(-1, 1))
     shifts = rng.uniform(-1, 1, size=(6, 1, 1))
-    s, _ = inverse_bound_check(np.array([[a]]), shifts, np.full(6, 1.0))
+    s = inverse_bound_check(a + shifts, np.zeros((1, 1, 1)), np.ones(1))
     np.testing.assert_allclose(s, np.abs(a + shifts[:, 0, 0]))
 
 
@@ -276,20 +282,23 @@ def test_inverse_svd_identity(rng):
     A = rng.standard_normal((3, 3))
     shifts = rng.standard_normal((8, 3, 3)) * 0.5
     deltas = np.full(8, 0.5)
-    s, eps_hat = inverse_bound_check(A, shifts, deltas)
+    eps_hat = inverse_bound_check(A[None], shifts, deltas)
+    s = inverse_bound_check(A + shifts, np.zeros((1, 3, 3)), np.ones(1))
     for j in range(8):
         M = A + shifts[j]
         if s[j] > 1e-12:
             assert s[j] * np.linalg.norm(np.linalg.inv(M), 2) == \
                 pytest.approx(1.0, abs=1e-9)
-    assert eps_hat > 0
+    assert eps_hat[0] > 0
 
 
 def test_inverse_precondition_on_shift_norms():
     big = np.zeros((1, 2, 2))
     big[0] = 10.0 * np.eye(2)
     with pytest.raises(ValidationError, match="spectral norm"):
-        inverse_bound_check(np.eye(2), big, np.array([0.5]))  # 10 > 1/0.5
+        inverse_bound_check(np.eye(2)[None], big, np.array([0.5]))  # 10 > 1/0.5
+    with pytest.raises(ValidationError, match="stack of square"):
+        inverse_bound_check(np.eye(2), np.zeros((1, 2, 2)), np.array([0.5]))
 
 
 def test_mc_inverse_bound_positive_fraction(rng):
@@ -363,11 +372,11 @@ def test_inverse_bound_check_stack_returns_floors_only(rng):
     A = rng.standard_normal((7, 2, 2))
     shifts = rng.standard_normal((5, 2, 2)) * 0.3
     deltas = np.full(5, 0.5)
-    s, eps_hat = inverse_bound_check(A, shifts, deltas)
-    assert s is None
+    eps_hat = inverse_bound_check(A, shifts, deltas)
+    assert eps_hat.shape == (7,)
     assert np.array_equal(eps_hat, _full_svd_floor(A, shifts, deltas))
     for a, e in zip(A, eps_hat):
-        assert inverse_bound_check(a, shifts, deltas)[1] == e
+        assert inverse_bound_check(a[None], shifts, deltas)[0] == e
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -381,7 +390,7 @@ def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
     shifts = np.zeros((4, k, k))
     shifts[1] = 0.5 * np.eye(k)
     deltas = np.ones(4)
-    _, eps_hat = inverse_bound_check(A, shifts, deltas)
+    eps_hat = inverse_bound_check(A, shifts, deltas)
     np.testing.assert_array_equal(eps_hat, _full_svd_floor(A, shifts, deltas))
 
 
@@ -418,8 +427,10 @@ def test_translation_certificates_match_per_sample_certify(n, k, J, ceiling):
         assert np.array_equal(certs[i], reference.deltas), i
         assert not certs[i].flags.writeable
     ceiling = report.metadata["max_exponent"]
-    passing = [-decay_fit_prefixes(d)[0][-1] for d in certs
-               if d is not None and is_well_separating(d, ceiling)]
+    verdicts = [is_well_separating(d, ceiling) for d in certs if d is not None]
+    passing = [p for ok, p in verdicts if ok]
+    assert passing == [-decay_fit_prefixes(d)[0][-1] for d in certs
+                       if d is not None and is_well_separating(d, ceiling)[0]]
     assert 0 < len(passing) < cfg.samples
     assert report.estimate == len(passing) / cfg.samples
     assert report.metadata["exponent_max"] == max(passing)

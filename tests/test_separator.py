@@ -1,10 +1,12 @@
 """Rejection samplers, adapted bases, the line bound, and the recursion."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transversal import familyio
+from transversal import familyio, separator
 from transversal.geometry import (
     ConstructionError,
     ValidationError,
@@ -103,19 +105,18 @@ def test_cube_sampler_acceptance_rate():
 def test_cube_sampler_rejects_bad_inputs():
     with pytest.raises(ValidationError, match="not unit"):
         sample_cube_separator(np.array([[1.0, 1.0]]), seed=0)
-    with pytest.raises(ValidationError):
-        sample_cube_separator(np.array([[1.0, 0.0]]), seed=0, max_tries=0)
 
 
-def test_cube_sampler_exhaustion_is_construction_error():
-    # max_tries=1 against 40 tight normals in R^2 makes failure plausible;
+def test_cube_sampler_exhaustion_is_construction_error(monkeypatch):
+    # one try against 40 tight normals in R^2 makes failure plausible;
     # scan seeds until one rejects, then check the raised type
+    monkeypatch.setattr(separator, "DEFAULT_MAX_TRIES", 1)
     rng = np.random.default_rng(5)
     vs = rng.standard_normal((40, 2))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     for seed in range(200):
         try:
-            sample_cube_separator(vs, seed=seed, max_tries=1)
+            sample_cube_separator(vs, seed=seed)
         except ConstructionError:
             return
     pytest.fail("no rejection observed in 200 single-try runs")
@@ -254,14 +255,14 @@ def test_box_sampler_rejects_non_adapted_input():
 
 def test_fit_decay_recovers_exact_power_law():
     j = np.arange(1, 21, dtype=float)
-    fit = SeparationCertificate(j**-5.0, MEASURED).decay_fit
-    assert fit.exponent == pytest.approx(-5.0, abs=1e-9)
-    assert fit.scale == pytest.approx(1.0, abs=1e-9)
+    exponents, scales = decay_fit_prefixes(j**-5.0)
+    assert exponents[-1] == pytest.approx(-5.0, abs=1e-9)
+    assert scales[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_decay_degenerate_cases():
-    assert np.isnan(SeparationCertificate([0.5], MEASURED).decay_fit.exponent)
-    assert np.isnan(SeparationCertificate([0.0, 0.0, 0.5], MEASURED).decay_fit.exponent)
+    assert np.isnan(decay_fit_prefixes([0.5])[0][-1])
+    assert np.isnan(decay_fit_prefixes([0.0, 0.0, 0.5])[0][-1])
 
 
 @pytest.mark.parametrize("profile", [
@@ -297,23 +298,29 @@ def test_decay_fit_prefixes_match_polyfit(profile):
 @settings(max_examples=80, deadline=None)
 def test_stacked_decay_fit_and_verdict_match_rows(seed, rows, J, zero_frac):
     """An (S, J) stack gets, row by row, the bits of the 1-D fit and
-    verdict, and each certificate's decay_fit is its profile's last prefix."""
+    verdict; the verdict's exponent is minus the last prefix's slope, and
+    each certificate document's decay_fit is its profile's last prefix."""
     rng = np.random.default_rng(seed)
     j = np.arange(1.0, J + 1.0)
     deltas = rng.uniform(0.5, 1.0, (rows, J)) * j ** -rng.uniform(0.0, 12.0, (rows, 1))
     deltas[rng.random((rows, J)) < zero_frac] = 0.0
     exponents, scales = decay_fit_prefixes(deltas)
-    verdicts = is_well_separating(deltas, 6.0)
+    verdicts, judged = is_well_separating(deltas, 6.0)
     assert exponents.shape == scales.shape == deltas.shape
-    assert verdicts.shape == (rows,)
-    for row, row_exponents, row_scales, verdict in zip(deltas, exponents, scales, verdicts):
+    assert verdicts.shape == judged.shape == (rows,)
+    assert judged.tobytes() == (-exponents[:, -1]).tobytes()
+    for row, row_exponents, row_scales, verdict, p in zip(
+            deltas, exponents, scales, verdicts, judged):
         one_exponents, one_scales = decay_fit_prefixes(row)
         assert row_exponents.tobytes() == one_exponents.tobytes()
         assert row_scales.tobytes() == one_scales.tobytes()
-        assert verdict == is_well_separating(row, 6.0)
-        fit = SeparationCertificate(row, MEASURED).decay_fit
-        assert np.array([fit.exponent, fit.scale]).tobytes() == \
-            np.array([one_exponents[-1], one_scales[-1]]).tobytes()
+        one_verdict, one_p = is_well_separating(row, 6.0)
+        assert verdict == one_verdict
+        assert np.array(p).tobytes() == np.array(one_p).tobytes()
+        fit = familyio.certificate_to_dict(SeparationCertificate(row, MEASURED))["decay_fit"]
+        assert [fit["exponent"], fit["scale"]] == [
+            None if np.isnan(x) else float(x)
+            for x in (one_exponents[-1], one_scales[-1])]
 
 
 def test_certificate_validation():
@@ -340,7 +347,7 @@ def test_certify_constant_family():
     fam = SubspaceFamily.from_normals([normals] * 3)
     cert = certify(orthonormalize([e(0, 4), e(1, 4)]), fam)
     np.testing.assert_allclose(cert.deltas, 1.0)
-    assert cert.decay_fit.exponent == pytest.approx(0.0, abs=1e-9)
+    assert decay_fit_prefixes(cert.deltas)[0][-1] == pytest.approx(0.0, abs=1e-9)
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
@@ -397,29 +404,41 @@ def test_from_normals_names_rank_deficient_member():
 
 def test_is_well_separating_polynomial_true():
     j = np.arange(1, 25, dtype=float)
-    assert is_well_separating(j**-5.0, max_exponent=10.0)
+    verdict, p = is_well_separating(j**-5.0, max_exponent=10.0)
+    assert verdict
+    assert p == pytest.approx(5.0, abs=1e-9)
 
 
 def test_is_well_separating_geometric_false():
     # over 60 indices the fitted log-log slope of 2^-j exceeds 10
     j = np.arange(1, 61, dtype=float)
-    assert not is_well_separating(0.5**j, max_exponent=10.0)
+    verdict, p = is_well_separating(0.5**j, max_exponent=10.0)
+    assert not verdict
+    assert p > 10.0
 
 
 def test_is_well_separating_constant_true():
-    assert is_well_separating([0.3, 0.3, 0.3, 0.3], max_exponent=1.0)
+    assert is_well_separating([0.3, 0.3, 0.3, 0.3], max_exponent=1.0)[0]
 
 
 def test_is_well_separating_preconditions():
     """A zero entry fails; a positive profile with J < 3 passes whatever
-    the ceiling; a stack gets one verdict per profile."""
-    assert is_well_separating([0.5, 0.0, 0.5], 5.0) is False
-    assert is_well_separating([0.0, 0.5], 5.0) is False
-    assert is_well_separating([0.0], 5.0) is False
-    assert is_well_separating([0.5, 1e-300], 0.0) is True
-    assert is_well_separating([0.5], 0.0) is True
-    verdicts = is_well_separating([[0.3, 0.3, 0.3], [0.3, 0.0, 0.3]], 1.0)
+    the ceiling, while its exponent is still reported; a stack gets one
+    verdict per profile; a NaN ceiling and an empty profile are rejected."""
+    assert is_well_separating([0.5, 0.0, 0.5], 5.0)[0] is False
+    assert is_well_separating([0.0, 0.5], 5.0)[0] is False
+    assert is_well_separating([0.0], 5.0)[0] is False
+    verdict, p = is_well_separating([0.5, 1e-300], 0.0)
+    assert verdict is True
+    assert p == pytest.approx(np.log(0.5 / 1e-300) / np.log(2.0))
+    verdict, p = is_well_separating([0.5], 0.0)
+    assert verdict is True and math.isnan(p)
+    verdicts, _ = is_well_separating([[0.3, 0.3, 0.3], [0.3, 0.0, 0.3]], 1.0)
     np.testing.assert_array_equal(verdicts, [True, False])
+    with pytest.raises(ValidationError, match="max_exponent"):
+        is_well_separating([0.3, 0.3, 0.3], math.nan)
+    with pytest.raises(ValidationError, match="at least one delta"):
+        is_well_separating([], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +571,15 @@ def test_common_complement_codim2_profile_composition():
     expected = LINE_CONSTANT * (BOX_CONSTANT * js**-5.0) ** 2
     np.testing.assert_allclose(res.certificate.deltas, expected, rtol=1e-12)
     assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
-    assert res.certificate.decay_fit.exponent == pytest.approx(-10.0, abs=1e-6)
+    assert decay_fit_prefixes(res.certificate.deltas)[0][-1] == \
+        pytest.approx(-10.0, abs=1e-6)
 
 
 def test_common_complement_codim3_certified_exponent():
     fam = random_subspace_family(12, 25, 3, 8)
     res = common_complement(fam, seed=13)
-    assert res.certificate.decay_fit.exponent == pytest.approx(-15.0, abs=1e-6)
+    assert decay_fit_prefixes(res.certificate.deltas)[0][-1] == \
+        pytest.approx(-15.0, abs=1e-6)
     assert res.complement.size == 3
     # direct-sum rank check against every member
     for N in fam.normals:
