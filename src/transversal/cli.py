@@ -185,9 +185,12 @@ def cmd_mc(args) -> int:
             translation = _parse_vectors(args.translation, "translation")
         else:
             translation = np.eye(family.codim, family.ambient_dim)
+        max_exponent = args.max_exponent
+        if max_exponent is None:
+            max_exponent = 5.0 * family.codim ** 2 + 2.0
         report, _ = translation_experiment(
             base, family, translation, config,
-            radius=args.radius, max_exponent=args.max_exponent)
+            radius=args.radius, max_exponent=max_exponent)
         out = {"suite": "translation", "reports": [report.to_dict()]}
         overall = report.verdict
     out["verdict"] = bool(overall)

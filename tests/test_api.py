@@ -112,6 +112,24 @@ def test_every_default_is_set_by_some_library_call():
     assert unset == []
 
 
+def test_no_default_is_set_by_every_library_call():
+    """A defaulted parameter that every library call sets repeats a value
+    that lives with the callers: the default is dead, the parameter is
+    required."""
+    modules = _parse_modules()
+    calls = [call for tree in modules.values() for call in _calls(tree)]
+    always_set = sorted(
+        f"{module}.{qualified}.{param}"
+        for module, tree in modules.items()
+        for qualified, callee, names, defaulted in _signatures(tree)
+        for param in defaulted
+        if (own := [(count, keywords) for name, count, keywords in calls
+                    if name == callee])
+        and all(param in keywords or None in keywords
+                or names.index(param) < count for count, keywords in own))
+    assert always_set == []
+
+
 def test_every_exported_name_exists():
     """Each name in the package's and every module's ``__all__`` is defined."""
     modules = [transversal] + [importlib.import_module(f"transversal.{stem}")

@@ -255,6 +255,25 @@ def test_mc_badset_toy_passes(tmp_path):
     assert rep["estimate"] <= rep["analytic_bound"] + 3 * rep["stderr"]
 
 
+def test_mc_badset_in_high_dimension():
+    """Past dim 341, where math.gamma overflows, the ball volumes still exist."""
+    cp = run_cli("mc", "badset", "--dim", 400, "--members", 3, "--samples", 1000)
+    assert cp.returncode == 0, cp.stderr
+    doc = strict_json(cp.stdout)
+    assert doc["verdict"] is True
+    assert doc["reports"][0]["metadata"]["ball_volume"] == \
+        pytest.approx(3.4126e-276, rel=1e-4)
+
+
+def test_mc_badset_overflowing_bound_is_null():
+    """An analytic bound that overflows to inf is written as null, not refused."""
+    cp = run_cli("mc", "badset", "--samples", 1000, "--epsilon-grid", "1e308")
+    assert cp.returncode == 0, cp.stderr
+    doc = strict_json(cp.stdout)
+    assert doc["reports"][0]["analytic_bound"] is None
+    assert doc["verdict"] is True
+
+
 def test_mc_det_scalar_coefficient():
     cp = run_cli("mc", "det", "--k", 1, "--zero-shifts", "--samples", 100000,
                  "--epsilon-grid", "0.1,0.01,0.001", "--seed", 2)

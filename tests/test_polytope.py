@@ -218,7 +218,8 @@ def test_shadow_oracle_memory_is_bounded():
 
 def test_shadow_oracle_rejects_high_dimension():
     with pytest.raises(ValidationError, match="up to 4"):
-        mc_shadow_volume(cube(5), random_unit(np.random.default_rng(19), 5))
+        mc_shadow_volume(cube(5), random_unit(np.random.default_rng(19), 5),
+                         samples=1_000_000, seed=0)
 
 
 def test_mc_estimators_are_deterministic():

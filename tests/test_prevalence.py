@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transversal.cli import main
 from transversal.geometry import ValidationError, orthonormalize
 from transversal.polytope import Box, mc_shadow_volume
 from transversal.prevalence import (
@@ -18,6 +19,7 @@ from transversal.prevalence import (
     _det,
     _keyed_rng,
     _sigma_min_bracket,
+    _to_ball,
     ball_volume,
     det_slab_coefficient,
     inverse_bound_check,
@@ -25,7 +27,6 @@ from transversal.prevalence import (
     mc_det_lower_bound,
     mc_inverse_bound,
     sample_ball,
-    translation_decay_ceiling,
     translation_experiment,
 )
 from transversal.separator import (
@@ -62,13 +63,14 @@ def test_ball_volume_known_values():
 
 def test_sample_ball_radius_and_determinism():
     rng = _keyed_rng(0)
-    pts = sample_ball(rng, 5000, 3, radius=2.0)
+    pts = _to_ball(rng.standard_normal((5000, 3)), rng.random((5000, 1)), 2.0)
     r = np.linalg.norm(pts, axis=1)
     assert np.max(r) <= 2.0
     # r^dim of a uniform ball point is U(0,1); its mean is 1/2
     assert np.mean((r / 2.0) ** 3) == pytest.approx(0.5, abs=0.02)
-    again = sample_ball(_keyed_rng(0), 5000, 3, radius=2.0)
-    np.testing.assert_array_equal(pts, again)
+    # sample_ball makes the same draws, in the same order, for the unit ball
+    again = sample_ball(_keyed_rng(0), 5000, 3)
+    np.testing.assert_array_equal(pts, 2.0 * again)
 
 
 def test_keyed_rng_streams_are_distinct():
@@ -81,17 +83,18 @@ def test_keyed_rng_streams_are_distinct():
 
 def test_mc_config_validation():
     with pytest.raises(ValidationError):
-        McConfig(samples=100)
+        McConfig(samples=100, seed=0, epsilon_grid=(1e-1, 1e-2, 1e-3))
     with pytest.raises(ValidationError):
-        McConfig(epsilon_grid=(1e-3, 1e-2))
+        McConfig(samples=10_000, seed=0, epsilon_grid=(1e-3, 1e-2))
     with pytest.raises(ValidationError):
-        McConfig(epsilon_grid=(1e-2, -1e-3))
+        McConfig(samples=10_000, seed=0, epsilon_grid=(1e-2, -1e-3))
 
 
 @pytest.mark.parametrize("call", [
-    lambda: McConfig(seed=-1),
+    lambda: McConfig(samples=10_000, seed=-1, epsilon_grid=(1e-1, 1e-2, 1e-3)),
     lambda: common_complement(toy_family(), -1),
-    lambda: mc_shadow_volume(Box(np.ones(2)), np.array([1.0, 0.0]), seed=-1),
+    lambda: mc_shadow_volume(Box(np.ones(2)), np.array([1.0, 0.0]),
+                             samples=1_000_000, seed=-1),
 ], ids=["McConfig", "common_complement", "mc_shadow_volume"])
 def test_library_rejects_negative_seed(call):
     with pytest.raises(ValidationError, match="seed must be nonnegative"):
@@ -100,7 +103,8 @@ def test_library_rejects_negative_seed(call):
 
 def test_mc_report_verdict_must_match_bound():
     with pytest.raises(ValidationError, match="verdict"):
-        McReport(estimate=2.0, stderr=0.1, analytic_bound=1.0, verdict=True)
+        McReport(estimate=2.0, stderr=0.1, analytic_bound=1.0, verdict=True,
+                 metadata={})
     rep = McReport(estimate=0.5, stderr=0.1, analytic_bound=1.0, verdict=True,
                    metadata={"arr": np.arange(3), "val": np.float64(1.5)})
     json.dumps(rep.to_dict())  # must be JSON-serializable after conversion
@@ -250,7 +254,8 @@ def test_det_falls_back_to_lapack_for_k_above_3(rng):
 
 def test_det_rejects_ragged_shifts():
     with pytest.raises(ValidationError):
-        mc_det_lower_bound(np.zeros((3, 2, 1)), McConfig(samples=1000, seed=0))
+        mc_det_lower_bound(np.zeros((3, 2, 1)), McConfig(
+            samples=1000, seed=0, epsilon_grid=(1e-1, 1e-2, 1e-3)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +306,20 @@ def test_inverse_precondition_on_shift_norms():
         inverse_bound_check(np.eye(2), np.zeros((1, 2, 2)), np.array([0.5]))
 
 
+@pytest.mark.parametrize("shifts", [np.zeros((0, 2, 2)), np.zeros((1, 0, 0))],
+                         ids=["no-shifts", "k0"])
+def test_empty_shift_stacks_are_rejected(shifts):
+    """All three shift-stack entry points reject J = 0 and k = 0."""
+    cfg = McConfig(samples=1000, seed=0, epsilon_grid=(1e-1, 1e-2, 1e-3))
+    A = np.zeros((3,) + shifts.shape[1:])
+    deltas = np.ones(len(shifts))
+    for call in (lambda: inverse_bound_check(A, shifts, deltas),
+                 lambda: mc_det_lower_bound(shifts, cfg),
+                 lambda: mc_inverse_bound(shifts, deltas, cfg)):
+        with pytest.raises(ValidationError, match="at least one nonempty matrix"):
+            call()
+
+
 def test_mc_inverse_bound_positive_fraction(rng):
     J, k = 20, 2
     deltas = np.arange(1.0, J + 1.0) ** -1.0
@@ -348,7 +367,7 @@ def test_mc_inverse_floor_is_bit_equal_to_full_svd(seed, k, J, q, kind):
     """The pruned floors equal the full-SVD floors bit for bit, with zero
     shifts, shifts that nearly cancel a sample (A_j = -A_s + 1e-9 noise)
     and shifts that cancel it exactly (then that sample's eps_hat is 0)."""
-    cfg = McConfig(samples=1000, seed=seed)
+    cfg = McConfig(samples=1000, seed=seed, epsilon_grid=(1e-1, 1e-2, 1e-3))
     A = _ball_matrices(_keyed_rng(seed), cfg.samples, k)
     rng = np.random.default_rng(seed)
     delta = 0.5 * np.arange(1.0, J + 1.0) ** -q   # 1/delta >= 2 >= ||A_s||_F
@@ -407,7 +426,7 @@ def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
 ])
 def test_translation_certificates_match_per_sample_certify(n, k, J, ceiling):
     """The stacked draws and chunks reproduce certify(orthonormalize(A_i^T B
-    + X)) for A_i drawn alone by _ball_matrices, bit for bit, on both sides
+    + X)) for A_i drawn alone through _to_ball, bit for bit, on both sides
     of every chunk boundary, and the report's statistics are those of a
     per-sample loop over the delta rows."""
     fam = random_subspace_family(4, n, k, J)
@@ -422,7 +441,8 @@ def test_translation_certificates_match_per_sample_certify(n, k, J, ceiling):
     assert len(certs) == cfg.samples
     for i in (0, 1, _TRANSLATION_CHUNK - 1, _TRANSLATION_CHUNK,
               _TRANSLATION_CHUNK + 1, cfg.samples - 1):
-        A = _ball_matrices(_keyed_rng(cfg.seed, i), 1, k, 0.5)[0]
+        rng = _keyed_rng(cfg.seed, i)
+        A = _to_ball(rng.standard_normal((k, k)), rng.random((k, 1)), 0.5).T
         reference = certify(orthonormalize(A.T @ B + X), fam)
         assert np.array_equal(certs[i], reference.deltas), i
         assert not certs[i].flags.writeable
@@ -444,7 +464,8 @@ def test_translation_degenerate_draws_are_none():
     base = common_complement(fam, seed=3)
     X = np.vstack([np.eye(1, 8), np.eye(1, 8)])
     cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
-    report, certs = translation_experiment(base, fam, X, cfg, radius=1e-12)
+    report, certs = translation_experiment(base, fam, X, cfg, radius=1e-12,
+                                           max_exponent=22.0)
     assert len(certs) == cfg.samples
     assert all(c is None for c in certs)
     assert report.estimate == 0.0
@@ -463,22 +484,29 @@ def test_translation_experiment_rejects_non_finite_input(translation, kwargs, ma
     base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
     with pytest.raises(ValidationError, match=match):
-        translation_experiment(base, fam, translation, cfg, **kwargs)
+        translation_experiment(base, fam, translation, cfg,
+                               **{"radius": 1.0, "max_exponent": 7.0, **kwargs})
 
 
-def test_translation_decay_ceiling_values():
-    assert translation_decay_ceiling(1) == 7.0
-    assert translation_decay_ceiling(2) == 22.0
+def test_translation_decay_ceiling_values(capsys):
+    """Without --max-exponent, mc translation reports the ceiling 5 k^2 + 2."""
+    for argv, ceiling in ((["mc", "translation"], 7.0),
+                          (["mc", "translation", "--k", "2", "--dim", "30",
+                            "--members", "20"], 22.0)):
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["reports"][0]["metadata"]["max_exponent"] == ceiling
 
 
 def test_translation_experiment_toy_instance():
     fam = toy_family()
     base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=42, epsilon_grid=(0.1,))
-    report, certs = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
+    report, certs = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg,
+                                           radius=1.0, max_exponent=7.0)
     assert report.estimate >= 0.99
     assert report.verdict
-    assert report.metadata["exponent_max"] <= translation_decay_ceiling(1) + 0.5
+    assert report.metadata["exponent_max"] <= 7.0 + 0.5
     assert len(certs) == 1000
     assert all(c is not None for c in certs)
 
@@ -487,8 +515,10 @@ def test_translation_experiment_is_deterministic():
     fam = toy_family()
     base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=7, epsilon_grid=(0.1,))
-    r1, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
-    r2, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg)
+    r1, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg,
+                                   radius=1.0, max_exponent=7.0)
+    r2, _ = translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg,
+                                   radius=1.0, max_exponent=7.0)
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -497,6 +527,8 @@ def test_translation_experiment_validates_shapes():
     base = common_complement(fam, seed=1)
     cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
     with pytest.raises(ValidationError, match="translation"):
-        translation_experiment(base, fam, np.array([[1.0, 0.0, 0.0]]), cfg)
+        translation_experiment(base, fam, np.array([[1.0, 0.0, 0.0]]), cfg,
+                               radius=1.0, max_exponent=7.0)
     with pytest.raises(ValidationError, match="radius"):
-        translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg, radius=0.0)
+        translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg, radius=0.0,
+                               max_exponent=7.0)
