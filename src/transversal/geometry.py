@@ -155,6 +155,61 @@ def orthonormalize(vectors) -> OrthonormalFrame:
     raise ValidationError(f"rank {r} < {m}: vectors are linearly dependent")
 
 
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., k, k) stack.
+
+    For k <= 3 the cofactor expansion along the first row runs on the k^2
+    component arrays, each made contiguous once; every monomial passes
+    through at most 2k - 1 roundings, so the error is at most
+    gamma_{2k-1} per(|M|) <= gamma_{2k-1} ||M||_F^k, and k = 1 is exact.
+    For k >= 4 it is LAPACK's LU (np.linalg.det).
+    """
+    k = M.shape[-1]
+    if k > 3:
+        return np.linalg.det(M)
+    m = [[np.ascontiguousarray(M[..., i, j]) for j in range(k)] for i in range(k)]
+    if k == 1:
+        return m[0][0]
+    if k == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+#: Largest singular values outside [2^-450, 2^450] send a 2 x 2 block to
+#: LAPACK: inside, no product of two entries over- or underflows.
+_CLOSED_FORM_RANGE = (2.0 ** -450, 2.0 ** 450)
+
+
+def _sigma_min_2x2(M: np.ndarray) -> np.ndarray:
+    """Smallest singular values of a (..., 2, 2) stack, in closed form.
+
+    With M = [[a, b], [c, d]], sigma_max = (hypot(a + d, c - b) + hypot(a - d,
+    b + c)) / 2, a sum of two nonnegative terms, and sigma_min = |ad - bc| /
+    sigma_max.  With u = 2^-53, sigma_max carries a relative error of about
+    5u and |ad - bc| an absolute one of at most u (|ad| + |bc|) + u |det| <=
+    2u sigma_max^2, so sigma_min is within 8u sigma_max of the exact value,
+    the accuracy of LAPACK's SVD.  The naive sqrt((F - sqrt(F^2 - 4 det^2)) /
+    2) with F = ||M||_F^2 cancels where sigma_min is near sigma_max.  A zero
+    block gives 0 exactly; blocks whose sigma_max leaves _CLOSED_FORM_RANGE
+    take LAPACK's value.
+    """
+    a, b = np.ascontiguousarray(M[..., 0, 0]), np.ascontiguousarray(M[..., 0, 1])
+    c, d = np.ascontiguousarray(M[..., 1, 0]), np.ascontiguousarray(M[..., 1, 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # such blocks go to LAPACK
+        smax = np.hypot(a + d, c - b)
+        smax += np.hypot(a - d, b + c)
+        smax *= 0.5
+        det = np.abs(_det(M))
+        s = np.divide(det, smax, out=np.zeros_like(smax), where=smax > 0.0)
+    lo, hi = _CLOSED_FORM_RANGE
+    far = (smax > 0.0) & ((smax < lo) | (smax > hi))
+    if np.any(far):
+        s[far] = np.linalg.svd(M[far], compute_uv=False)[:, -1]
+    return s
+
+
 def degrees_of_transversality(normals: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Degree of transversality of rowspace(basis) to every member of a stack.
 
@@ -163,14 +218,20 @@ def degrees_of_transversality(normals: np.ndarray, basis: np.ndarray) -> np.ndar
     candidates C.  Entry j is min over unit x in C of d(x, V_j), the smallest
     singular value of N_j B^T, clipped to [0, 1]: it vanishes iff C fails to
     complement V_j and equals 1 iff C is the orthogonal complement of V_j.
-    All (..., J) values come from one stacked product; at k = 1 they are
+    All (..., J) values come from one stacked product.  At k = 1 they are
     |N_j b^T| (LAPACK's 1 x 1 SVD agrees, but rescales products below
-    sqrt(tiny) / eps, about 6.7e-139, and can then be 1 ulp off), and at
-    k >= 2 one stacked SVD gives them.
+    sqrt(tiny) / eps, about 6.7e-139, and can then be 1 ulp off); at k = 2
+    they come from _sigma_min_2x2's closed form, within 8u sigma_max of the
+    exact value (u = 2^-53); at k >= 3 one stacked SVD gives them.
     """
     prods = normals @ np.swapaxes(basis, -1, -2)[..., None, :, :]
-    s = (np.abs(prods[..., 0, 0]) if prods.shape[-1] == 1
-         else np.linalg.svd(prods, compute_uv=False)[..., -1])
+    k = prods.shape[-1]
+    if k == 1:
+        s = np.abs(prods[..., 0, 0])
+    elif k == 2:
+        s = _sigma_min_2x2(prods)
+    else:
+        s = np.linalg.svd(prods, compute_uv=False)[..., -1]
     return np.clip(s, 0.0, 1.0)
 
 

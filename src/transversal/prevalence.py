@@ -15,10 +15,17 @@ exceptional:
   coefficient matrices plus a fixed translation and measures how often the
   resulting span still separates with a polynomial floor; each chunk of
   samples maps its per-sample draws to ball points as one stack, then takes
-  one QR and one degree evaluation (|N_j b| at k = 1, one SVD at k >= 2).
+  one QR and one degree evaluation (|N_j b| at k = 1, a closed form at
+  k = 2, one SVD at k >= 3).
 
 Sampling uses counter-based RNG keyed by the master seed, so results are
-deterministic and every sample's randomness is addressable by its index.
+deterministic and every sample's randomness is addressable by its index:
+sample i of the translation suite draws from
+default_rng(SeedSequence(seed, spawn_key=(i,))) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).  Those streams are not built
+one SeedSequence at a time: _keyed_states derives a chunk's PCG64 seeds in
+one vectorized pass, and _keyed_streams hands one reused generator each
+state in turn, bit-equal to _keyed_rng's streams.
 """
 
 from __future__ import annotations
@@ -28,7 +35,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import ValidationError, _householder_frames, degrees_of_transversality
+from .geometry import (
+    ValidationError,
+    _det,
+    _householder_frames,
+    degrees_of_transversality,
+)
 from .separator import ComplementResult, SubspaceFamily, is_well_separating
 
 #: Samples per stacked draw, QR and degree evaluation in translation_experiment.
@@ -128,6 +140,90 @@ def _keyed_rng(seed: int, *index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(index)))
 
 
+# numpy's SeedSequence constants (pool size 4; O'Neill's seed_seq_fe) and
+# PCG64's 128-bit LCG multiplier
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+#: Largest sample count whose indices fit one 32-bit spawn-key word.
+_KEYED_INDICES = 1 << 32
+
+
+def _keyed_states(seed: int, start: int, count: int) -> np.ndarray:
+    """(count, 4) uint64 array: row i is
+    SeedSequence(seed, spawn_key=(start + i,)).generate_state(4, np.uint64).
+
+    A port of numpy's documented SeedSequence algorithm.  The pool mixed
+    from the seed's words (zero-padded to the pool size, as numpy does when
+    a spawn key follows) is the same for every index, so it is computed once
+    in masked Python ints; the one spawn-key word of each index is then
+    hashed into it, and the output words generated, as uint64 arrays of
+    32-bit values, whose products never wrap.  Needs
+    start + count <= _KEYED_INDICES.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    index = np.arange(start, start + count, dtype=np.uint64)
+    pool = [mix(np.uint64(p), hashmix(index)) for p in pool]
+    hash_const = _INIT_B
+    out = np.empty((count, 8), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        out[:, i] = value ^ value >> 16
+    return out[:, 0::2] | out[:, 1::2] << 32
+
+
+def _keyed_streams(seed: int, start: int, count: int):
+    """Yield, for i = start .. start + count - 1, one reused Generator set to
+    the stream of _keyed_rng(seed, i), bit for bit.
+
+    Each state is PCG64's seeding step applied to _keyed_states' words; the
+    first is checked against numpy's own PCG64(SeedSequence(...)), so a
+    numpy whose seeding differs fails loudly instead of changing the draws.
+    """
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start,)))
+    expected = bitgen.state["state"]
+    rng = np.random.Generator(bitgen)
+    for s_hi, s_lo, i_hi, i_lo in _keyed_states(seed, start, count).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128,
+                 "inc": inc}
+        if expected is not None:
+            if state != expected:
+                raise RuntimeError("keyed PCG64 states differ from numpy's "
+                                   "SeedSequence; its algorithm has changed")
+            expected = None
+        bitgen.state = {"bit_generator": "PCG64", "state": state,
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     """Ball points from (count, dim) Gaussians and (count, 1) uniforms: the
     direction of each row of g times radius * u^(1/dim)."""
@@ -158,78 +254,53 @@ def _shift_stack(A_list) -> np.ndarray:
     return A_arr
 
 
-def _det(M: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., k, k) stack.
+def mc_bad_set_measure(family: SubspaceFamily, config: McConfig) -> list[McReport]:
+    """Ball measure of points within epsilon * j^-2 of some member hyperplane,
+    one report per epsilon of ``config.epsilon_grid``.
 
-    For k <= 3 the cofactor expansion along the first row runs on the k^2
-    component arrays, each made contiguous once; every monomial passes
-    through at most 2k - 1 roundings, so the error is at most
-    gamma_{2k-1} per(|M|) <= gamma_{2k-1} ||M||_F^k, and k = 1 is exact.
-    For k >= 4 it is LAPACK's LU (np.linalg.det).
-    """
-    k = M.shape[-1]
-    if k > 3:
-        return np.linalg.det(M)
-    m = [[np.ascontiguousarray(M[..., i, j]) for j in range(k)] for i in range(k)]
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def mc_bad_set_measure(family: SubspaceFamily, epsilon: float,
-                       config: McConfig) -> McReport:
-    """Ball measure of points within epsilon * j^-2 of some member hyperplane.
-
-    Requires codim 1 and n >= 2.  The analytic bound is
+    Requires codim 1 (so n >= 2).  One draw of ball points, projected once
+    onto the normals, serves the whole grid; each epsilon then only compares
+    the projections with its thresholds.  The analytic bound is
     epsilon * (pi^2 / 3) * vol(B^{n-1}); the truncated sum over the J
     observed members is reported in the metadata and is always smaller.
     """
     if family.codim != 1:
         raise ValidationError("bad-set suite requires a codimension-1 family")
     n = family.ambient_dim
-    if n < 2:
-        raise ValidationError("need ambient dimension at least 2")
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive")
     J = len(family)
-    normals = family.normals[:, 0]
-    j = np.arange(1, J + 1, dtype=float)
-    thresholds = epsilon * j ** -2.0
-
-    rng = _keyed_rng(config.seed)
-    x = sample_ball(rng, config.samples, n)
-    proj = x @ normals.T
-    hits = np.abs(proj, out=proj) <= thresholds
-    bad = np.any(hits, axis=1)
-    count = int(np.count_nonzero(bad))
-    p = count / config.samples
+    j2 = np.arange(1, J + 1, dtype=float) ** -2.0
+    proj = sample_ball(_keyed_rng(config.seed), config.samples, n) @ family.normals[:, 0].T
+    np.abs(proj, out=proj)
+    hits = np.empty(proj.shape, dtype=bool)
     vol = ball_volume(n)
-    estimate = vol * p
-    stderr = vol * math.sqrt(p * (1.0 - p) / config.samples)
     shell = ball_volume(n - 1)
-    bound = epsilon * (math.pi ** 2 / 3.0) * shell
-    truncated = 2.0 * epsilon * float(np.sum(j ** -2.0)) * shell
-    # multiplicity-counted slab sum: the subadditive majorant of the union,
-    # exactly linear in epsilon until individual slabs saturate the ball
-    sum_estimate = vol * float(np.mean(np.count_nonzero(hits, axis=1)))
-    verdict = estimate <= bound + 3.0 * stderr
-    return McReport(estimate, stderr, bound, verdict, metadata={
-        "suite": "badset",
-        "samples": config.samples,
-        "seed": config.seed,
-        "epsilon": float(epsilon),
-        "ambient_dim": n,
-        "members": J,
-        "truncated_bound": truncated,
-        "bad_count": count,
-        "ball_volume": vol,
-        "sum_estimate": sum_estimate,
-        "bound_vacuous": bound >= vol,
-    })
+    reports = []
+    for epsilon in config.epsilon_grid:
+        np.less_equal(proj, epsilon * j2, out=hits)
+        count = int(np.count_nonzero(np.any(hits, axis=1)))
+        p = count / config.samples
+        estimate = vol * p
+        stderr = vol * math.sqrt(p * (1.0 - p) / config.samples)
+        bound = epsilon * (math.pi ** 2 / 3.0) * shell
+        truncated = 2.0 * epsilon * float(np.sum(j2)) * shell
+        # multiplicity-counted slab sum: the subadditive majorant of the union,
+        # exactly linear in epsilon until individual slabs saturate the ball
+        sum_estimate = vol * float(np.mean(np.count_nonzero(hits, axis=1)))
+        verdict = estimate <= bound + 3.0 * stderr
+        reports.append(McReport(estimate, stderr, bound, verdict, metadata={
+            "suite": "badset",
+            "samples": config.samples,
+            "seed": config.seed,
+            "epsilon": epsilon,
+            "ambient_dim": n,
+            "members": J,
+            "truncated_bound": truncated,
+            "bad_count": count,
+            "ball_volume": vol,
+            "sum_estimate": sum_estimate,
+            "bound_vacuous": bound >= vol,
+        }))
+    return reports
 
 
 def det_slab_coefficient(A_tilde: np.ndarray, eta_grid, samples: int,
@@ -432,7 +503,8 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     shifted by a fixed translation, still separate with a polynomial floor.
 
     For each sample a coefficient matrix A with columns uniform in the ball
-    of the given radius is drawn from a stream keyed by (seed, sample), the
+    of the given radius is drawn from the stream _keyed_rng(seed, sample),
+    reached through _keyed_streams (so samples is at most 2^32), the
     span of the translated combinations A^T B + X is certified against the
     family, and is_well_separating is evaluated at ``max_exponent``.  The
     per-sample loop only draws, in sample_ball's order; each chunk then maps
@@ -458,6 +530,8 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         raise ValidationError("base is not a certified complement of the family")
     if not 0 < radius < math.inf:
         raise ValidationError("radius must be positive and finite")
+    if config.samples > _KEYED_INDICES:
+        raise ValidationError(f"samples must be at most 2**32, got {config.samples}")
 
     basis = base.complement.vectors
     g = np.empty((_TRANSLATION_CHUNK, k, k))
@@ -466,8 +540,7 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     passing = []  # per chunk, the fitted exponent of each passing profile
     for start in range(0, config.samples, _TRANSLATION_CHUNK):
         m = min(_TRANSLATION_CHUNK, config.samples - start)
-        for s in range(m):
-            rng = _keyed_rng(config.seed, start + s)
+        for s, rng in enumerate(_keyed_streams(config.seed, start, m)):
             rng.standard_normal(out=g[s])
             rng.random(out=u[s])
         # the rows of sample s's A^T are its k ball points

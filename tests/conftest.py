@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 
@@ -114,7 +115,7 @@ def mc_slab_measure(box: Box, v, delta: float, samples: int = 10_000,
 
 
 def fraction_det(M) -> Fraction:
-    """Reference oracle for ``prevalence._det``: the exact determinant of a
+    """Reference oracle for ``geometry._det``: the exact determinant of a
     float k x k matrix, summed over all permutations in rational arithmetic."""
     k = len(M)
     total = Fraction(0)
@@ -125,3 +126,31 @@ def fraction_det(M) -> Fraction:
             term *= Fraction(float(M[i][j]))
         total += term
     return total
+
+
+#: Stated error bound of the closed-form 2 x 2 sigma_min, in units of
+#: sigma_max: 8u with u = 2^-53 (see ``geometry._sigma_min_2x2``).
+SIGMA_MIN_2X2_TOL = 8 * 2.0 ** -53
+
+
+def exact_singular_values_2x2(M) -> tuple[Decimal, Decimal]:
+    """Reference oracle for ``geometry._sigma_min_2x2``: (sigma_min,
+    sigma_max) of a float 2 x 2 matrix to 60 digits.
+
+    F = ||M||_F^2 and |det M| are exact rationals, sigma_max + sigma_min =
+    sqrt(F + 2|det|) and sigma_max - sigma_min = sqrt(F - 2|det|), and
+    sigma_min = |det| / sigma_max involves no cancellation.
+    """
+    (a, b), (c, d) = [[Fraction(float(x)) for x in row] for row in M]
+    F = a * a + b * b + c * c + d * d
+    det = abs(a * d - b * c)
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        if F == 0:
+            return Decimal(0), Decimal(0)
+        smax = (dec(F + 2 * det).sqrt() + dec(F - 2 * det).sqrt()) / 2
+        return dec(det) / smax, smax

@@ -158,7 +158,7 @@ def test_acceptance_6_badset_linearity():
         for t, eps in enumerate(eps_grid):
             cfg = McConfig(samples=20_000, seed=2700 + 10 * n + t,
                            epsilon_grid=(1e-1, 1e-2, 1e-3))
-            rep = mc_bad_set_measure(fam, eps, cfg)
+            rep = mc_bad_set_measure(fam, cfg)[t]
             ok &= rep.estimate <= rep.analytic_bound + 3 * rep.stderr
             ok &= bool(rep.verdict)
             estimates.append(rep.estimate)

@@ -418,6 +418,28 @@ def test_volume_axis_and_slab_bound():
     assert float(data["slab_bound"]) == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize("halfwidths, normal, volume, estimate", [
+    pytest.param("1e154,1e154", "1,1", 2.0 * np.sqrt(2.0) * 1e154,
+                 2.0 * np.sqrt(2.0) * 1e154, id="1e154"),
+    pytest.param("1e-200,1e-200", "1,1", 2.0 * np.sqrt(2.0) * 1e-200,
+                 2.0 * np.sqrt(2.0) * 1e-200, id="1e-200"),
+    pytest.param("1e308,1", "0,1", math.inf, math.inf, id="1e308"),
+    pytest.param("1e308,1e-16", "0,1", math.inf, math.inf, id="1e308-aspect-1e324"),
+])
+def test_volume_of_extreme_boxes(halfwidths, normal, volume, estimate):
+    """Shadow volumes near float64's ends: a value is inf only where the
+    true one overflows, and then agreement is judged on the box scaled to a
+    largest halfwidth in [1/2, 1), never as inf <= inf."""
+    cp = run_cli("volume", "--halfwidths", halfwidths, "--normal", normal, "--mc",
+                 "--samples", 10_000)
+    assert cp.returncode == 0, cp.stderr
+    data = dict(line.split(" ", 1) for line in cp.stdout.strip().splitlines())
+    assert float(data["projection_volume"]) == pytest.approx(volume, rel=1e-15, abs=0.0)
+    assert float(data["mc_estimate"]) == pytest.approx(estimate, rel=1e-15, abs=0.0)
+    assert 0.0 <= float(data["mc_rel_error"]) <= 1e-15
+    assert data["mc_agreement"] == "ok"
+
+
 @pytest.mark.parametrize("args", [
     ("--mc", "--seed", -1),
     ("--delta", "inf"),

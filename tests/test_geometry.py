@@ -1,6 +1,7 @@
 """Frames, orthonormalization, and the transversality functional."""
 
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from transversal.geometry import (
     DEFAULT_TOL,
     OrthonormalFrame,
     ValidationError,
+    _sigma_min_2x2,
     degrees_of_transversality,
     orthonormalize,
 )
 from transversal.separator import SubspaceFamily, certify
 
-from conftest import random_unit
+from conftest import SIGMA_MIN_2X2_TOL, exact_singular_values_2x2, random_unit
 
 
 def e(i, n):
@@ -234,6 +236,42 @@ def test_k1_degrees_are_abs_of_product(seed, n, log_scale):
     assert np.all(np.abs(got - svd) <= np.spacing(svd))
     np.testing.assert_array_equal(got, np.minimum(size, 1.0))
     np.testing.assert_array_equal(degrees_of_transversality(normals, b[None]), got[0])
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "rank1", "near", "zero", "rotation"]),
+       log_scale=st.sampled_from([-300, -150, -130, 0, 130, 150, 300]))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_2x2_sigma_min_within_stated_bound(seed, kind, log_scale):
+    """The closed-form sigma_min is within 8u sigma_max of the exact value on
+    random, rank-1, nearly rank-1, zero and nearly orthogonal blocks scaled by
+    10^-300 .. 10^300 (beyond 2^+-450 LAPACK's value is taken); a zero block
+    gives exactly 0, and the k = 2 degrees are these values clipped to [0, 1]."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((40, 2, 2))
+    if kind == "rank1":
+        M[:, 1] = M[:, 0] * rng.standard_normal((40, 1))
+    elif kind == "near":
+        M[:, 1] = M[:, 0] + 1e-9 * rng.standard_normal((40, 2))
+    elif kind == "zero":
+        M[::2] = 0.0
+    elif kind == "rotation":
+        t = rng.uniform(0.0, 2.0 * np.pi, 40)
+        M = np.stack([np.stack([np.cos(t), -np.sin(t)], -1),
+                      np.stack([np.sin(t) * (1.0 + 1e-10 * rng.standard_normal(40)),
+                                np.cos(t)], -1)], 1)
+    M *= 10.0 ** log_scale
+    got = _sigma_min_2x2(M)
+    for m, s in zip(M, got):
+        smin, smax = exact_singular_values_2x2(m)
+        assert abs(Decimal(float(s)) - smin) <= Decimal(SIGMA_MIN_2X2_TOL) * smax
+        if smax == 0:
+            assert s == 0.0
+    # N_j = [M_j, 0] against B = (e_1, e_2) in R^3 has the product N_j B^T = M_j
+    unscaled = M / 10.0 ** log_scale
+    normals = np.concatenate([unscaled, np.zeros((40, 2, 1))], axis=2)
+    np.testing.assert_array_equal(degrees_of_transversality(normals, np.eye(2, 3)),
+                                  np.clip(_sigma_min_2x2(unscaled), 0.0, 1.0))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

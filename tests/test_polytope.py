@@ -64,7 +64,60 @@ def test_box_validation():
         Box(np.array([1.0, -2.0]))
     b = Box(np.array([0.5, 2.0]))
     assert b.volume == pytest.approx(4.0)
-    np.testing.assert_allclose(b.face_volumes(), [4.0, 1.0])
+    # the shadow along an axis is the face orthogonal to it
+    assert [box_projection_volume(b, e) for e in np.eye(2)] == pytest.approx([4.0, 1.0])
+
+
+@pytest.mark.parametrize("h, v, expected", [
+    pytest.param([1e154, 1e154], [1.0, 1.0], 2.0 * np.sqrt(2.0) * 1e154, id="1e154"),
+    pytest.param([1e-200, 1e-200], [1.0, 1.0], 2.0 * np.sqrt(2.0) * 1e-200, id="1e-200"),
+    pytest.param([1e308, 1.0], [1.0, 0.0], 2.0, id="huge-box-small-face"),
+    pytest.param([1e200, 1.0, 1.0], [1.0, 0.0, 0.0], 4.0, id="tiny-faces-beside-a-huge-one"),
+    pytest.param([1e308, 1.0], [0.0, 1.0], np.inf, id="overflowing-face"),
+    # the box volume 8e200 is finite, but 2e200 * 2e200 is not
+    pytest.param([1e200, 1e200, 1e-200], [1.0, 0.0, 0.0], 4.0, id="finite-face"),
+    # 1100 halfwidth mantissas 1/2 multiply to 2^-1100 before renormalizing
+    pytest.param(np.full(1100, 0.5), np.eye(1100)[0], 1.0, id="n1100-unit-faces"),
+])
+def test_shadow_volume_over_and_underflows_only_with_its_value(h, v, expected):
+    """The shadow volume is formed without the whole box volume, so it is inf
+    or 0.0 only where the value itself leaves float64's range."""
+    v = np.asarray(v) / np.linalg.norm(v)
+    got = box_projection_volume(Box(np.asarray(h)), v)
+    assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("h, v, expected", [
+    pytest.param([1e154, 1e154], [1.0, 1.0], 2.0 * np.sqrt(2.0) * 1e154, id="1e154"),
+    pytest.param([1e-200, 1e-200], [1.0, 1.0], 2.0 * np.sqrt(2.0) * 1e-200, id="1e-200"),
+    pytest.param([1e308, 1.0], [1.0, 0.0], 2.0, id="huge-box-small-shadow"),
+    pytest.param([1e308, 1.0], [0.0, 1.0], np.inf, id="overflowing-shadow"),
+    pytest.param([1e200, 1.0, 1.0], [1.0, 0.0, 0.0], 4.0, id="tiny-faces-beside-a-huge-one"),
+    pytest.param([1e300, 1e-24], [1.0, 1.0], np.sqrt(2.0) * 1e300, id="aspect-1e324"),
+])
+def test_shadow_oracle_on_extreme_boxes(h, v, expected):
+    """Boxes whose bounding box or fiber parameters leave float64's range
+    draw without OverflowError, and the estimate is inf only where the
+    shadow volume overflows (n = 2 is exact, and at n = 3 every fiber along
+    an axis hits)."""
+    v = np.asarray(v) / np.linalg.norm(v)
+    est = mc_shadow_volume(Box(np.asarray(h)), v, samples=20_000, seed=4)
+    assert est.estimate == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shadow_oracle_scales_huge_boxes_exactly(n):
+    """A box 2^1000 times an ordinary one is drawn scaled down by a power of
+    two: the same hits, so the estimate is the ordinary one times
+    2^(1000 (n - 1)), bit for bit."""
+    rng = np.random.default_rng(30 + n)
+    h = rng.uniform(0.3, 2.0, n)
+    v = random_unit(rng, n)
+    small = mc_shadow_volume(Box(h), v, samples=20_000, seed=5)
+    huge = mc_shadow_volume(Box(np.ldexp(h, 1000)), v, samples=20_000, seed=5)
+    with np.errstate(over="ignore"):
+        assert huge.estimate == np.ldexp(small.estimate, 1000 * (n - 1))
+        assert huge.stderr == np.ldexp(small.stderr, 1000 * (n - 1))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

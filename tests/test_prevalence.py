@@ -6,18 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transversal.cli import main
-from transversal.geometry import ValidationError, orthonormalize
+from transversal import prevalence
+from transversal.geometry import ValidationError, _det, orthonormalize
 from transversal.polytope import Box, mc_shadow_volume
 from transversal.prevalence import (
     _TRANSLATION_CHUNK,
     McConfig,
     McReport,
     _ball_matrices,
-    _det,
     _keyed_rng,
+    _keyed_states,
+    _keyed_streams,
     _sigma_min_bracket,
     _to_ball,
     ball_volume,
@@ -81,6 +83,49 @@ def test_keyed_rng_streams_are_distinct():
     np.testing.assert_array_equal(a, c)
 
 
+@given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**128 + 1, 3**150]),
+                      st.integers(0, 2**160)),
+       start=st.one_of(st.sampled_from([0, _TRANSLATION_CHUNK - 5, 2**32 - 24]),
+                       st.integers(0, 2**32 - 24)),
+       count=st.integers(1, 24))
+@example(seed=3**150, start=2**32 - 24, count=24)  # up to the last index, 2^32 - 1
+@settings(max_examples=60, deadline=None)
+def test_keyed_states_and_streams_match_seed_sequence(seed, start, count):
+    """_keyed_states equals SeedSequence(seed, spawn_key=(i,)).generate_state,
+    and the reused generator of _keyed_streams has PCG64's state and
+    _keyed_rng's draws, for one- to five-word seeds and indices across the
+    translation chunk boundary and up to 2^32 - 1."""
+    states = _keyed_states(seed, start, count)
+    assert states.shape == (count, 4) and states.dtype == np.uint64
+    streams = _keyed_streams(seed, start, count)
+    for i, rng in zip(range(start, start + count), streams):
+        seq = np.random.SeedSequence(seed, spawn_key=(i,))
+        np.testing.assert_array_equal(states[i - start], seq.generate_state(4, np.uint64))
+        assert rng.bit_generator.state == np.random.PCG64(seq).state
+        ref = _keyed_rng(seed, i)
+        np.testing.assert_array_equal(rng.standard_normal((2, 2)),
+                                      ref.standard_normal((2, 2)))
+        np.testing.assert_array_equal(rng.random((2, 1)), ref.random((2, 1)))
+    assert next(streams, None) is None
+
+
+def test_keyed_streams_check_against_numpy(monkeypatch):
+    """A derived state that differs from numpy's own seeding raises before
+    any draw, instead of silently changing the streams."""
+    monkeypatch.setattr(prevalence, "_PCG_MULT", prevalence._PCG_MULT + 2)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        next(_keyed_streams(5, 300, 4))
+
+
+def test_translation_rejects_indices_beyond_one_key_word():
+    fam = toy_family()
+    base = common_complement(fam, seed=1)
+    cfg = McConfig(samples=2**32 + 1, seed=0, epsilon_grid=(0.1,))
+    with pytest.raises(ValidationError, match="samples"):
+        translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg,
+                               radius=1.0, max_exponent=7.0)
+
+
 def test_mc_config_validation():
     with pytest.raises(ValidationError):
         McConfig(samples=100, seed=0, epsilon_grid=(1e-1, 1e-2, 1e-3))
@@ -120,7 +165,7 @@ def test_badset_single_hyperplane_matches_slab_area():
     eps = 0.01
     fam = SubspaceFamily.from_normals([np.array([[0.0, 1.0]])])
     cfg = McConfig(samples=400_000, seed=21, epsilon_grid=(eps,))
-    rep = mc_bad_set_measure(fam, eps, cfg)
+    rep, = mc_bad_set_measure(fam, cfg)
     exact = 2.0 * (eps * math.sqrt(1.0 - eps**2) + math.asin(eps))
     assert abs(rep.estimate - exact) <= 3.0 * rep.stderr
     assert rep.metadata["truncated_bound"] == pytest.approx(4.0 * eps)
@@ -134,7 +179,7 @@ def test_badset_estimates_bounded_on_random_families(rng):
         for i, eps in enumerate((0.1, 0.01)):
             cfg = McConfig(samples=20_000, seed=100 * n + i,
                            epsilon_grid=(eps,))
-            rep = mc_bad_set_measure(fam, eps, cfg)
+            rep, = mc_bad_set_measure(fam, cfg)
             assert rep.estimate <= rep.analytic_bound + 3.0 * rep.stderr
             assert rep.verdict
 
@@ -147,7 +192,7 @@ def test_badset_multiplicity_sum_is_linear_in_eps():
     sums, errs = [], []
     for i, eps in enumerate(eps_grid):
         cfg = McConfig(samples=300_000, seed=400 + i, epsilon_grid=(eps,))
-        rep = mc_bad_set_measure(fam, eps, cfg)
+        rep, = mc_bad_set_measure(fam, cfg)
         sums.append(rep.metadata["sum_estimate"])
         errs.append(max(rep.stderr, 1e-9))
     coef, cov = np.polyfit(np.array(eps_grid), np.array(sums), 1,
@@ -161,21 +206,35 @@ def test_badset_multiplicity_sum_is_linear_in_eps():
 def test_badset_saturation_notes_vacuous_bound():
     fam = SubspaceFamily.from_normals([np.array([[0.0, 1.0]])])
     cfg = McConfig(samples=1000, seed=5, epsilon_grid=(2.0,))
-    rep = mc_bad_set_measure(fam, 2.0, cfg)
+    rep, = mc_bad_set_measure(fam, cfg)
     assert rep.estimate == pytest.approx(math.pi)  # every sample is bad
     assert rep.stderr == 0.0
     assert rep.metadata["bound_vacuous"]
     assert rep.verdict  # the (vacuous) bound still exceeds the estimate
 
 
+def test_badset_one_draw_serves_the_whole_grid():
+    """A grid run gives, per epsilon, the report of a one-epsilon run on the
+    same seed: the same draw, projections and counts."""
+    fam = random_subspace_family(8, 5, 1, 40)
+    grid = (0.3, 0.05, 0.01, 0.002)
+    reports = mc_bad_set_measure(fam, McConfig(samples=5000, seed=6, epsilon_grid=grid))
+    assert [r.metadata["epsilon"] for r in reports] == list(grid)
+    for eps, rep in zip(grid, reports):
+        alone, = mc_bad_set_measure(fam, McConfig(samples=5000, seed=6,
+                                                  epsilon_grid=(eps,)))
+        assert rep.to_dict() == alone.to_dict()
+    counts = [r.metadata["bad_count"] for r in reports]
+    assert counts == sorted(counts, reverse=True) and counts[-1] < counts[0]
+
+
 def test_badset_preconditions():
     fam2 = random_subspace_family(1, 5, 2, 3)
     cfg = McConfig(samples=1000, seed=0, epsilon_grid=(0.1,))
     with pytest.raises(ValidationError, match="codimension-1"):
-        mc_bad_set_measure(fam2, 0.1, cfg)
-    fam1 = SubspaceFamily.from_normals([np.array([[0.0, 1.0]])])
-    with pytest.raises(ValidationError):
-        mc_bad_set_measure(fam1, -0.5, cfg)
+        mc_bad_set_measure(fam2, cfg)
+    with pytest.raises(ValidationError, match="positive"):
+        McConfig(samples=1000, seed=0, epsilon_grid=(-0.5,))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from transversal.separator import (
 )
 
 from conftest import (
+    SIGMA_MIN_2X2_TOL,
     line_min_norm,
     loop_certify,
     mgs_adapt_basis,
@@ -353,8 +354,11 @@ def test_certify_constant_family():
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
 @settings(max_examples=40, deadline=None)
 def test_certify_matches_member_loop_bit_for_bit(seed, k):
-    """The stacked SVD gives the per-member loop's deltas exactly, on
-    families with duplicate members and a member containing the candidate."""
+    """The stacked evaluation gives the per-member SVD loop's deltas exactly
+    at k = 1 and k = 3, on families with duplicate members and a member
+    containing the candidate.  At k = 2 the closed form and LAPACK are each
+    within 8u sigma_max of the exact value, so they differ by at most twice
+    that, and the containing member still gives exactly 0."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2 * k + 1, 40))
     J = int(rng.integers(1, 30))
@@ -365,7 +369,12 @@ def test_certify_matches_member_loop_bit_for_bit(seed, k):
     random_span = orthonormalize(rng.standard_normal((k, n)))
     contained = orthonormalize(np.eye(n)[:k])
     for C in (random_span, contained):
-        np.testing.assert_array_equal(certify(C, fam).deltas, loop_certify(C, fam))
+        got, loop = certify(C, fam).deltas, loop_certify(C, fam)
+        if k == 2:
+            smax = np.linalg.svd(fam.normals @ C.vectors.T, compute_uv=False)[:, 0]
+            assert np.all(np.abs(got - loop) <= 2 * SIGMA_MIN_2X2_TOL * smax)
+        else:
+            np.testing.assert_array_equal(got, loop)
     assert certify(contained, fam).deltas[-1] == 0.0
 
 
