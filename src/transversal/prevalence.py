@@ -18,6 +18,11 @@ exceptional:
   one QR and one degree evaluation (|N_j b| at k = 1, a closed form at
   k = 2, one SVD at k >= 3).
 
+The first three, the bulk suites, draw all their samples at once and then
+stream them in blocks of about _BLOCK_CELLS float64 cells, keeping integer
+totals or running minima, so their memory is bounded by the draws and every
+result is bit-equal to one pass over all samples.
+
 Sampling uses counter-based RNG keyed by the master seed, so results are
 deterministic and every sample's randomness is addressable by its index:
 sample i of the translation suite draws from
@@ -46,8 +51,9 @@ from .separator import ComplementResult, SubspaceFamily, is_well_separating
 #: Samples per stacked draw, QR and degree evaluation in translation_experiment.
 _TRANSLATION_CHUNK = 256
 
-#: (sample, shift) pairs per chunk of _sigma_min_floors.
-_FLOOR_PAIRS = 1 << 18
+#: float64 cells per block array of the bulk suites (badset, det, inverse),
+#: which stream their samples in blocks, so memory is bounded by the draws.
+_BLOCK_CELLS = 1 << 17
 
 #: c in the slack tau = c k^3 2^k eps ||M||_F of _sigma_min_bracket.
 _FLOOR_SLACK = 8.0
@@ -245,12 +251,14 @@ def _ball_matrices(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
 
 
 def _shift_stack(A_list) -> np.ndarray:
-    """A_list as a (J, k, k) float stack with J, k >= 1."""
+    """A_list as a finite (J, k, k) float stack with J, k >= 1."""
     A_arr = np.asarray(A_list, dtype=float)
     if A_arr.ndim != 3 or A_arr.shape[1] != A_arr.shape[2]:
         raise ValidationError("A_list must be a stack of square matrices")
     if 0 in A_arr.shape:
         raise ValidationError("A_list must hold at least one nonempty matrix")
+    if not np.all(np.isfinite(A_arr)):
+        raise ValidationError("A_list has non-finite entries")
     return A_arr
 
 
@@ -258,26 +266,37 @@ def mc_bad_set_measure(family: SubspaceFamily, config: McConfig) -> list[McRepor
     """Ball measure of points within epsilon * j^-2 of some member hyperplane,
     one report per epsilon of ``config.epsilon_grid``.
 
-    Requires codim 1 (so n >= 2).  One draw of ball points, projected once
-    onto the normals, serves the whole grid; each epsilon then only compares
-    the projections with its thresholds.  The analytic bound is
-    epsilon * (pi^2 / 3) * vol(B^{n-1}); the truncated sum over the J
-    observed members is reported in the metadata and is always smaller.
+    Requires codim 1 (so n >= 2).  One draw of ball points serves the whole
+    grid.  It is projected onto the normals in blocks of samples, and each
+    epsilon compares a block's projections with its thresholds, adding to
+    two integer totals: the samples in the union of the slabs and the slab
+    hits.  The analytic bound is epsilon * (pi^2 / 3) * vol(B^{n-1}); the
+    truncated sum over the J observed members is reported in the metadata
+    and is always smaller.
     """
     if family.codim != 1:
         raise ValidationError("bad-set suite requires a codimension-1 family")
     n = family.ambient_dim
     J = len(family)
     j2 = np.arange(1, J + 1, dtype=float) ** -2.0
-    proj = sample_ball(_keyed_rng(config.seed), config.samples, n) @ family.normals[:, 0].T
-    np.abs(proj, out=proj)
-    hits = np.empty(proj.shape, dtype=bool)
+    points = sample_ball(_keyed_rng(config.seed), config.samples, n)
+    thresholds = [epsilon * j2 for epsilon in config.epsilon_grid]
+    union = [0] * len(thresholds)
+    slab_hits = [0] * len(thresholds)
+    block = max(1, _BLOCK_CELLS // J)
+    hits = np.empty((min(block, config.samples), J), dtype=bool)
+    for start in range(0, config.samples, block):
+        proj = points[start:start + block] @ family.normals[:, 0].T
+        np.abs(proj, out=proj)
+        hit = hits[:len(proj)]
+        for e, threshold in enumerate(thresholds):
+            np.less_equal(proj, threshold, out=hit)
+            union[e] += int(np.count_nonzero(np.any(hit, axis=1)))
+            slab_hits[e] += int(np.count_nonzero(hit))
     vol = ball_volume(n)
     shell = ball_volume(n - 1)
     reports = []
-    for epsilon in config.epsilon_grid:
-        np.less_equal(proj, epsilon * j2, out=hits)
-        count = int(np.count_nonzero(np.any(hits, axis=1)))
+    for epsilon, count, total in zip(config.epsilon_grid, union, slab_hits):
         p = count / config.samples
         estimate = vol * p
         stderr = vol * math.sqrt(p * (1.0 - p) / config.samples)
@@ -285,7 +304,7 @@ def mc_bad_set_measure(family: SubspaceFamily, config: McConfig) -> list[McRepor
         truncated = 2.0 * epsilon * float(np.sum(j2)) * shell
         # multiplicity-counted slab sum: the subadditive majorant of the union,
         # exactly linear in epsilon until individual slabs saturate the ball
-        sum_estimate = vol * float(np.mean(np.count_nonzero(hits, axis=1)))
+        sum_estimate = vol * (float(total) / config.samples)
         verdict = estimate <= bound + 3.0 * stderr
         reports.append(McReport(estimate, stderr, bound, verdict, metadata={
             "suite": "badset",
@@ -309,20 +328,31 @@ def det_slab_coefficient(A_tilde: np.ndarray, eta_grid, samples: int,
     the through-origin slope c_hat.
 
     A has columns uniform in the unit ball of R^k, so mu lives on a domain
-    of volume vol(B^k)^k.  Returns (c_hat, r_squared, mu_estimates).
+    of volume vol(B^k)^k; the determinants are counted in blocks of
+    samples.  Returns (c_hat, r_squared, mu_estimates).
     """
     A_tilde = np.asarray(A_tilde, dtype=float)
     if A_tilde.ndim != 2 or A_tilde.shape[0] != A_tilde.shape[1]:
         raise ValidationError("shift matrix must be square")
+    if not np.all(np.isfinite(A_tilde)):
+        raise ValidationError("shift matrix has non-finite entries")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     k = A_tilde.shape[0]
     etas = np.asarray(sorted(float(e) for e in eta_grid), dtype=float)
-    if etas.size < 2 or np.any(etas <= 0):
-        raise ValidationError("need at least two positive eta values")
+    if etas.size < 2 or not np.all((etas > 0) & (etas < math.inf)):
+        raise ValidationError("need at least two positive finite eta values")
     A = _ball_matrices(_keyed_rng(seed), samples, k)
-    dets = np.abs(_det(A + A_tilde))
+    counts = [0] * etas.size
+    block = max(1, _BLOCK_CELLS // k ** 2)
+    for start in range(0, samples, block):
+        dets = np.abs(_det(A[start:start + block] + A_tilde))
+        for i, eta in enumerate(etas):
+            counts[i] += int(np.count_nonzero(dets <= eta))
     domain_vol = ball_volume(k) ** k
-    mu = np.array([domain_vol * np.count_nonzero(dets <= e) / samples
-                   for e in etas])
+    mu = np.array([domain_vol * count / samples for count in counts])
     c_hat = float(np.sum(mu * etas) / np.sum(etas ** 2))
     residuals = mu - c_hat * etas
     ss_tot = float(np.sum((mu - mu.mean()) ** 2))
@@ -337,7 +367,9 @@ def mc_det_lower_bound(A_list, config: McConfig):
     ``config.epsilon_grid`` (the first shift acts as the fixed reference);
     (b) reports eps_hat = min_j j^2 |det(A + A_j)| per sample and the
     fraction of samples with eps_hat > 0, which should be 1 up to
-    measure-zero ties.
+    measure-zero ties.  eps_hat is a running minimum over the shifts, taken
+    per block of samples; like a minimum over all of them at once, it
+    propagates NaN.
 
     Returns (McReport, per-sample eps_hat array); the verdict requires the
     linear fit to have r^2 >= 0.99 and the positive fraction >= 0.99.
@@ -348,12 +380,14 @@ def mc_det_lower_bound(A_list, config: McConfig):
         A_arr[0], config.epsilon_grid, config.samples, config.seed)
 
     A = _ball_matrices(_keyed_rng(config.seed, 1), config.samples, k)
-    A_c = np.ascontiguousarray(np.moveaxis(A, 0, -1))  # (k, k, samples)
-    scaled = np.empty((J, config.samples))
-    for idx in range(J):
-        M = np.moveaxis(A_c + A_arr[idx][..., None], -1, 0)
-        scaled[idx] = (idx + 1.0) ** 2 * np.abs(_det(M))
-    eps_hat = scaled.min(axis=0)
+    eps_hat = np.full(config.samples, np.inf)
+    block = max(1, _BLOCK_CELLS // k ** 2)
+    for start in range(0, config.samples, block):
+        A_c = np.ascontiguousarray(np.moveaxis(A[start:start + block], 0, -1))
+        out = eps_hat[start:start + block]
+        for idx in range(J):
+            M = np.moveaxis(A_c + A_arr[idx][..., None], -1, 0)  # (block, k, k)
+            np.minimum(out, (idx + 1.0) ** 2 * np.abs(_det(M)), out=out)
 
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
@@ -388,6 +422,8 @@ def inverse_bound_check(A, A_list, delta_list):
     delta = np.asarray(delta_list, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValidationError("A must be a stack of square matrices")
+    if not np.all(np.isfinite(A)):
+        raise ValidationError("A has non-finite entries")
     k = A.shape[-1]
     A_arr = _shift_stack(A_list)
     if A_arr.shape[1] != k:
@@ -443,10 +479,12 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
     """eps_hat_s = min_j sigma_min(A_s + A_j) * j^2 * delta_j^-(k-1) for an
     (S, k, k) stack, bit-equal to one SVD over all S * J sums.
 
-    The weighting (x * j^2) * delta^-(k-1) rounds monotonically, so a pair
-    whose weighted _sigma_min_bracket lower end exceeds its sample's
-    smallest weighted upper end cannot hold the minimum; the same LAPACK
-    SVD runs on the remaining pairs, in the same rounding order.
+    Samples go in chunks of about _BLOCK_CELLS / (k^2 J), so each chunk's
+    sums fill one block array; a pair's bracket and SVD do not depend on
+    its chunk.  The weighting (x * j^2) * delta^-(k-1) rounds monotonically,
+    so a pair whose weighted _sigma_min_bracket lower end exceeds its
+    sample's smallest weighted upper end cannot hold the minimum; the same
+    LAPACK SVD runs on the remaining pairs, in the same rounding order.
     """
     S, k, _ = A.shape
     J = len(A_arr)
@@ -454,7 +492,7 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
     dpow = delta ** -(k - 1)
     A_c = np.moveaxis(A, 0, -1)
     shifts_c = np.moveaxis(A_arr, 0, -1)[..., None, :]
-    chunk = max(1, _FLOOR_PAIRS // J)
+    chunk = max(1, _BLOCK_CELLS // (k * k * J))
     eps_hat = np.empty(S)
     for start in range(0, S, chunk):
         # component-major (k, k, chunk, J) sums, seen as a (chunk, J, k, k) stack

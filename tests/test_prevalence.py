@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -470,6 +471,143 @@ def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
     deltas = np.ones(4)
     eps_hat = inverse_bound_check(A, shifts, deltas)
     np.testing.assert_array_equal(eps_hat, _full_svd_floor(A, shifts, deltas))
+
+
+# ---------------------------------------------------------------------------
+# blocks of the bulk suites
+
+
+def _bulk_results():
+    """Every output of the three bulk suites on small inputs whose sample
+    count, 1000, is no multiple of the ragged block sizes below."""
+    cfg = McConfig(samples=1000, seed=13, epsilon_grid=(0.3, 0.05, 0.01))
+    fam = random_subspace_family(14, 5, 1, 7)
+    rng = np.random.default_rng(15)
+    shifts = rng.standard_normal((5, 3, 3))
+    shifts /= np.linalg.norm(shifts, ord=2, axis=(1, 2))[:, None, None]
+    report, eps_hat = mc_det_lower_bound(shifts, cfg)
+    c_hat, r2, mu = det_slab_coefficient(shifts[1], cfg.epsilon_grid, 1000, 16)
+    floors = inverse_bound_check(_ball_matrices(_keyed_rng(17), 1000, 3), shifts,
+                                 np.arange(1.0, 6.0) ** -1.0)
+    return ([r.to_dict() for r in mc_bad_set_measure(fam, cfg)], report.to_dict(),
+            eps_hat.tobytes(), (c_hat, r2, mu.tobytes()), floors.tobytes())
+
+
+@pytest.mark.parametrize("cells", [
+    # 37 samples per block of the badset (J = 7), det (k = 3) and inverse
+    # (k = 3, J = 5) kernels; 1 makes every block one sample, through max(1, .)
+    pytest.param(7 * 37, id="badset-blocks-of-37"),
+    pytest.param(9 * 37, id="det-blocks-of-37"),
+    pytest.param(45 * 37, id="inverse-blocks-of-37"),
+    pytest.param(1, id="one-sample-blocks"),
+])
+def test_bulk_suites_are_bit_equal_across_block_sizes(cells, monkeypatch):
+    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", 1 << 40)
+    whole = _bulk_results()
+    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", cells)
+    assert _bulk_results() == whole
+
+
+def test_badset_totals_are_those_of_the_whole_table(monkeypatch):
+    """Per epsilon, the union count and the slab-sum estimate summed over
+    ragged blocks are those of the whole (samples, J) hit table."""
+    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", 7 * 37)
+    fam = random_subspace_family(26, 5, 1, 7)
+    cfg = McConfig(samples=1000, seed=27, epsilon_grid=(0.3, 0.05, 0.01))
+    proj = np.abs(sample_ball(_keyed_rng(27), 1000, 5) @ fam.normals[:, 0].T)
+    vol = ball_volume(5)
+    for eps, rep in zip(cfg.epsilon_grid, mc_bad_set_measure(fam, cfg)):
+        hits = proj <= eps * np.arange(1.0, 8.0) ** -2.0
+        assert rep.metadata["bad_count"] == np.count_nonzero(np.any(hits, axis=1))
+        assert rep.metadata["sum_estimate"] == \
+            vol * float(np.mean(np.count_nonzero(hits, axis=1)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflow-nan"])
+def test_det_floors_are_the_minimum_of_the_shift_table(scale, monkeypatch):
+    """The running minimum over ragged blocks is min(axis=0) of the whole
+    (J, samples) table of j^2 |det(A + A_j)|, bit for bit; a shift of
+    1e200 * ones makes every 2 x 2 minor inf - inf, and like the table's
+    minimum the running one turns that NaN into every sample's floor."""
+    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", 9 * 37)
+    shifts = np.random.default_rng(24).standard_normal((6, 3, 3))
+    shifts /= np.linalg.norm(shifts, ord=2, axis=(1, 2))[:, None, None]
+    shifts[3] = scale * np.ones((3, 3))
+    cfg = McConfig(samples=1000, seed=25, epsilon_grid=(0.1, 0.01, 0.001))
+    A = _ball_matrices(_keyed_rng(25, 1), 1000, 3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, eps_hat = mc_det_lower_bound(shifts, cfg)
+        table = [(j + 1.0) ** 2 * np.abs(_det(A + s)) for j, s in enumerate(shifts)]
+    assert np.array_equal(eps_hat, np.min(table, axis=0), equal_nan=True)
+    assert np.all(np.isnan(eps_hat)) == (scale > 1.0)
+
+
+def _bench_shifts():
+    """Fifty 3 x 3 shifts of spectral norm 1, the shape of `mc det|inverse
+    --k 3 --members 50`."""
+    shifts = np.random.default_rng(18).standard_normal((50, 3, 3))
+    return shifts / np.linalg.norm(shifts, ord=2, axis=(1, 2))[:, None, None]
+
+
+def _badset_bench_call():
+    fam = random_subspace_family(20, 8, 1, 200)
+    cfg = McConfig(samples=50_000, seed=21, epsilon_grid=(0.1, 0.01, 0.001))
+    return lambda: mc_bad_set_measure(fam, cfg)
+
+
+def _det_bench_call():
+    shifts = _bench_shifts()
+    cfg = McConfig(samples=100_000, seed=22, epsilon_grid=(0.1, 0.01, 0.001))
+    return lambda: mc_det_lower_bound(shifts, cfg)
+
+
+def _inverse_bench_call():
+    shifts = _bench_shifts()
+    deltas = np.arange(1.0, 51.0) ** -2.0
+    cfg = McConfig(samples=20_000, seed=23, epsilon_grid=(0.1, 0.01, 0.001))
+    return lambda: mc_inverse_bound(shifts, deltas, cfg)
+
+
+@pytest.mark.parametrize("make_call, bound_mb", [
+    # peaks before the suites streamed in blocks: 86.5, 65.7 and 47.9 MB
+    pytest.param(_badset_bench_call, 16, id="badset-n8-J200"),
+    pytest.param(_det_bench_call, 32, id="det-k3-J50"),
+    pytest.param(_inverse_bench_call, 12, id="inverse-k3-J50"),
+])
+def test_bulk_suites_memory_is_bounded(make_call, bound_mb):
+    """At the benchmark's shapes the draws and one block set the peak."""
+    call = make_call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: det_slab_coefficient(np.eye(2), [0.1, 0.01], 1000, -1),
+                 "seed must be nonnegative", id="det-negative-seed"),
+    pytest.param(lambda: det_slab_coefficient(np.eye(2), [0.1, 0.01], 0, 0),
+                 "samples must be at least 1", id="det-no-samples"),
+    pytest.param(lambda: det_slab_coefficient(np.eye(2), [math.inf, 0.01], 1000, 0),
+                 "positive finite eta", id="det-inf-eta"),
+    pytest.param(lambda: det_slab_coefficient(np.eye(2), [math.nan, 0.01], 1000, 0),
+                 "positive finite eta", id="det-nan-eta"),
+    pytest.param(lambda: det_slab_coefficient(np.full((2, 2), math.nan), [0.1, 0.01],
+                                              1000, 0),
+                 "non-finite", id="det-nan-shift"),
+    pytest.param(lambda: inverse_bound_check(np.full((3, 2, 2), math.nan),
+                                             np.zeros((1, 2, 2)), np.ones(1)),
+                 "non-finite", id="inverse-nan-stack"),
+    pytest.param(lambda: inverse_bound_check(np.zeros((3, 2, 2)),
+                                             np.full((1, 2, 2), math.inf), np.ones(1)),
+                 "non-finite", id="inverse-inf-shifts"),
+])
+def test_bulk_helpers_reject_invalid_input(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
