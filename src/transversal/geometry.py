@@ -24,6 +24,9 @@ import numpy as np
 #: Default relative tolerance for rank decisions and orthonormality checks.
 DEFAULT_TOL = 1e-10
 
+#: float64 cells per block array of every streamed kernel, which bound memory.
+_BLOCK_CELLS = 1 << 17
+
 
 class ValidationError(ValueError):
     """An input violates a documented precondition."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ValidationError, _check_unit, as_vector
+from .geometry import _BLOCK_CELLS, ValidationError, _check_unit, as_vector
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,6 @@ class McEstimate:
     stderr: float
 
 
-#: Fiber samples drawn per chunk in mc_shadow_volume.
-_SHADOW_CHUNK = 1 << 16
-
 #: Halfwidths below 2^971 keep every fiber parameter (+-h_i - z_i) / v_i,
 #: with |z_i| <= 4 max h and |v_i| >= 1e-15, below 2^1024.
 _SHADOW_MAX_EXP = 971
@@ -114,8 +111,8 @@ def mc_shadow_volume(box: Box, v, samples: int, seed: int) -> McEstimate:
     shadow's bounding box, from numpy's default generator seeded with
     ``seed``, and counts hits, where a point z is a hit iff the fiber line
     {z + t v} meets the box (a 1-D interval intersection, solved exactly).
-    Fibers are drawn in chunks of _SHADOW_CHUNK, so memory stays bounded at
-    any sample count.  A box whose largest halfwidth reaches 2^_SHADOW_MAX_EXP
+    Fibers are drawn in chunks of _BLOCK_CELLS // n, so memory stays bounded
+    at any sample count.  A box whose largest halfwidth reaches 2^_SHADOW_MAX_EXP
     is drawn scaled down by a power of two, which is exact, and the bounding
     box's volume is formed from mantissas and exponents: the estimate is inf
     or 0.0 only where it leaves float64's range, and the draws of every
@@ -152,8 +149,9 @@ def mc_shadow_volume(box: Box, v, samples: int, seed: int) -> McEstimate:
     bbox_mant = float(np.prod(extent))
 
     hits = 0
-    for start in range(0, samples, _SHADOW_CHUNK):
-        m = min(_SHADOW_CHUNK, samples - start)
+    chunk = max(1, _BLOCK_CELLS // n)
+    for start in range(0, samples, chunk):
+        m = min(chunk, samples - start)
         base = rng.uniform(lo, hi, size=(m, n - 1)) @ w_basis  # <base, v> = 0
         t_lo = np.full(m, -np.inf)
         t_hi = np.full(m, np.inf)

@@ -9,8 +9,9 @@ exceptional:
   matrices A, checking the measure of near-singular shifts is linear in
   the slab height and that eps_hat = min_j j^2 |det(A + A_j)| is positive;
 * ``inverse_bound_check`` turns determinant floors into smallest-singular-
-  value floors via sigma_min * ||inverse||_2 = 1; determinants bracket each
-  sigma_min, so the SVD runs only on the pairs that can set a floor;
+  value floors via sigma_min * ||inverse||_2 = 1; at k = 1 they are
+  |A + A_j|, and from k = 2 on determinants bracket each sigma_min, so the
+  SVD runs only on the pairs that can set a floor;
 * ``translation_experiment`` perturbs a certified complement by random
   coefficient matrices plus a fixed translation and measures how often the
   resulting span still separates with a polynomial floor; each chunk of
@@ -18,10 +19,10 @@ exceptional:
   one QR and one degree evaluation (|N_j b| at k = 1, a closed form at
   k = 2, one SVD at k >= 3).
 
-The first three, the bulk suites, draw all their samples at once and then
-stream them in blocks of about _BLOCK_CELLS float64 cells, keeping integer
-totals or running minima, so their memory is bounded by the draws and every
-result is bit-equal to one pass over all samples.
+The first three, the bulk suites, draw all their samples at once, scaled to
+ball points in place, and stream them in blocks of about _BLOCK_CELLS
+float64 cells, keeping integer totals or running minima, so their memory is
+the draws plus one block and every result is bit-equal to one pass.
 
 Sampling uses counter-based RNG keyed by the master seed, so results are
 deterministic and every sample's randomness is addressable by its index:
@@ -41,6 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geometry import (
+    _BLOCK_CELLS,
     ValidationError,
     _det,
     _householder_frames,
@@ -50,10 +52,6 @@ from .separator import ComplementResult, SubspaceFamily, is_well_separating
 
 #: Samples per stacked draw, QR and degree evaluation in translation_experiment.
 _TRANSLATION_CHUNK = 256
-
-#: float64 cells per block array of the bulk suites (badset, det, inverse),
-#: which stream their samples in blocks, so memory is bounded by the draws.
-_BLOCK_CELLS = 1 << 17
 
 #: c in the slack tau = c k^3 2^k eps ||M||_F of _sigma_min_bracket.
 _FLOOR_SLACK = 8.0
@@ -231,16 +229,23 @@ def _keyed_streams(seed: int, start: int, count: int):
 
 
 def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
-    """Ball points from (count, dim) Gaussians and (count, 1) uniforms: the
-    direction of each row of g times radius * u^(1/dim)."""
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g * (radius * u ** (1.0 / g.shape[1]) / norms)
+    """Ball points from (count, dim) Gaussians g and (count, 1) uniforms u:
+    g scaled in place, in blocks of about _BLOCK_CELLS cells, so that each
+    row is its direction times radius * u^(1/dim)."""
+    block = max(1, _BLOCK_CELLS // g.shape[1])
+    for start in range(0, len(g), block):
+        rows = g[start:start + block]
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        rows *= radius * u[start:start + block] ** (1.0 / g.shape[1]) / norms
+    return g
 
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Uniform points in the unit ball: Gaussian direction times U^(1/dim)
     scaling."""
+    if count < 0 or dim < 1:
+        raise ValidationError(f"need count >= 0 and dim >= 1, got {count} and {dim}")
     return _to_ball(rng.standard_normal((count, dim)), rng.random((count, 1)), 1.0)
 
 
@@ -415,8 +420,9 @@ def inverse_bound_check(A, A_list, delta_list):
     Preconditions: delta_j in (0, 1] and ||A_j||_2 <= 1 / delta_j.  Returns
     the array of eps_hat_s = min_j sigma_min(A_s + A_j) * j^2 * delta_j^-(k-1),
     the largest eps consistent with the floors sigma_min(A_s + A_j) >=
-    eps * j^-2 * delta_j^(k-1); the SVD runs only on the pairs that can set
-    a sample's floor.
+    eps * j^-2 * delta_j^(k-1).  At k = 1 that is min_j |A_s + A_j| * j^2;
+    from k = 2 on the SVD runs only on the pairs that can set a sample's
+    floor.
     """
     A = np.asarray(A, dtype=float)
     delta = np.asarray(delta_list, dtype=float)
@@ -481,10 +487,13 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
 
     Samples go in chunks of about _BLOCK_CELLS / (k^2 J), so each chunk's
     sums fill one block array; a pair's bracket and SVD do not depend on
-    its chunk.  The weighting (x * j^2) * delta^-(k-1) rounds monotonically,
-    so a pair whose weighted _sigma_min_bracket lower end exceeds its
-    sample's smallest weighted upper end cannot hold the minimum; the same
-    LAPACK SVD runs on the remaining pairs, in the same rounding order.
+    its chunk.  At k = 1 (delta^0 = 1) it is min_j |m| j^2 of the sums m,
+    NaN where one overflows, as from LAPACK's 1 x 1 SVD, which rescales and
+    can be 1 ulp off where |m| leaves about [6.7e-139, 1.5e138].  From k = 2
+    on, the weighting (x * j^2) * delta^-(k-1) rounds monotonically, so a
+    pair whose weighted _sigma_min_bracket lower end exceeds its sample's
+    smallest weighted upper end cannot hold the minimum; the same LAPACK
+    SVD runs on the remaining pairs, in the same rounding order.
     """
     S, k, _ = A.shape
     J = len(A_arr)
@@ -497,6 +506,12 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
     for start in range(0, S, chunk):
         # component-major (k, k, chunk, J) sums, seen as a (chunk, J, k, k) stack
         M_c = np.add(A_c[..., start:start + chunk, None], shifts_c, order="C")
+        if k == 1:
+            s = np.abs(M_c[0, 0], out=M_c[0, 0])
+            s[s == np.inf] = np.nan
+            s *= j2
+            eps_hat[start:start + len(s)] = np.min(s, axis=1)
+            continue
         M = np.moveaxis(M_c, (0, 1), (-2, -1))
         lo, hi = _sigma_min_bracket(M)
         cutoff = np.min((hi * j2) * dpow, axis=1, keepdims=True)

@@ -253,14 +253,15 @@ def test_shadow_oracle_chunks_match_one_draw(n, monkeypatch):
     rng = np.random.default_rng(20 + n)
     box = Box(rng.uniform(0.4, 1.6, size=n))
     v = random_unit(rng, n)
-    samples = 3 * polytope._SHADOW_CHUNK + 17
+    samples = 3 * (polytope._BLOCK_CELLS // n) + 17
     chunked = mc_shadow_volume(box, v, samples=samples, seed=21)
-    monkeypatch.setattr(polytope, "_SHADOW_CHUNK", samples + 1)
+    monkeypatch.setattr(polytope, "_BLOCK_CELLS", n * (samples + 1))
     whole = mc_shadow_volume(box, v, samples=samples, seed=21)
     assert chunked == whole
 
 
 def test_shadow_oracle_memory_is_bounded():
+    """Chunks of _BLOCK_CELLS // n fibers; the peak was 8.0 MB at 2^16."""
     box = Box(np.array([1.0, 0.5, 0.25, 0.125]))
     v = np.array([1.0, 2.0, 3.0, 4.0]) / np.sqrt(30.0)
     tracemalloc.start()
@@ -269,7 +270,7 @@ def test_shadow_oracle_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_shadow_oracle_rejects_high_dimension():

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -478,8 +479,10 @@ def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
 
 
 def _bulk_results():
-    """Every output of the three bulk suites on small inputs whose sample
-    count, 1000, is no multiple of the ragged block sizes below."""
+    """Every output of the three bulk suites, of ball draws at dims 1, 3, 8
+    and 30 (numpy's row sum is unrolled pairwise from 8 entries on) and of
+    k = 1 inverse floors, on small inputs whose sample count, 1000, is no
+    multiple of the ragged block sizes below."""
     cfg = McConfig(samples=1000, seed=13, epsilon_grid=(0.3, 0.05, 0.01))
     fam = random_subspace_family(14, 5, 1, 7)
     rng = np.random.default_rng(15)
@@ -489,16 +492,22 @@ def _bulk_results():
     c_hat, r2, mu = det_slab_coefficient(shifts[1], cfg.epsilon_grid, 1000, 16)
     floors = inverse_bound_check(_ball_matrices(_keyed_rng(17), 1000, 3), shifts,
                                  np.arange(1.0, 6.0) ** -1.0)
+    floors_k1 = inverse_bound_check(_ball_matrices(_keyed_rng(18), 1000, 1),
+                                    shifts[:, :1, :1], np.arange(1.0, 6.0) ** -1.0)
+    balls = [sample_ball(_keyed_rng(19), 1000, dim).tobytes() for dim in (1, 3, 8, 30)]
     return ([r.to_dict() for r in mc_bad_set_measure(fam, cfg)], report.to_dict(),
-            eps_hat.tobytes(), (c_hat, r2, mu.tobytes()), floors.tobytes())
+            eps_hat.tobytes(), (c_hat, r2, mu.tobytes()), floors.tobytes(),
+            floors_k1.tobytes(), balls)
 
 
 @pytest.mark.parametrize("cells", [
-    # 37 samples per block of the badset (J = 7), det (k = 3) and inverse
-    # (k = 3, J = 5) kernels; 1 makes every block one sample, through max(1, .)
+    # 37 samples per block of the badset (J = 7), det (k = 3), inverse (k = 3,
+    # J = 5) and 30-dim ball kernels; 1 makes every block one sample, through
+    # max(1, .)
     pytest.param(7 * 37, id="badset-blocks-of-37"),
     pytest.param(9 * 37, id="det-blocks-of-37"),
     pytest.param(45 * 37, id="inverse-blocks-of-37"),
+    pytest.param(30 * 37, id="ball-blocks-of-37"),
     pytest.param(1, id="one-sample-blocks"),
 ])
 def test_bulk_suites_are_bit_equal_across_block_sizes(cells, monkeypatch):
@@ -542,6 +551,25 @@ def test_det_floors_are_the_minimum_of_the_shift_table(scale, monkeypatch):
     assert np.all(np.isnan(eps_hat)) == (scale > 1.0)
 
 
+@pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow-nan"])
+def test_k1_inverse_floors_are_per_pair_svd_minima(overflow, monkeypatch):
+    """At k = 1 each floor is min_j sigma_min(A_s + A_j) j^2 of LAPACK's
+    per-pair SVD, bit for bit, over ragged chunks; a sum that overflows
+    warns, and its sample's floor is NaN, as that SVD makes it."""
+    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", 7 * 37)
+    shifts = np.random.default_rng(28).uniform(-1.0, 1.0, (7, 1, 1))
+    deltas = np.arange(1.0, 8.0) ** -1.0
+    A = _ball_matrices(_keyed_rng(29), 1000, 1)
+    if overflow:
+        A[500], shifts[2], deltas[2] = 9e307, 9e307, 1e-308
+    with pytest.warns(RuntimeWarning) if overflow else nullcontext():
+        floors = inverse_bound_check(A, shifts, deltas)
+        table = [[np.linalg.svd(a + s, compute_uv=False)[-1] * (j + 1.0) ** 2
+                  for j, s in enumerate(shifts)] for a in A]
+    assert np.array_equal(floors, np.min(table, axis=1), equal_nan=True)
+    assert np.flatnonzero(np.isnan(floors)).tolist() == ([500] if overflow else [])
+
+
 def _bench_shifts():
     """Fifty 3 x 3 shifts of spectral norm 1, the shape of `mc det|inverse
     --k 3 --members 50`."""
@@ -568,11 +596,22 @@ def _inverse_bench_call():
     return lambda: mc_inverse_bound(shifts, deltas, cfg)
 
 
+def _inverse_k1_call():
+    """`mc inverse` at its defaults: k = 1, J = 50, 10 000 samples."""
+    shifts = np.where(np.random.default_rng(24).random((50, 1, 1)) < 0.5, -1.0, 1.0)
+    deltas = np.arange(1.0, 51.0) ** -2.0
+    cfg = McConfig(samples=10_000, seed=25, epsilon_grid=(0.1, 0.01, 0.001))
+    return lambda: mc_inverse_bound(shifts, deltas, cfg)
+
+
 @pytest.mark.parametrize("make_call, bound_mb", [
-    # peaks before the suites streamed in blocks: 86.5, 65.7 and 47.9 MB
+    # peaks before the suites streamed in blocks: 86.5, 65.7 and 47.9 MB;
+    # before ball draws were scaled in place and k = 1 floors taken in
+    # closed form: 7.7, 21.7, 4.4 and 11.9 MB
     pytest.param(_badset_bench_call, 16, id="badset-n8-J200"),
-    pytest.param(_det_bench_call, 32, id="det-k3-J50"),
+    pytest.param(_det_bench_call, 14, id="det-k3-J50"),
     pytest.param(_inverse_bench_call, 12, id="inverse-k3-J50"),
+    pytest.param(_inverse_k1_call, 4, id="inverse-k1-J50"),
 ])
 def test_bulk_suites_memory_is_bounded(make_call, bound_mb):
     """At the benchmark's shapes the draws and one block set the peak."""
@@ -604,6 +643,10 @@ def test_bulk_suites_memory_is_bounded(make_call, bound_mb):
     pytest.param(lambda: inverse_bound_check(np.zeros((3, 2, 2)),
                                              np.full((1, 2, 2), math.inf), np.ones(1)),
                  "non-finite", id="inverse-inf-shifts"),
+    pytest.param(lambda: sample_ball(_keyed_rng(0), 5, 0), "dim >= 1",
+                 id="ball-zero-dim"),
+    pytest.param(lambda: sample_ball(_keyed_rng(0), -1, 3), "count >= 0",
+                 id="ball-negative-count"),
 ])
 def test_bulk_helpers_reject_invalid_input(call, match):
     with pytest.raises(ValidationError, match=match):
