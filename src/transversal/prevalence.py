@@ -15,23 +15,23 @@ exceptional:
 * ``translation_experiment`` perturbs a certified complement by random
   coefficient matrices plus a fixed translation and measures how often the
   resulting span still separates with a polynomial floor; each chunk of
-  samples maps its per-sample draws to ball points as one stack, then takes
-  one QR and one degree evaluation (|N_j b| at k = 1, a closed form at
-  k = 2, one SVD at k >= 3).
+  samples draws from one stream and maps its draws to ball points as one
+  stack, then takes one QR and one degree evaluation (|N_j b| at k = 1, a
+  closed form at k = 2, one SVD at k >= 3).
 
 The first three, the bulk suites, draw all their samples at once, scaled to
 ball points in place, and stream them in blocks of about _BLOCK_CELLS
 float64 cells, keeping integer totals or running minima, so their memory is
 the draws plus one block and every result is bit-equal to one pass.
 
-Sampling uses counter-based RNG keyed by the master seed, so results are
-deterministic and every sample's randomness is addressable by its index:
-sample i of the translation suite draws from
-default_rng(SeedSequence(seed, spawn_key=(i,))) (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011).  Those streams are not built
-one SeedSequence at a time: _keyed_states derives a chunk's PCG64 seeds in
-one vectorized pass, and _keyed_streams hands one reused generator each
-state in turn, bit-equal to _keyed_rng's streams.
+Sampling uses counter-based RNG keyed by the master seed (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so results are
+deterministic and addressable by index.  Each bulk suite draws its samples
+from one stream, _keyed_rng(seed) or _keyed_rng(seed, 1).  Chunk c of the
+translation suite, samples c * _TRANSLATION_CHUNK onward, draws from
+_keyed_rng(seed, c): a full chunk's Gaussians, then its uniforms, whatever
+the sample count, so a sample's draws do not depend on the sample count and
+a longer run extends a shorter one.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ from .geometry import (
 )
 from .separator import ComplementResult, SubspaceFamily, is_well_separating
 
-#: Samples per stacked draw, QR and degree evaluation in translation_experiment.
+#: Samples per keyed stream, stacked draw, QR and degree evaluation in
+#: translation_experiment.  Part of the streams' definition: changing it
+#: changes the draws.
 _TRANSLATION_CHUNK = 256
 
 #: c in the slack tau = c k^3 2^k eps ||M||_F of _sigma_min_bracket.
@@ -142,90 +144,6 @@ def _plain(obj):
 def _keyed_rng(seed: int, *index: int) -> np.random.Generator:
     """Deterministic stream derived from (master seed, index...)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(index)))
-
-
-# numpy's SeedSequence constants (pool size 4; O'Neill's seed_seq_fe) and
-# PCG64's 128-bit LCG multiplier
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
-
-#: Largest sample count whose indices fit one 32-bit spawn-key word.
-_KEYED_INDICES = 1 << 32
-
-
-def _keyed_states(seed: int, start: int, count: int) -> np.ndarray:
-    """(count, 4) uint64 array: row i is
-    SeedSequence(seed, spawn_key=(start + i,)).generate_state(4, np.uint64).
-
-    A port of numpy's documented SeedSequence algorithm.  The pool mixed
-    from the seed's words (zero-padded to the pool size, as numpy does when
-    a spawn key follows) is the same for every index, so it is computed once
-    in masked Python ints; the one spawn-key word of each index is then
-    hashed into it, and the output words generated, as uint64 arrays of
-    32-bit values, whose products never wrap.  Needs
-    start + count <= _KEYED_INDICES.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_L * x - _MIX_R * y) & _M32
-        return r ^ r >> 16
-
-    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [mix(p, hashmix(w)) for p in pool]
-    index = np.arange(start, start + count, dtype=np.uint64)
-    pool = [mix(np.uint64(p), hashmix(index)) for p in pool]
-    hash_const = _INIT_B
-    out = np.empty((count, 8), dtype=np.uint64)
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _M32
-        value = value * hash_const & _M32
-        out[:, i] = value ^ value >> 16
-    return out[:, 0::2] | out[:, 1::2] << 32
-
-
-def _keyed_streams(seed: int, start: int, count: int):
-    """Yield, for i = start .. start + count - 1, one reused Generator set to
-    the stream of _keyed_rng(seed, i), bit for bit.
-
-    Each state is PCG64's seeding step applied to _keyed_states' words; the
-    first is checked against numpy's own PCG64(SeedSequence(...)), so a
-    numpy whose seeding differs fails loudly instead of changing the draws.
-    """
-    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start,)))
-    expected = bitgen.state["state"]
-    rng = np.random.Generator(bitgen)
-    for s_hi, s_lo, i_hi, i_lo in _keyed_states(seed, start, count).tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128,
-                 "inc": inc}
-        if expected is not None:
-            if state != expected:
-                raise RuntimeError("keyed PCG64 states differ from numpy's "
-                                   "SeedSequence; its algorithm has changed")
-            expected = None
-        bitgen.state = {"bit_generator": "PCG64", "state": state,
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
 
 
 def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
@@ -450,31 +368,28 @@ def inverse_bound_check(A, A_list, delta_list):
 
 
 def _sigma_min_bracket(M: np.ndarray):
-    """(lo, hi) with lo <= sigma_min(M) <= hi for a (..., k, k) stack, valid
-    for the exact sigma_min and for LAPACK's computed one.
+    """(lo, hi) with lo <= sigma_min(M) <= hi for a (..., k, k) stack with
+    k >= 2, valid for the exact sigma_min and for LAPACK's computed one.
 
     Above: the smallest column norm.  Below: |det M| / (||M||_F^2 /
-    (k-1))^((k-1)/2), by AM-GM on sigma_1..sigma_{k-1} (|m| when k = 1).
-    Both ends move out by tau = c k^3 2^k eps ||M||_F.  It covers LAPACK's
-    absolute error in sigma_min and _det's rounding: for k <= 3 that moves
-    the lower end by at most (k-1)^((k-1)/2) gamma_{2k-1} ||M||_F; for the
-    LU, a backward error E of up to about k^2 2^(k-1) eps ||M||_F (growth
-    factor 2^(k-1)) moves it by at most k ||E||_2.  Where ||M||_F^max(k,2)
-    leaves [2^-900, 2^900], under- or overflow could break the bounds, so
-    the bracket is [0, inf).  Fastest when each component M[..., i, j] is
-    contiguous, as _det then copies nothing.
+    (k-1))^((k-1)/2), by AM-GM on sigma_1..sigma_{k-1}.  Both ends move out
+    by tau = c k^3 2^k eps ||M||_F.  It covers LAPACK's absolute error in
+    sigma_min and _det's rounding: for k <= 3 that moves the lower end by at
+    most (k-1)^((k-1)/2) gamma_{2k-1} ||M||_F; for the LU, a backward error
+    E of up to about k^2 2^(k-1) eps ||M||_F (growth factor 2^(k-1)) moves
+    it by at most k ||E||_2.  Where ||M||_F^k leaves [2^-900, 2^900], under-
+    or overflow could break the bounds, so the bracket is [0, inf).  Fastest
+    when each component M[..., i, j] is contiguous, as _det then copies
+    nothing.
     """
     k = M.shape[-1]
-    power = max(k, 2)
     with np.errstate(all="ignore"):  # out-of-range entries are widened below
         col_sq = np.sum(M * M, axis=-2)
         fro_sq = np.sum(col_sq, axis=-1)
         fro = np.sqrt(fro_sq)
-        lower = np.abs(_det(M))
-        if k > 1:
-            lower /= (fro_sq / (k - 1)) ** ((k - 1) / 2)
+        lower = np.abs(_det(M)) / (fro_sq / (k - 1)) ** ((k - 1) / 2)
         tau = _FLOOR_SLACK * k ** 3 * 2.0 ** k * np.finfo(float).eps * fro
-        trusted = (fro > 2.0 ** (-900 / power)) & (fro < 2.0 ** (900 / power))
+        trusted = (fro > 2.0 ** (-900 / k)) & (fro < 2.0 ** (900 / k))
         lo = np.where(trusted, np.maximum(lower - tau, 0.0), 0.0)
         hi = np.where(trusted, np.sqrt(np.min(col_sq, axis=-1)) + tau, np.inf)
     return lo, hi
@@ -556,16 +471,19 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     shifted by a fixed translation, still separate with a polynomial floor.
 
     For each sample a coefficient matrix A with columns uniform in the ball
-    of the given radius is drawn from the stream _keyed_rng(seed, sample),
-    reached through _keyed_streams (so samples is at most 2^32), the
-    span of the translated combinations A^T B + X is certified against the
-    family, and is_well_separating is evaluated at ``max_exponent``.  The
-    per-sample loop only draws, in sample_ball's order; each chunk then maps
-    all its draws to ball points at once and takes one stacked QR
-    (orthonormalize's kernel), one stacked degree evaluation and one stacked
-    verdict, which fits each profile once, so every delta row equals the
-    deltas of certify(orthonormalize(A^T B + X), family).  The suite passes
-    when at least 99% of the samples pass.
+    of the given radius is drawn, the span of the translated combinations
+    A^T B + X is certified against the family, and is_well_separating is
+    evaluated at ``max_exponent``.  Chunk c, samples c * _TRANSLATION_CHUNK
+    onward, draws from _keyed_rng(seed, c): (_TRANSLATION_CHUNK, k, k)
+    Gaussians, then (_TRANSLATION_CHUNK, k, 1) uniforms, always a full
+    chunk, so sample i's draws do not depend on ``config.samples``.  The
+    chunk's sample s takes row s of both: its k ball points, in
+    sample_ball's form, are the rows of its A^T.  Each chunk maps its draws
+    to ball points at once and takes one stacked QR (orthonormalize's
+    kernel), one stacked degree evaluation and one stacked verdict, which
+    fits each profile once, so every delta row equals the deltas of
+    certify(orthonormalize(A^T B + X), family).  The suite passes when at
+    least 99% of the samples pass.
 
     Returns (McReport, list with one entry per sample: its read-only (J,)
     row of measured deltas, or None for a degenerate draw).
@@ -583,8 +501,6 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         raise ValidationError("base is not a certified complement of the family")
     if not 0 < radius < math.inf:
         raise ValidationError("radius must be positive and finite")
-    if config.samples > _KEYED_INDICES:
-        raise ValidationError(f"samples must be at most 2**32, got {config.samples}")
 
     basis = base.complement.vectors
     g = np.empty((_TRANSLATION_CHUNK, k, k))
@@ -593,10 +509,9 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     passing = []  # per chunk, the fitted exponent of each passing profile
     for start in range(0, config.samples, _TRANSLATION_CHUNK):
         m = min(_TRANSLATION_CHUNK, config.samples - start)
-        for s, rng in enumerate(_keyed_streams(config.seed, start, m)):
-            rng.standard_normal(out=g[s])
-            rng.random(out=u[s])
-        # the rows of sample s's A^T are its k ball points
+        rng = _keyed_rng(config.seed, start // _TRANSLATION_CHUNK)
+        rng.standard_normal(out=g)
+        rng.random(out=u)
         At = _to_ball(g[:m].reshape(-1, k), u[:m].reshape(-1, 1), radius)
         spans, full_rank = _householder_frames(At.reshape(m, k, k) @ basis + X)
         deltas = degrees_of_transversality(family.normals, spans[full_rank])

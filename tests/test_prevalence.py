@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from transversal.cli import main
 from transversal import prevalence
@@ -20,8 +20,6 @@ from transversal.prevalence import (
     McReport,
     _ball_matrices,
     _keyed_rng,
-    _keyed_states,
-    _keyed_streams,
     _sigma_min_bracket,
     _to_ball,
     ball_volume,
@@ -83,49 +81,6 @@ def test_keyed_rng_streams_are_distinct():
     c = _keyed_rng(7, 0).random(4)
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(a, c)
-
-
-@given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**128 + 1, 3**150]),
-                      st.integers(0, 2**160)),
-       start=st.one_of(st.sampled_from([0, _TRANSLATION_CHUNK - 5, 2**32 - 24]),
-                       st.integers(0, 2**32 - 24)),
-       count=st.integers(1, 24))
-@example(seed=3**150, start=2**32 - 24, count=24)  # up to the last index, 2^32 - 1
-@settings(max_examples=60, deadline=None)
-def test_keyed_states_and_streams_match_seed_sequence(seed, start, count):
-    """_keyed_states equals SeedSequence(seed, spawn_key=(i,)).generate_state,
-    and the reused generator of _keyed_streams has PCG64's state and
-    _keyed_rng's draws, for one- to five-word seeds and indices across the
-    translation chunk boundary and up to 2^32 - 1."""
-    states = _keyed_states(seed, start, count)
-    assert states.shape == (count, 4) and states.dtype == np.uint64
-    streams = _keyed_streams(seed, start, count)
-    for i, rng in zip(range(start, start + count), streams):
-        seq = np.random.SeedSequence(seed, spawn_key=(i,))
-        np.testing.assert_array_equal(states[i - start], seq.generate_state(4, np.uint64))
-        assert rng.bit_generator.state == np.random.PCG64(seq).state
-        ref = _keyed_rng(seed, i)
-        np.testing.assert_array_equal(rng.standard_normal((2, 2)),
-                                      ref.standard_normal((2, 2)))
-        np.testing.assert_array_equal(rng.random((2, 1)), ref.random((2, 1)))
-    assert next(streams, None) is None
-
-
-def test_keyed_streams_check_against_numpy(monkeypatch):
-    """A derived state that differs from numpy's own seeding raises before
-    any draw, instead of silently changing the streams."""
-    monkeypatch.setattr(prevalence, "_PCG_MULT", prevalence._PCG_MULT + 2)
-    with pytest.raises(RuntimeError, match="SeedSequence"):
-        next(_keyed_streams(5, 300, 4))
-
-
-def test_translation_rejects_indices_beyond_one_key_word():
-    fam = toy_family()
-    base = common_complement(fam, seed=1)
-    cfg = McConfig(samples=2**32 + 1, seed=0, epsilon_grid=(0.1,))
-    with pytest.raises(ValidationError, match="samples"):
-        translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg,
-                               radius=1.0, max_exponent=7.0)
 
 
 def test_mc_config_validation():
@@ -393,7 +348,7 @@ def test_mc_inverse_bound_positive_fraction(rng):
     assert eps_hat.shape == (2000,)
 
 
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5),
        kind=st.sampled_from(["random", "near", "rank", "graded"]))
 @settings(max_examples=60, deadline=None)
 def test_sigma_min_bracket_holds_lapack_sigma_min(seed, k, kind):
@@ -666,9 +621,10 @@ def test_bulk_helpers_reject_invalid_input(call, match):
 ])
 def test_translation_certificates_match_per_sample_certify(n, k, J, ceiling):
     """The stacked draws and chunks reproduce certify(orthonormalize(A_i^T B
-    + X)) for A_i drawn alone through _to_ball, bit for bit, on both sides
-    of every chunk boundary, and the report's statistics are those of a
-    per-sample loop over the delta rows."""
+    + X)) for A_i taken from row i % _TRANSLATION_CHUNK of its chunk
+    stream's draws and mapped alone through _to_ball, bit for bit, on both
+    sides of every chunk boundary, and the report's statistics are those of
+    a per-sample loop over the delta rows."""
     fam = random_subspace_family(4, n, k, J)
     base = common_complement(fam, seed=3)
     B = base.complement.vectors
@@ -681,8 +637,11 @@ def test_translation_certificates_match_per_sample_certify(n, k, J, ceiling):
     assert len(certs) == cfg.samples
     for i in (0, 1, _TRANSLATION_CHUNK - 1, _TRANSLATION_CHUNK,
               _TRANSLATION_CHUNK + 1, cfg.samples - 1):
-        rng = _keyed_rng(cfg.seed, i)
-        A = _to_ball(rng.standard_normal((k, k)), rng.random((k, 1)), 0.5).T
+        rng = _keyed_rng(cfg.seed, i // _TRANSLATION_CHUNK)
+        g = rng.standard_normal((_TRANSLATION_CHUNK, k, k))
+        u = rng.random((_TRANSLATION_CHUNK, k, 1))
+        s = i % _TRANSLATION_CHUNK
+        A = _to_ball(g[s], u[s], 0.5).T
         reference = certify(orthonormalize(A.T @ B + X), fam)
         assert np.array_equal(certs[i], reference.deltas), i
         assert not certs[i].flags.writeable
@@ -710,6 +669,25 @@ def test_translation_degenerate_draws_are_none():
     assert all(c is None for c in certs)
     assert report.estimate == 0.0
     assert not report.verdict
+
+
+def test_translation_longer_run_extends_shorter():
+    """Sample i's draws do not depend on the sample count: a 1000-sample run
+    returns the first 1000 rows of a 1300-sample run bit for bit, with the
+    same degenerate (None) rows, though both end in a partial chunk.
+    Coefficients of radius 1e-10 on equal translation rows sit at the rank
+    tolerance, so both kinds of row occur."""
+    fam = random_subspace_family(2, 8, 2, 3)
+    base = common_complement(fam, seed=3)
+    X = np.vstack([np.eye(1, 8), np.eye(1, 8)])
+    short, long = (translation_experiment(
+        base, fam, X, McConfig(samples=samples, seed=0, epsilon_grid=(0.1,)),
+        radius=1e-10, max_exponent=22.0)[1] for samples in (1000, 1300))
+    assert len(short) == 1000 and len(long) == 1300
+    assert 0 < sum(c is None for c in short) < 1000
+    for i, (a, b) in enumerate(zip(short, long)):
+        assert (a is None) == (b is None), i
+        assert a is None or np.array_equal(a, b), i
 
 
 @pytest.mark.parametrize("translation, kwargs, match", [
