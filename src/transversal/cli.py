@@ -29,6 +29,7 @@ from .geometry import ConstructionError, ValidationError
 from .polytope import Box, box_projection_volume, mc_shadow_volume, slab_measure_bound
 from .prevalence import (
     McConfig,
+    _keyed_rng,
     mc_bad_set_measure,
     mc_det_lower_bound,
     mc_inverse_bound,
@@ -85,13 +86,13 @@ def _parse_vectors(text: str, what: str) -> np.ndarray:
 
 
 def cmd_construct(args) -> int:
-    family, labels = familyio.load_family(args.family)
+    family, _ = familyio.load_family(args.family)
     logger.info("family: %d members, n=%d, k=%d",
                 len(family), family.ambient_dim, family.codim)
     result = common_complement(family, args.seed)
     logger.info("construction took %d draws (%d accepted)",
                 result.rejection_stats.attempted, result.rejection_stats.accepted)
-    logger.debug("certified profile: %s", result.certificate.deltas.tolist())
+    logger.debug("certified profile: %s", result.certified.tolist())
     familyio.save_complement(args.out, result)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -99,10 +100,8 @@ def cmd_construct(args) -> int:
 
 def cmd_certify(args) -> int:
     family, _ = familyio.load_family(args.family)
-    doc = familyio.load_complement(args.complement)
-    span = doc.span
+    span, certified = familyio.load_complement(args.complement)
     measured = certify(span, family)
-    certified = doc.certified
     if certified is not None and certified.size != measured.size:
         raise ValidationError("stored certificate length does not match the family")
     max_exponent = args.max_exponent
@@ -110,21 +109,19 @@ def cmd_certify(args) -> int:
         max_exponent = 5.0 * family.codim + 1.0
 
     lines = ["j,delta_measured,delta_certified,fit_exponent,fit_scale"]
-    exponents, scales = decay_fit_prefixes(measured.deltas)
+    exponents, scales = decay_fit_prefixes(measured)
     for j in range(measured.size):
-        cert_field = ""
-        if certified is not None:
-            cert_field = repr(float(certified.deltas[j]))
+        cert_field = "" if certified is None else repr(float(certified[j]))
         lines.append(",".join([
             str(j + 1),
-            repr(float(measured.deltas[j])),
+            repr(float(measured[j])),
             cert_field,
             repr(float(exponents[j])),
             repr(float(scales[j])),
         ]))
-    if not measured.positive:
+    if not np.all(measured > 0):
         logger.info("candidate misses at least one member (zero measured delta)")
-    verdict, _ = is_well_separating(measured.deltas, max_exponent)
+    verdict, _ = is_well_separating(measured, max_exponent)
     lines.append(f"verdict,{str(verdict).lower()}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -143,11 +140,7 @@ def cmd_mc(args) -> int:
     config = McConfig(samples=args.samples, seed=args.seed, epsilon_grid=grid)
     out: dict
     if args.suite == "badset":
-        if args.family:
-            family, _ = familyio.load_family(args.family)
-        else:
-            family_seed = derive_seeds(args.seed, 3)[2]
-            family = random_subspace_family(family_seed, args.dim, 1, args.members)
+        family = _mc_family(args, 1)
         reports = mc_bad_set_measure(family, config)
         out = {"suite": "badset", "reports": [r.to_dict() for r in reports]}
         overall = all(r.verdict for r in reports)
@@ -174,12 +167,7 @@ def cmd_mc(args) -> int:
         out = {"suite": "inverse", "reports": [report.to_dict()]}
         overall = report.verdict
     else:  # translation
-        if args.family:
-            family, _ = familyio.load_family(args.family)
-        else:
-            family_seed = derive_seeds(args.seed, 3)[2]
-            family = random_subspace_family(family_seed, args.dim, args.k,
-                                            args.members)
+        family = _mc_family(args, args.k)
         base = common_complement(family, derive_seeds(args.seed, 2)[0])
         if args.translation:
             translation = _parse_vectors(args.translation, "translation")
@@ -198,10 +186,17 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
+def _mc_family(args, codim: int):
+    """The --family file, else a random codim-``codim`` family from --seed."""
+    if args.family:
+        return familyio.load_family(args.family)[0]
+    return random_subspace_family(derive_seeds(args.seed, 3)[2], args.dim, codim,
+                                  args.members)
+
+
 def _random_shifts(seed: int, count: int, k: int) -> np.ndarray:
     """Random shift matrices with spectral norm at most 1."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-    shifts = rng.standard_normal((count, k, k))
+    shifts = _keyed_rng(seed, 7).standard_normal((count, k, k))
     norms = np.linalg.norm(shifts, ord=2, axis=(1, 2))
     return shifts / np.maximum(norms, 1e-300)[:, None, None]
 

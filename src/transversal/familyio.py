@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +18,8 @@ import numpy as np
 from .geometry import OrthonormalFrame, ValidationError
 from .separator import (
     ComplementResult,
-    RejectionStats,
-    SeparationCertificate,
     SubspaceFamily,
+    _profile,
     decay_fit_prefixes,
 )
 
@@ -62,29 +60,23 @@ def _finite(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def certificate_to_dict(cert: SeparationCertificate) -> dict:
-    """Document of a certificate.  ``decay_fit`` is the whole profile's fit,
+#: Provenance of each profile a complement file stores.
+CERTIFIED = "certified-by-construction"
+MEASURED = "measured-by-svd"
+
+
+def certificate_to_dict(deltas: np.ndarray, provenance: str, constants: dict) -> dict:
+    """Document of a profile.  ``decay_fit`` is the whole profile's fit,
     the last prefix of decay_fit_prefixes; it is written for readers of the
     file (null where undefined) and not read back on load."""
-    exponents, scales = decay_fit_prefixes(cert.deltas)
+    exponents, scales = decay_fit_prefixes(deltas)
     return {
-        "deltas": [float(d) for d in cert.deltas],
-        "provenance": cert.provenance,
-        "constants": {str(k): float(v) for k, v in cert.constants.items()},
+        "deltas": [float(d) for d in deltas],
+        "provenance": provenance,
+        "constants": {str(k): float(v) for k, v in constants.items()},
         "decay_fit": {"exponent": _finite(float(exponents[-1])),
                       "scale": _finite(float(scales[-1]))},
     }
-
-
-def certificate_from_dict(doc: dict) -> SeparationCertificate:
-    try:
-        return SeparationCertificate(
-            np.asarray(doc["deltas"], dtype=float),
-            str(doc["provenance"]),
-            {str(k): float(v) for k, v in (doc.get("constants") or {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed certificate: {exc}") from exc
 
 
 def complement_to_dict(result: ComplementResult) -> dict:
@@ -92,8 +84,8 @@ def complement_to_dict(result: ComplementResult) -> dict:
         "ambient_dim": result.complement.ambient_dim,
         "dim": result.complement.size,
         "basis": result.complement.vectors.tolist(),
-        "certified": certificate_to_dict(result.certificate),
-        "measured": certificate_to_dict(result.measured),
+        "certified": certificate_to_dict(result.certified, CERTIFIED, result.constants),
+        "measured": certificate_to_dict(result.measured, MEASURED, {}),
         "rng_seed": int(result.rng_seed),
         "rejection_stats": {
             "attempted": result.rejection_stats.attempted,
@@ -102,18 +94,10 @@ def complement_to_dict(result: ComplementResult) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ComplementDoc:
-    """Loaded complement file: the span plus optional provenance payload."""
-
-    span: OrthonormalFrame
-    certified: SeparationCertificate | None
-    measured: SeparationCertificate | None
-    rng_seed: int | None
-    rejection_stats: RejectionStats | None
-
-
-def complement_from_dict(doc: dict) -> ComplementDoc:
+def complement_from_dict(doc: dict):
+    """Parse the span and certified profile of a complement document;
+    returns (OrthonormalFrame, read-only certified deltas or None).  The
+    other fields are written for readers of the file and not read back."""
     try:
         n = int(doc["ambient_dim"])
         dim = int(doc["dim"])
@@ -128,21 +112,15 @@ def complement_from_dict(doc: dict) -> ComplementDoc:
         )
     span = OrthonormalFrame(basis)
     certified = doc.get("certified")
-    measured = doc.get("measured")
-    stats = doc.get("rejection_stats")
+    if certified is None:
+        return span, None
     try:
-        rng_seed = None if doc.get("rng_seed") is None else int(doc["rng_seed"])
-        counts = None if stats is None else (int(stats["attempted"]),
-                                             int(stats["accepted"]))
+        deltas = _profile(certified["deltas"])
+        if np.any(deltas <= 0):
+            raise ValidationError("certified deltas must be strictly positive")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed complement document: {exc!r}") from exc
-    return ComplementDoc(
-        span=span,
-        certified=None if certified is None else certificate_from_dict(certified),
-        measured=None if measured is None else certificate_from_dict(measured),
-        rng_seed=rng_seed,
-        rejection_stats=None if counts is None else RejectionStats(*counts),
-    )
+        raise ValidationError(f"malformed certificate: {exc}") from exc
+    return span, deltas
 
 
 def dump_json(doc: dict) -> str:
@@ -166,7 +144,9 @@ def load_family(path):
     return family_from_dict(_read_json(path))
 
 
-def load_complement(path) -> ComplementDoc:
+def load_complement(path):
+    """(OrthonormalFrame, read-only certified deltas or None) of a complement
+    file; see complement_from_dict."""
     return complement_from_dict(_read_json(path))
 
 
@@ -178,10 +158,8 @@ __all__ = [
     "family_to_dict",
     "family_from_dict",
     "certificate_to_dict",
-    "certificate_from_dict",
     "complement_to_dict",
     "complement_from_dict",
-    "ComplementDoc",
     "dump_json",
     "load_family",
     "load_complement",

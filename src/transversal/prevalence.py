@@ -497,8 +497,6 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         raise ValidationError("translation has non-finite entries")
     if base.complement.ambient_dim != n or base.complement.size != k:
         raise ValidationError("base complement does not match the family")
-    if not base.certificate.positive:
-        raise ValidationError("base is not a certified complement of the family")
     if not 0 < radius < math.inf:
         raise ValidationError("radius must be positive and finite")
 

@@ -22,7 +22,7 @@ inequality losing a factor 1/sqrt(5) per level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,6 @@ DEFAULT_MAX_TRIES = 64
 
 #: Slack allowed when checking that measured profiles dominate certified ones.
 DOMINANCE_TOL = 1e-9
-
-CERTIFIED = "certified-by-construction"
-MEASURED = "measured-by-svd"
 
 
 def _stack_blocks(normal_blocks) -> np.ndarray:
@@ -199,38 +196,12 @@ def decay_fit_prefixes(deltas) -> tuple[np.ndarray, np.ndarray]:
     return slope, scale
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """Per-index transversality profile delta_1..delta_J with provenance.
-
-    ``certified-by-construction`` profiles carry analytic formula values in
-    (0, 1]; ``measured-by-svd`` profiles are observed degrees in [0, 1] and
-    may contain zeros when the candidate fails to complement some member.
-    """
-
-    deltas: np.ndarray
-    provenance: str
-    constants: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        d = as_vector(self.deltas)
-        if self.provenance not in (CERTIFIED, MEASURED):
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
-        if np.any(d < 0) or np.any(d > 1.0 + 1e-12):
-            raise ValidationError("deltas must lie in [0, 1]")
-        if self.provenance == CERTIFIED and np.any(d <= 0):
-            raise ValidationError("certified deltas must be strictly positive")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "deltas", d)
-
-    @property
-    def size(self) -> int:
-        return self.deltas.size
-
-    @property
-    def positive(self) -> bool:
-        return bool(np.all(self.deltas > 0))
+def _profile(deltas) -> np.ndarray:
+    """Read-only float64 copy of a finite nonempty profile in [0, 1]."""
+    d = _freeze(as_vector(deltas))
+    if np.any(d < 0) or np.any(d > 1.0 + 1e-12):
+        raise ValidationError("deltas must lie in [0, 1]")
+    return d
 
 
 @dataclass(frozen=True)
@@ -238,31 +209,36 @@ class RejectionStats:
     attempted: int
     accepted: int
 
-    def __post_init__(self):
-        if self.accepted > self.attempted or self.accepted < 0:
-            raise ValidationError("inconsistent rejection statistics")
-
 
 @dataclass(frozen=True)
 class ComplementResult:
-    """A constructed complement with its certified and measured profiles."""
+    """A constructed complement with its certified profile, the formula's
+    values in (0, 1] with its ``constants``, and its measured degrees in
+    [0, 1]; each profile is a read-only (J,) float64 array."""
 
     complement: OrthonormalFrame
-    certificate: SeparationCertificate
-    measured: SeparationCertificate
+    certified: np.ndarray
+    constants: dict
+    measured: np.ndarray
     rng_seed: int
     rejection_stats: RejectionStats
 
     def __post_init__(self):
-        if self.certificate.size != self.measured.size:
+        certified = _profile(self.certified)
+        if np.any(certified <= 0):
+            raise ValidationError("certified deltas must be strictly positive")
+        measured = _profile(self.measured)
+        if certified.size != measured.size:
             raise ValidationError("certificate and measured profiles differ in length")
-        gap = self.measured.deltas - self.certificate.deltas
+        gap = measured - certified
         if np.any(gap < -DOMINANCE_TOL):
             worst = int(np.argmin(gap)) + 1
             raise ConstructionError(
                 f"measured delta at index {worst} undercuts the certificate by "
                 f"{-float(gap[worst - 1]):.3e}"
             )
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "measured", measured)
 
 
 def sample_cube_separator(normals, seed: int):
@@ -379,12 +355,12 @@ def sample_box_separator(v_list, seed: int):
     )
 
 
-def certify(C: OrthonormalFrame, family: SubspaceFamily) -> SeparationCertificate:
-    """Measured transversality profile: delta_j is C's degree of transversality to V_j.
+def certify(C: OrthonormalFrame, family: SubspaceFamily) -> np.ndarray:
+    """Read-only measured profile: delta_j is C's degree of transversality to V_j.
 
     All J degrees come from one stacked product with the family's normals
     (see degrees_of_transversality).  A zero entry means C is not a common
-    complement.  The decay fit runs over the strictly positive entries.
+    complement.
     """
     if C.ambient_dim != family.ambient_dim:
         raise ValidationError("candidate and family ambient dimensions differ")
@@ -393,7 +369,8 @@ def certify(C: OrthonormalFrame, family: SubspaceFamily) -> SeparationCertificat
             f"candidate dim {C.size} does not match family codim {family.codim}"
         )
     deltas = degrees_of_transversality(family.normals, C.vectors)
-    return SeparationCertificate(deltas, MEASURED)
+    deltas.setflags(write=False)
+    return deltas
 
 
 def is_well_separating(deltas, max_exponent: float):
@@ -463,9 +440,7 @@ def _line_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
         deltas = np.full(J, bound)
         constants = {"profile_scale": bound, "profile_exponent": 0.0, "members": J}
     comp = OrthonormalFrame(x[None, :])
-    certificate = SeparationCertificate(deltas, CERTIFIED, constants)
-    measured = certify(comp, family)
-    return ComplementResult(comp, certificate, measured, seed, stats)
+    return ComplementResult(comp, deltas, constants, certify(comp, family), seed, stats)
 
 
 def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
@@ -515,15 +490,13 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     # puts x2 at distance >= BOX_CONSTANT from V_1 + C1, which contains C1:
     # the direct sum has full rank k
     comp = orthonormalize(np.vstack([B1, second.complement.vectors]))
-    cert_deltas = first.certificate.deltas * second.certificate.deltas * LINE_CONSTANT
-    certificate = SeparationCertificate(
-        cert_deltas, CERTIFIED, _certificate_constants(k))
-    measured = certify(comp, family)
+    certified = first.certified * second.certified * LINE_CONSTANT
     stats = RejectionStats(
         first.rejection_stats.attempted + second.rejection_stats.attempted,
         first.rejection_stats.accepted + second.rejection_stats.accepted,
     )
-    return ComplementResult(comp, certificate, measured, seed, stats)
+    return ComplementResult(comp, certified, _certificate_constants(k),
+                            certify(comp, family), seed, stats)
 
 
 def random_subspace_family(seed: int, ambient_dim: int, codim: int,
@@ -544,11 +517,8 @@ __all__ = [
     "LINE_CONSTANT",
     "DEFAULT_MAX_TRIES",
     "DOMINANCE_TOL",
-    "CERTIFIED",
-    "MEASURED",
     "SubspaceFamily",
     "decay_fit_prefixes",
-    "SeparationCertificate",
     "RejectionStats",
     "ComplementResult",
     "sample_cube_separator",

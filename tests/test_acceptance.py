@@ -5,6 +5,7 @@ prints a single ``ACCEPTANCE <i> <label>: PASS|FAIL`` line before
 asserting, so a scan of the captured output gives the full scorecard.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -114,14 +115,14 @@ def test_acceptance_4_recursive_complements():
         res = common_complement(fam, 5000 + i)
         j = np.arange(1, J + 1, dtype=float)
         expected = LINE_CONSTANT ** (k - 1) * (BOX_CONSTANT * j**-5.0) ** k
-        ok &= np.allclose(res.certificate.deltas, expected, rtol=1e-12, atol=0.0)
-        ok &= np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
+        ok &= np.allclose(res.certified, expected, rtol=1e-12, atol=0.0)
+        ok &= np.all(res.measured >= res.certified - 1e-9)
         B = res.complement.vectors
         for N in fam.normals:
             stack = np.vstack([B, null_basis(N)])
             ok &= np.linalg.matrix_rank(stack, tol=1e-9) == n
         if J >= 3:
-            ok &= is_well_separating(res.measured.deltas, 5 * k + 1)[0]
+            ok &= is_well_separating(res.measured, 5 * k + 1)[0]
     report(4, "recursive complement certificates", ok)
 
 
@@ -235,13 +236,11 @@ def test_acceptance_10_roundtrip_determinism(tmp_path):
         ok &= float(np.max(np.abs(a - b))) <= 1e-12
     cpath = tmp_path / "comp.json"
     familyio.save_complement(cpath, res)
-    doc = familyio.load_complement(cpath)
-    ok &= float(np.max(np.abs(doc.span.vectors
-                              - res.complement.vectors))) <= 1e-12
-    ok &= float(np.max(np.abs(doc.measured.deltas
-                              - res.measured.deltas))) <= 1e-12
-    ok &= float(np.max(np.abs(doc.certified.deltas
-                              - res.certificate.deltas))) <= 1e-12
+    span, certified = familyio.load_complement(cpath)
+    measured = json.loads(cpath.read_text())["measured"]["deltas"]
+    ok &= float(np.max(np.abs(span.vectors - res.complement.vectors))) <= 1e-12
+    ok &= float(np.max(np.abs(measured - res.measured))) <= 1e-12
+    ok &= float(np.max(np.abs(certified - res.certified))) <= 1e-12
 
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out_a, out_b):
@@ -253,6 +252,6 @@ def test_acceptance_10_roundtrip_determinism(tmp_path):
     ok &= cert_a.returncode == 0 and cert_a.stdout == cert_b.stdout
     rows = [ln.split(",") for ln in cert_a.stdout.strip().splitlines()[1:-1]]
     csv_measured = np.array([float(r[1]) for r in rows])
-    saved = familyio.load_complement(out_a)
-    ok &= float(np.max(np.abs(csv_measured - saved.measured.deltas))) <= 1e-12
+    saved = json.loads(out_a.read_text())["measured"]["deltas"]
+    ok &= float(np.max(np.abs(csv_measured - saved))) <= 1e-12
     report(10, "round trips and determinism", ok)

@@ -71,9 +71,9 @@ def test_construct_single_hyperplane(single_hyperplane, tmp_path):
                  "--out", out)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == f"wrote {out}"
-    doc = familyio.load_complement(out)
-    assert doc.measured.deltas[0] == pytest.approx(1.0)
-    assert doc.certified.deltas[0] == pytest.approx(BOX_CONSTANT)
+    _, certified = familyio.load_complement(out)
+    assert json.loads(out.read_text())["measured"]["deltas"][0] == pytest.approx(1.0)
+    assert certified[0] == pytest.approx(BOX_CONSTANT)
 
 
 def test_construct_round_trips_codim2(codim2_family, tmp_path):
@@ -81,11 +81,12 @@ def test_construct_round_trips_codim2(codim2_family, tmp_path):
     out = tmp_path / "comp.json"
     cp = run_cli("construct", "--family", path, "--seed", 5, "--out", out)
     assert cp.returncode == 0, cp.stderr
-    doc = familyio.load_complement(out)
-    assert doc.span.size == 2 and doc.span.ambient_dim == 14
+    span, certified = familyio.load_complement(out)
+    assert span.size == 2 and span.ambient_dim == 14
+    doc = json.loads(out.read_text())
     # reloaded profiles still dominate index-wise
-    assert np.all(doc.measured.deltas >= doc.certified.deltas - 1e-9)
-    assert doc.rejection_stats.accepted >= 2  # one accept per recursion level
+    assert np.all(np.array(doc["measured"]["deltas"]) >= certified - 1e-9)
+    assert doc["rejection_stats"]["accepted"] >= 2  # one accept per recursion level
 
 
 def test_construct_rejects_rank_deficient_family(tmp_path):
@@ -153,9 +154,10 @@ def test_construct_many_hyperplanes_gets_cube_profile(tmp_path):
     out = tmp_path / "x.json"
     cp = run_cli("construct", "--family", path, "--out", out)
     assert cp.returncode == 0, cp.stderr
-    doc = familyio.load_complement(out)
-    assert doc.certified.deltas.tolist() == [0.5 / (5 * 3)] * 5
-    assert np.all(doc.measured.deltas >= doc.certified.deltas)
+    _, certified = familyio.load_complement(out)
+    assert certified.tolist() == [0.5 / (5 * 3)] * 5
+    measured = np.array(json.loads(out.read_text())["measured"]["deltas"])
+    assert np.all(measured >= certified)
 
 
 def test_certify_construct_output(codim2_family, tmp_path):
@@ -177,13 +179,13 @@ def test_certify_round_trip_reproduces_measured(codim2_family, tmp_path):
     path, _ = codim2_family
     out = tmp_path / "comp.json"
     run_cli("construct", "--family", path, "--seed", 9, "--out", out)
-    doc = familyio.load_complement(out)
+    doc = json.loads(out.read_text())
     cp = run_cli("certify", "--family", path, "--complement", out)
     rows = [ln.split(",") for ln in cp.stdout.strip().splitlines()[1:-1]]
     measured = np.array([float(r[1]) for r in rows])
     certified = np.array([float(r[2]) for r in rows])
-    np.testing.assert_allclose(measured, doc.measured.deltas, atol=1e-12)
-    np.testing.assert_allclose(certified, doc.certified.deltas, atol=1e-12)
+    np.testing.assert_allclose(measured, doc["measured"]["deltas"], atol=1e-12)
+    np.testing.assert_allclose(certified, familyio.load_complement(out)[1], atol=1e-12)
 
 
 def test_certify_orthogonal_complement_of_constant_family(tmp_path):
@@ -344,9 +346,10 @@ def test_construct_one_member_writes_null_fit(single_hyperplane, tmp_path):
     doc = strict_json(out.read_text())
     for key in ("certified", "measured"):
         assert doc[key]["decay_fit"] == {"exponent": None, "scale": None}
-    loaded = familyio.load_complement(out)
-    assert loaded.measured.deltas[0] == pytest.approx(1.0)
-    assert familyio.certificate_to_dict(loaded.measured)["decay_fit"] == \
+    familyio.load_complement(out)
+    measured = np.array(doc["measured"]["deltas"])
+    assert measured[0] == pytest.approx(1.0)
+    assert familyio.certificate_to_dict(measured, familyio.MEASURED, {})["decay_fit"] == \
         {"exponent": None, "scale": None}
     cert = run_cli("certify", "--family", single_hyperplane, "--complement", out)
     assert cert.returncode == 0, cert.stderr
@@ -518,14 +521,53 @@ def test_non_numeric_normals_are_input_error(tmp_path):
     assert "member 1" in cp.stderr and "Traceback" not in cp.stderr
 
 
-def test_incomplete_rejection_stats_are_input_error(single_hyperplane, tmp_path):
-    comp = {"ambient_dim": 4, "dim": 1, "basis": [[1.0, 0.0, 0.0, 0.0]],
-            "rejection_stats": {"attempted": 1}}
+@pytest.mark.parametrize("dim, deltas, message", [
+    pytest.param(2, [0.5], "complement basis has shape (1, 4), expected (2, 4)",
+                 id="basis-shape"),
+    pytest.param(1, ["abc"],
+                 "malformed certificate: could not convert string to float: 'abc'",
+                 id="non-numeric"),
+    pytest.param(1, [0.0], "malformed certificate: certified deltas must be strictly "
+                 "positive", id="zero"),
+    pytest.param(1, [-0.5], "malformed certificate: deltas must lie in [0, 1]",
+                 id="negative"),
+    pytest.param(1, [1.5], "malformed certificate: deltas must lie in [0, 1]",
+                 id="above-one"),
+    pytest.param(1, [0.5, 0.5], "stored certificate length does not match the family",
+                 id="length"),
+])
+def test_complement_file_errors_are_input_errors(single_hyperplane, tmp_path,
+                                                 dim, deltas, message):
+    """Every check on the fields the loader reads exits 2 with one line."""
+    comp = {"ambient_dim": 4, "dim": dim, "basis": [[1.0, 0.0, 0.0, 0.0]],
+            "certified": {"deltas": deltas, "provenance": familyio.CERTIFIED}}
     cpath = tmp_path / "comp.json"
     cpath.write_text(json.dumps(comp))
     cp = run_cli("certify", "--family", single_hyperplane, "--complement", cpath)
     assert cp.returncode == 2
-    assert "accepted" in cp.stderr and "Traceback" not in cp.stderr
+    assert cp.stderr == f"error: {message}\n"
+
+
+def test_certify_reads_only_basis_and_certified(codim2_family, tmp_path):
+    """The fields written for readers of a complement file, measured,
+    rng_seed and rejection_stats, neither change nor break certify."""
+    path, _ = codim2_family
+    full = tmp_path / "full.json"
+    assert run_cli("construct", "--family", path, "--seed", 5,
+                   "--out", full).returncode == 0
+    doc = json.loads(full.read_text())
+    stripped = tmp_path / "stripped.json"
+    stripped.write_text(json.dumps(
+        {key: doc[key] for key in ("ambient_dim", "dim", "basis", "certified")}))
+    junk = tmp_path / "junk.json"
+    junk.write_text(json.dumps({**doc, "measured": "junk", "rng_seed": "x",
+                                "rejection_stats": {"attempted": 1}}))
+    outputs = [run_cli("certify", "--family", path, "--complement", comp)
+               for comp in (full, stripped, junk)]
+    assert [cp.returncode for cp in outputs] == [0, 0, 0]
+    assert outputs[0].stdout.endswith("verdict,true\n")
+    assert outputs[1].stdout == outputs[0].stdout
+    assert outputs[2].stdout == outputs[0].stdout
 
 
 def test_outputs_are_byte_identical_per_blas_thread_count(tmp_path):

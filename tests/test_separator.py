@@ -15,14 +15,11 @@ from transversal.geometry import (
 )
 from transversal.separator import (
     BOX_CONSTANT,
-    CERTIFIED,
     LINE_CONSTANT,
-    MEASURED,
     NORM_CAP,
     RAW_MARGIN,
     ComplementResult,
     RejectionStats,
-    SeparationCertificate,
     SubspaceFamily,
     adapt_basis,
     certify,
@@ -318,37 +315,37 @@ def test_stacked_decay_fit_and_verdict_match_rows(seed, rows, J, zero_frac):
         one_verdict, one_p = is_well_separating(row, 6.0)
         assert verdict == one_verdict
         assert np.array(p).tobytes() == np.array(one_p).tobytes()
-        fit = familyio.certificate_to_dict(SeparationCertificate(row, MEASURED))["decay_fit"]
+        fit = familyio.certificate_to_dict(row, familyio.MEASURED, {})["decay_fit"]
         assert [fit["exponent"], fit["scale"]] == [
             None if np.isnan(x) else float(x)
             for x in (one_exponents[-1], one_scales[-1])]
 
 
 def test_certificate_validation():
-    with pytest.raises(ValidationError):
-        SeparationCertificate([0.5, 1.5], MEASURED)
-    with pytest.raises(ValidationError):
-        SeparationCertificate([0.5, 0.0], CERTIFIED)
-    with pytest.raises(ValidationError):
-        SeparationCertificate([0.5], "guessed")
-    cert = SeparationCertificate([0.5, 0.0], MEASURED)
-    assert not cert.positive
+    comp = orthonormalize([e(0, 3)])
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        ComplementResult(comp, [0.5, 0.5], {}, [0.5, 1.5], 0, RejectionStats(1, 1))
+    with pytest.raises(ValidationError, match="strictly positive"):
+        ComplementResult(comp, [0.5, 0.0], {}, [0.5, 0.5], 0, RejectionStats(1, 1))
+    with pytest.raises(ValidationError, match="differ in length"):
+        ComplementResult(comp, [0.5], {}, [0.5, 0.5], 0, RejectionStats(1, 1))
+    result = ComplementResult(comp, [0.5, 0.25], {}, [0.5, 0.25], 0, RejectionStats(1, 1))
+    assert result.certified.dtype == result.measured.dtype == np.float64
+    assert not result.certified.flags.writeable and not result.measured.flags.writeable
 
 
 def test_complement_result_enforces_dominance():
     comp = orthonormalize([e(0, 3)])
-    good = SeparationCertificate([0.9], MEASURED)
-    cert = SeparationCertificate([0.95], CERTIFIED)
     with pytest.raises(ConstructionError, match="index 1"):
-        ComplementResult(comp, cert, good, 0, RejectionStats(1, 1))
+        ComplementResult(comp, [0.95], {}, [0.9], 0, RejectionStats(1, 1))
 
 
 def test_certify_constant_family():
     normals = np.array([e(0, 4), e(1, 4)])
     fam = SubspaceFamily.from_normals([normals] * 3)
     cert = certify(orthonormalize([e(0, 4), e(1, 4)]), fam)
-    np.testing.assert_allclose(cert.deltas, 1.0)
-    assert decay_fit_prefixes(cert.deltas)[0][-1] == pytest.approx(0.0, abs=1e-9)
+    np.testing.assert_allclose(cert, 1.0)
+    assert decay_fit_prefixes(cert)[0][-1] == pytest.approx(0.0, abs=1e-9)
 
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
@@ -369,13 +366,13 @@ def test_certify_matches_member_loop_bit_for_bit(seed, k):
     random_span = orthonormalize(rng.standard_normal((k, n)))
     contained = orthonormalize(np.eye(n)[:k])
     for C in (random_span, contained):
-        got, loop = certify(C, fam).deltas, loop_certify(C, fam)
+        got, loop = certify(C, fam), loop_certify(C, fam)
         if k == 2:
             smax = np.linalg.svd(fam.normals @ C.vectors.T, compute_uv=False)[:, 0]
             assert np.all(np.abs(got - loop) <= 2 * SIGMA_MIN_2X2_TOL * smax)
         else:
             np.testing.assert_array_equal(got, loop)
-    assert certify(contained, fam).deltas[-1] == 0.0
+    assert certify(contained, fam)[-1] == 0.0
 
 
 def test_family_normals_are_read_only_and_members_are_views():
@@ -513,8 +510,8 @@ def test_line_min_norm_mu_bound(rng):
 def test_hyperplane_complement_single_member():
     fam = SubspaceFamily.from_normals([e(0, 4)[None, :]])
     res = common_complement(fam, seed=0)
-    assert res.measured.deltas[0] == pytest.approx(1.0)
-    assert res.certificate.deltas[0] == pytest.approx(BOX_CONSTANT)
+    assert res.measured[0] == pytest.approx(1.0)
+    assert res.certified[0] == pytest.approx(BOX_CONSTANT)
 
 
 def test_hyperplane_complement_random_family(rng):
@@ -523,10 +520,11 @@ def test_hyperplane_complement_random_family(rng):
         fam = SubspaceFamily.from_normals(normals)
         res = common_complement(fam, seed=1)
         js = np.arange(1, 6, dtype=float)
-        np.testing.assert_allclose(res.certificate.deltas, BOX_CONSTANT * js**-5.0)
-        assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
-        assert res.certificate.provenance == CERTIFIED
-        assert res.measured.provenance == MEASURED
+        np.testing.assert_allclose(res.certified, BOX_CONSTANT * js**-5.0)
+        assert np.all(res.measured >= res.certified - 1e-9)
+        doc = familyio.complement_to_dict(res)
+        assert doc["certified"]["provenance"] == "certified-by-construction"
+        assert doc["measured"]["provenance"] == "measured-by-svd"
 
 
 def test_cube_complement_handles_many_members():
@@ -534,8 +532,8 @@ def test_cube_complement_handles_many_members():
     fam = SubspaceFamily.from_normals(
         [random_unit(rng, 2)[None, :] for _ in range(7)])
     res = common_complement(fam, seed=0)
-    np.testing.assert_allclose(res.certificate.deltas, 0.5 / (7 * 2))
-    assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
+    np.testing.assert_allclose(res.certified, 0.5 / (7 * 2))
+    assert np.all(res.measured >= res.certified - 1e-9)
 
 
 def test_truncation_sweep_is_stable():
@@ -552,7 +550,7 @@ def test_truncation_sweep_is_stable():
         head = head / np.linalg.norm(head, axis=1, keepdims=True)
         fam = SubspaceFamily.from_normals([h[None, :] for h in head])
         res = common_complement(fam, seed=99)
-        profiles[N] = (res.certificate.deltas, res.measured.deltas)
+        profiles[N] = (res.certified, res.measured)
     base_cert = profiles[30][0]
     for N in (60, 120):
         np.testing.assert_array_equal(profiles[N][0], base_cert)
@@ -569,8 +567,8 @@ def test_common_complement_codim2_single_member():
     fam = SubspaceFamily.from_normals([np.eye(6)[:2]])
     res = common_complement(fam, seed=0)
     expected = LINE_CONSTANT * BOX_CONSTANT**2
-    assert res.certificate.deltas[0] == pytest.approx(expected, rel=1e-12)
-    assert res.measured.deltas[0] >= res.certificate.deltas[0] - 1e-9
+    assert res.certified[0] == pytest.approx(expected, rel=1e-12)
+    assert res.measured[0] >= res.certified[0] - 1e-9
 
 
 def test_common_complement_codim2_profile_composition():
@@ -578,16 +576,16 @@ def test_common_complement_codim2_profile_composition():
     res = common_complement(fam, seed=11)
     js = np.arange(1, 11, dtype=float)
     expected = LINE_CONSTANT * (BOX_CONSTANT * js**-5.0) ** 2
-    np.testing.assert_allclose(res.certificate.deltas, expected, rtol=1e-12)
-    assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
-    assert decay_fit_prefixes(res.certificate.deltas)[0][-1] == \
+    np.testing.assert_allclose(res.certified, expected, rtol=1e-12)
+    assert np.all(res.measured >= res.certified - 1e-9)
+    assert decay_fit_prefixes(res.certified)[0][-1] == \
         pytest.approx(-10.0, abs=1e-6)
 
 
 def test_common_complement_codim3_certified_exponent():
     fam = random_subspace_family(12, 25, 3, 8)
     res = common_complement(fam, seed=13)
-    assert decay_fit_prefixes(res.certificate.deltas)[0][-1] == \
+    assert decay_fit_prefixes(res.certified)[0][-1] == \
         pytest.approx(-15.0, abs=1e-6)
     assert res.complement.size == 3
     # direct-sum rank check against every member
@@ -607,8 +605,8 @@ def test_construction_is_deterministic():
     a = common_complement(fam, seed=33)
     b = common_complement(fam, seed=33)
     np.testing.assert_array_equal(a.complement.vectors, b.complement.vectors)
-    np.testing.assert_array_equal(a.certificate.deltas, b.certificate.deltas)
-    np.testing.assert_array_equal(a.measured.deltas, b.measured.deltas)
+    np.testing.assert_array_equal(a.certified, b.certified)
+    np.testing.assert_array_equal(a.measured, b.measured)
     assert a.rejection_stats == b.rejection_stats
     c = common_complement(fam, seed=34)
     assert not np.array_equal(a.complement.vectors, c.complement.vectors)
@@ -623,10 +621,10 @@ def test_common_complement_random_properties(seed):
     J = int(rng.integers(1, min(6, n - k) + 1))
     fam = random_subspace_family(seed, n, k, J)
     res = common_complement(fam, seed=seed ^ 0x5A5A)
-    assert np.all(res.measured.deltas >= res.certificate.deltas - 1e-9)
+    assert np.all(res.measured >= res.certified - 1e-9)
     js = np.arange(1, J + 1, dtype=float)
     expected = LINE_CONSTANT ** (k - 1) * (BOX_CONSTANT * js**-5.0) ** k
-    np.testing.assert_allclose(res.certificate.deltas, expected, rtol=1e-12)
+    np.testing.assert_allclose(res.certified, expected, rtol=1e-12)
     assert np.all(degrees_of_transversality(fam.normals, res.complement.vectors) > 0)
 
 
