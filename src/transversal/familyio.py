@@ -32,11 +32,19 @@ def family_to_dict(family: SubspaceFamily) -> dict:
     }
 
 
+def _size(doc: dict, key: str) -> int:
+    """doc[key], rejecting a float, a bool or a string rather than converting it."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def family_from_dict(doc: dict):
     """Parse and validate a family document; returns (SubspaceFamily, labels)."""
     try:
-        n = int(doc["dim"])
-        k = int(doc["codim"])
+        n = _size(doc, "dim")
+        k = _size(doc, "codim")
         blocks = doc["normals"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed family document: {exc}") from exc
@@ -99,8 +107,8 @@ def complement_from_dict(doc: dict):
     returns (OrthonormalFrame, read-only certified deltas or None).  The
     other fields are written for readers of the file and not read back."""
     try:
-        n = int(doc["ambient_dim"])
-        dim = int(doc["dim"])
+        n = _size(doc, "ambient_dim")
+        dim = _size(doc, "dim")
         basis = np.asarray(doc["basis"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed complement document: {exc}") from exc

@@ -5,13 +5,13 @@ module builds a single k-dimensional subspace C transversal to every member,
 together with a per-index certificate delta_j > 0 such that every unit
 x in C keeps distance at least delta_j from V_j.
 
-The engine is a pair of rejection samplers with provable per-draw acceptance
-probability >= 1/2:
+The engine is one rejection sampler with provable per-draw acceptance
+probability >= 1/2, run on two boxes:
 
-* over the cube [-1,1]^n, away from k hyperplanes, yielding the bound
-  1/(2 k n) after normalization;
-* over the shrinking box prod_j [-j^-2, j^-2] in coordinates adapted to the
-  ordered normals, yielding bounds BOX_CONSTANT * j^-5.
+* the shrinking box prod_j [-j^-2, j^-2] in coordinates adapted to the
+  ordered normals, yielding bounds BOX_CONSTANT * j^-5;
+* the cube [-1,1]^n, away from J > n hyperplanes at once, yielding the
+  bound 1/(2 J n) after normalization.
 
 Codimension k >= 2 is handled recursively: a complement for the relaxed
 family (last normal dropped) is extended by one more certified direction,
@@ -241,39 +241,6 @@ class ComplementResult:
         object.__setattr__(self, "measured", measured)
 
 
-def sample_cube_separator(normals, seed: int):
-    """Unit vector keeping |<x, v_j>| >= 1/(2 k n) from k unit normals in R^n.
-
-    Draws y uniformly from [-1,1]^n and accepts once every |<y, v_j>| clears
-    1/(2 k sqrt(n)); the rejected slabs cover at most half the cube, so each
-    draw accepts with probability >= 1/2.  Normalizing y preserves the
-    margin up to the factor ||y||_2 <= sqrt(n).
-
-    Gives up with ConstructionError after DEFAULT_MAX_TRIES draws.  Returns
-    (x, certified_bound, RejectionStats).  The certified bound is re-checked
-    on the returned vector (hard assertion).
-    """
-    vs = np.atleast_2d(np.asarray(normals, dtype=float))
-    if vs.ndim != 2 or vs.size == 0:
-        raise ValidationError("normals must be a nonempty set of vectors")
-    k, n = vs.shape
-    _check_unit(vs, "normal")
-    margin = 0.5 / (k * math.sqrt(n))
-    bound = 0.5 / (k * n)
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, DEFAULT_MAX_TRIES + 1):
-        y = rng.uniform(-1.0, 1.0, size=n)
-        if np.min(np.abs(vs @ y)) >= margin:
-            x = y / np.linalg.norm(y)
-            if np.min(np.abs(vs @ x)) < bound:
-                raise ConstructionError("accepted draw violates the certified bound")
-            return x, bound, RejectionStats(attempt, 1)
-    raise ConstructionError(
-        f"no acceptable cube draw in {DEFAULT_MAX_TRIES} tries "
-        f"(failure probability <= 2**-{DEFAULT_MAX_TRIES} per construction)"
-    )
-
-
 def adapt_basis(v_list):
     """Orthonormal c_1..c_m with v_j in span(c_1..c_j) for ordered unit v_j.
 
@@ -300,53 +267,40 @@ def adapt_basis(v_list):
     return frame, coords
 
 
-def sample_box_separator(v_list, seed: int):
-    """Unit vector with |<x, v_j>| >= BOX_CONSTANT * j^-5 for adapted unit v_j.
+def sample_box_separator(v_list, halfwidths, thresholds, deltas, seed: int):
+    """Unit vector x with every |<x, v_j>| >= deltas_j, for m unit v_j in R^n.
 
-    The v_j must be given in adapted coordinates: v_j lives in R^j x {0}
-    (entries past index j vanish within DEFAULT_TOL).  Draws y uniformly from
-    the box with halfwidths j^-2 and accepts once every |<y, v_j>| clears
-    RAW_MARGIN * j^-5; the rejected slabs cover at most half the box volume,
-    so each draw accepts with probability >= 1/2.  Since ||y||_2 < NORM_CAP,
-    normalization yields the certified profile.
+    Draws y uniformly from the box prod_i [-h_i, h_i] until every |<y, v_j>|
+    clears t_j = thresholds_j.  By polytope.slab_measure_bound, the slab of
+    v_j covers at most t_j * sum_i |v_ji| / h_i of the box; these shares must
+    sum to at most 1/2, so each draw accepts with probability >= 1/2.  The
+    caller picks deltas_j <= t_j / sup ||y||_2, so normalization keeps them.
 
     Gives up with ConstructionError after DEFAULT_MAX_TRIES draws.  Returns
-    (x, certified_deltas, RejectionStats), hard-checking both the chain
-    RAW_MARGIN * j^-5 / max(||y||, guard) and the stated profile.
+    (x, deltas, RejectionStats), re-checking the profile on x (hard assertion).
     """
     V = np.atleast_2d(np.asarray(v_list, dtype=float))
-    if V.size == 0:
-        raise ValidationError("need at least one adapted vector")
-    m, d = V.shape
-    if d != m:
+    if V.ndim != 2 or V.size == 0:
+        raise ValidationError("need at least one vector to separate from")
+    m, n = V.shape
+    _check_unit(V, "vector")
+    halfw, thresholds, deltas = map(as_vector, (halfwidths, thresholds, deltas))
+    if (halfw.size, thresholds.size, deltas.size) != (n, m, m):
         raise ValidationError(
-            f"adapted vectors must be square ({m} vectors of dimension {m}), got dim {d}"
-        )
-    _check_unit(V, "adapted vector")
-    upper = np.triu(V, k=1)
-    if np.max(np.abs(upper), initial=0.0) > DEFAULT_TOL:
-        bad = int(np.argmax(np.max(np.abs(upper), axis=1))) + 1
-        raise ValidationError(
-            f"vector {bad} has mass above its index: input is not adapted"
-        )
-    j = np.arange(1, m + 1, dtype=float)
-    halfw = j ** -2.0
-    thresholds = RAW_MARGIN * j ** -5.0
-    deltas = BOX_CONSTANT * j ** -5.0
+            f"{m} vectors in R^{n} need {n} halfwidths and {m} thresholds and deltas")
+    if np.any(halfw <= 0) or np.any(thresholds < 0):
+        raise ValidationError("halfwidths must be positive and thresholds nonnegative")
+    budget = float(thresholds @ (np.abs(V) @ (1.0 / halfw)))
+    # the cube attains 1/2 exactly when every |v_ji| is equal: allow round-off
+    if budget > 0.5 * (1.0 + 1e-12):
+        raise ValidationError(f"vectors are not adapted to the box: their slabs may "
+                              f"cover {budget:.3g} of it, more than 1/2")
     rng = np.random.default_rng(seed)
     for attempt in range(1, DEFAULT_MAX_TRIES + 1):
         y = rng.uniform(-halfw, halfw)
         if np.all(np.abs(V @ y) >= thresholds):
-            norm_y = float(np.linalg.norm(y))
-            if norm_y > NORM_CAP:
-                raise ConstructionError("box draw exceeds the norm cap")
-            x = y / norm_y
-            prods = np.abs(V @ x)
-            chain = thresholds / max(norm_y, 1e-300)
-            if np.any(prods < chain * (1.0 - 1e-12)):
-                raise ConstructionError("accepted draw violates the margin chain")
-            if np.any(prods < deltas):
-                # ||y|| < NORM_CAP strictly, so the stated profile must hold
+            x = y / np.linalg.norm(y)
+            if np.any(np.abs(V @ x) < deltas):
                 raise ConstructionError("accepted draw violates the certified profile")
             return x, deltas, RejectionStats(attempt, 1)
     raise ConstructionError(
@@ -419,11 +373,13 @@ def derive_seeds(seed: int, count: int) -> list[int]:
 
 
 def _line_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
-    """Certified line complementing J hyperplanes in R^n.
+    """Certified line complementing J hyperplanes in R^n, from
+    sample_box_separator.
 
-    For J <= n the shrinking-box sampler runs in a basis adapted to the
-    ordered normals and certifies BOX_CONSTANT * j^-5; for J > n the cube
-    sampler treats all normals at once and certifies the constant 1/(2 J n).
+    For J <= n it draws from the shrinking box (halfwidths j^-2) in a basis
+    adapted to the ordered normals and certifies BOX_CONSTANT * j^-5.  For
+    J > n it draws from the cube [-1, 1]^n against all normals at once and
+    certifies the constant 1/(2 J n), as ||y|| <= sqrt(n).
     """
     n = family.ambient_dim
     J = len(family)
@@ -432,12 +388,16 @@ def _line_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
         frame, coords = adapt_basis(normals)
         # rows of coords are unit up to round-off; renormalize
         coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-        x_c, deltas, stats = sample_box_separator(coords, seed)
+        j = np.arange(1, J + 1, dtype=float)
+        x_c, deltas, stats = sample_box_separator(
+            coords, j ** -2.0, RAW_MARGIN * j ** -5.0, BOX_CONSTANT * j ** -5.0, seed)
         x = frame.vectors.T @ x_c
         constants = _certificate_constants(1)
     else:
-        x, bound, stats = sample_cube_separator(normals, seed)
-        deltas = np.full(J, bound)
+        bound = 0.5 / (J * n)
+        x, deltas, stats = sample_box_separator(
+            normals, np.ones(n), np.full(J, 0.5 / (J * math.sqrt(n))),
+            np.full(J, bound), seed)
         constants = {"profile_scale": bound, "profile_exponent": 0.0, "members": J}
     comp = OrthonormalFrame(x[None, :])
     return ComplementResult(comp, deltas, constants, certify(comp, family), seed, stats)
@@ -447,8 +407,9 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     """Certified common complement of J subspaces of codimension k in R^n.
 
     Size bound: any J for k = 1, and J <= n - k for k >= 2.  For k = 1 the
-    complement is a line with the profile BOX_CONSTANT * j^-5 when J <= n,
-    and the constant profile 1/(2 J n) when J > n (see _line_complement).
+    complement is a line drawn from the shrinking box, with the profile
+    BOX_CONSTANT * j^-5, when J <= n, and drawn from the cube, with the
+    constant profile 1/(2 J n), when J > n (see _line_complement).
     For k >= 2 the family is relaxed by dropping each member's last normal,
     a complement C1 of the relaxed family is built recursively, each V_j is
     enlarged to the hyperplane V_j + C1, a second certified direction x2 is
@@ -477,16 +438,9 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     G = N @ B1.T  # (J, k, k-1): coordinates of projected C1 inside each V_j-perp
     U, _, _ = np.linalg.svd(G)
     u = U[:, None, :, -1]  # (J, 1, k): unit null vectors of G_j^T
-    residuals = np.linalg.norm((u @ G)[:, 0], axis=1)
-    degenerate = np.flatnonzero(residuals > 1e-8)
-    if degenerate.size:
-        raise ConstructionError(
-            f"enlarged member {degenerate[0] + 1} is degenerate: first-stage "
-            "complement nearly touches the family"
-        )
     enlarged = SubspaceFamily.from_normals(u @ N)
     second = _line_complement(enlarged, seed2)
-    # J <= n - k keeps the second stage on the box path, whose dominance check
+    # J <= n - k keeps the second stage on the adapted box, whose dominance check
     # puts x2 at distance >= BOX_CONSTANT from V_1 + C1, which contains C1:
     # the direct sum has full rank k
     comp = orthonormalize(np.vstack([B1, second.complement.vectors]))
@@ -521,7 +475,6 @@ __all__ = [
     "decay_fit_prefixes",
     "RejectionStats",
     "ComplementResult",
-    "sample_cube_separator",
     "adapt_basis",
     "sample_box_separator",
     "certify",

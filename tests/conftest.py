@@ -9,6 +9,7 @@ import pytest
 
 from transversal.geometry import as_vector
 from transversal.polytope import Box, McEstimate
+from transversal.separator import BOX_CONSTANT, RAW_MARGIN
 
 
 @pytest.fixture
@@ -32,6 +33,19 @@ def triangular_unit_rows(rng, m):
         r = rng.standard_normal(j + 1)
         rows[j, : j + 1] = r / np.linalg.norm(r)
     return rows
+
+
+def box_parameters(m):
+    """Halfwidths, thresholds and deltas of the shrinking box against m
+    adapted vectors, as the line construction sets them for J <= n."""
+    j = np.arange(1, m + 1, dtype=float)
+    return j ** -2.0, RAW_MARGIN * j ** -5.0, BOX_CONSTANT * j ** -5.0
+
+
+def cube_parameters(J, n):
+    """Halfwidths, thresholds and deltas of the cube [-1, 1]^n against J unit
+    normals, as the line construction sets them for J > n."""
+    return np.ones(n), np.full(J, 0.5 / (J * np.sqrt(n))), np.full(J, 0.5 / (J * n))
 
 
 def mgs_adapt_basis(V, tol=1e-10):

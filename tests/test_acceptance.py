@@ -12,7 +12,14 @@ import sys
 import time
 
 import numpy as np
-from conftest import line_min_norm, null_basis, random_unit, triangular_unit_rows
+from conftest import (
+    box_parameters,
+    cube_parameters,
+    line_min_norm,
+    null_basis,
+    random_unit,
+    triangular_unit_rows,
+)
 
 from transversal import familyio
 from transversal.polytope import Box, box_projection_volume, mc_shadow_volume
@@ -31,7 +38,6 @@ from transversal.separator import (
     is_well_separating,
     random_subspace_family,
     sample_box_separator,
-    sample_cube_separator,
 )
 
 
@@ -70,10 +76,11 @@ def test_acceptance_2_cube_separator():
         n = int(rng.integers(1, 21))
         k = int(rng.integers(1, 51))
         normals = np.vstack([random_unit(rng, n) for _ in range(k)])
-        x, bound, stats = sample_cube_separator(normals, seed=2000 + i)
+        x, deltas, stats = sample_box_separator(normals, *cube_parameters(k, n),
+                                                seed=2000 + i)
         ok &= abs(np.linalg.norm(x) - 1.0) <= 1e-12
-        ok &= bound >= 0.5 / (k * n) - 1e-15
-        ok &= float(np.min(np.abs(normals @ x))) >= bound
+        ok &= np.all(deltas >= 0.5 / (k * n) - 1e-15)
+        ok &= np.all(np.abs(normals @ x) >= deltas)
         attempted += stats.attempted
         accepted += stats.accepted
     rate = accepted / attempted
@@ -90,7 +97,7 @@ def test_acceptance_3_box_separator():
     for i in range(1000):
         m = int(rng.integers(1, 16))
         V = triangular_unit_rows(rng, m)
-        x, deltas, stats = sample_box_separator(V, seed=3000 + i)
+        x, deltas, stats = sample_box_separator(V, *box_parameters(m), seed=3000 + i)
         j = np.arange(1, m + 1, dtype=float)
         floor = BOX_CONSTANT * j**-5.0
         ok &= abs(np.linalg.norm(x) - 1.0) <= 1e-12

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import math
+import warnings
 from pathlib import Path
+
+import pytest
 
 import transversal
 
@@ -138,3 +141,14 @@ def test_every_exported_name_exists():
                      for name in getattr(module, "__all__", ())
                      if not hasattr(module, name))
     assert missing == []
+
+
+def test_deprecation_warnings_from_the_library_fail_the_suite():
+    """The suite turns a DeprecationWarning into an error.  The one message
+    it ignores comes from a third-party import that hypothesis makes when it
+    reports a failing example."""
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("old call", DeprecationWarning, "separator.py", 1,
+                               module="transversal.separator")
+    warnings.warn("mypy_extensions.TypedDict is deprecated, and will be removed",
+                  DeprecationWarning)

@@ -137,6 +137,17 @@ def test_family_with_empty_normals_is_shape_error(tmp_path):
     assert cp.stderr == "error: codim must satisfy 1 <= k < n, got k=1, n=0\n"
 
 
+@pytest.mark.parametrize("key, value", [("dim", 3.5), ("codim", True)])
+def test_family_sizes_must_be_integers(tmp_path, key, value):
+    doc = {**familyio.family_to_dict(random_subspace_family(3, 4, 1, 2)), key: value}
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(doc))
+    cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
+    assert cp.returncode == 2
+    assert cp.stderr == (f"error: malformed family document: {key} must be an "
+                         f"integer, got {value!r}\n")
+
+
 def test_construct_missing_file_is_input_error(tmp_path):
     cp = run_cli("construct", "--family", tmp_path / "nope.json",
                  "--out", tmp_path / "x.json")
@@ -524,6 +535,8 @@ def test_non_numeric_normals_are_input_error(tmp_path):
 @pytest.mark.parametrize("dim, deltas, message", [
     pytest.param(2, [0.5], "complement basis has shape (1, 4), expected (2, 4)",
                  id="basis-shape"),
+    pytest.param(True, [0.5], "malformed complement document: dim must be an "
+                 "integer, got True", id="bool-dim"),
     pytest.param(1, ["abc"],
                  "malformed certificate: could not convert string to float: 'abc'",
                  id="non-numeric"),

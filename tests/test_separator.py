@@ -29,11 +29,12 @@ from transversal.separator import (
     is_well_separating,
     random_subspace_family,
     sample_box_separator,
-    sample_cube_separator,
 )
 
 from conftest import (
     SIGMA_MIN_2X2_TOL,
+    box_parameters,
+    cube_parameters,
     line_min_norm,
     loop_certify,
     mgs_adapt_basis,
@@ -58,19 +59,20 @@ def test_analytic_constants():
 
 
 # ---------------------------------------------------------------------------
-# cube sampler
+# the sampler on the cube [-1, 1]^n
 
 
 def test_cube_sampler_one_dimension():
-    x, bound, stats = sample_cube_separator(np.array([[1.0]]), seed=0)
+    x, deltas, stats = sample_box_separator(np.array([[1.0]]), *cube_parameters(1, 1),
+                                            seed=0)
     assert abs(x[0]) == pytest.approx(1.0)
-    assert bound == pytest.approx(0.5)
+    assert deltas[0] == pytest.approx(0.5)
     assert stats.accepted == 1
 
 
 def test_cube_sampler_single_hyperplane_r2():
-    x, bound, _ = sample_cube_separator(e(1, 2)[None, :], seed=1)
-    assert bound == pytest.approx(0.25)
+    x, deltas, _ = sample_box_separator(e(1, 2)[None, :], *cube_parameters(1, 2), seed=1)
+    assert deltas[0] == pytest.approx(0.25)
     assert abs(x[1]) >= 0.25
 
 
@@ -78,9 +80,9 @@ def test_cube_sampler_more_normals_than_dimensions():
     rng = np.random.default_rng(2)
     vs = rng.standard_normal((20, 10))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    x, bound, _ = sample_cube_separator(vs, seed=3)
-    assert bound == pytest.approx(0.5 / (20 * 10))
-    assert np.min(np.abs(vs @ x)) >= bound
+    x, deltas, _ = sample_box_separator(vs, *cube_parameters(20, 10), seed=3)
+    np.testing.assert_allclose(deltas, 0.5 / (20 * 10))
+    assert np.all(np.abs(vs @ x) >= deltas)
     assert np.linalg.norm(x) == pytest.approx(1.0)
 
 
@@ -92,7 +94,7 @@ def test_cube_sampler_acceptance_rate():
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     attempted = accepted = 0
     for i in range(10_000):
-        _, _, stats = sample_cube_separator(vs, seed=10_000 + i)
+        _, _, stats = sample_box_separator(vs, *cube_parameters(20, 10), seed=10_000 + i)
         attempted += stats.attempted
         accepted += stats.accepted
     rate = accepted / attempted
@@ -102,7 +104,16 @@ def test_cube_sampler_acceptance_rate():
 
 def test_cube_sampler_rejects_bad_inputs():
     with pytest.raises(ValidationError, match="not unit"):
-        sample_cube_separator(np.array([[1.0, 1.0]]), seed=0)
+        sample_box_separator(np.array([[1.0, 1.0]]), *cube_parameters(1, 2), seed=0)
+
+
+@pytest.mark.parametrize("n, J", [(6, 50), (12, 40)])
+def test_cube_sampler_accepts_the_equality_case(n, J):
+    """J copies of (1, ..., 1)/sqrt(n) fill exactly half the cube with slabs;
+    the summed shares round to just above 1/2 at these shapes."""
+    vs = np.tile(np.ones(n) / np.sqrt(n), (J, 1))
+    x, deltas, _ = sample_box_separator(vs, *cube_parameters(J, n), seed=0)
+    assert np.all(np.abs(vs @ x) >= deltas)
 
 
 def test_cube_sampler_exhaustion_is_construction_error(monkeypatch):
@@ -114,7 +125,7 @@ def test_cube_sampler_exhaustion_is_construction_error(monkeypatch):
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     for seed in range(200):
         try:
-            sample_cube_separator(vs, seed=seed)
+            sample_box_separator(vs, *cube_parameters(40, 2), seed=seed)
         except ConstructionError:
             return
     pytest.fail("no rejection observed in 200 single-try runs")
@@ -202,17 +213,17 @@ def test_adapt_basis_rejects_overfull_and_non_unit():
 
 
 # ---------------------------------------------------------------------------
-# box sampler
+# the sampler on the shrinking box
 
 
 def test_box_sampler_single_vector():
-    x, deltas, _ = sample_box_separator(np.array([[1.0]]), seed=0)
+    x, deltas, _ = sample_box_separator(np.array([[1.0]]), *box_parameters(1), seed=0)
     assert abs(x[0]) == pytest.approx(1.0)
     assert deltas[0] == pytest.approx(BOX_CONSTANT)
 
 
 def test_box_sampler_two_axis_vectors():
-    x, deltas, _ = sample_box_separator(np.eye(2), seed=1)
+    x, deltas, _ = sample_box_separator(np.eye(2), *box_parameters(2), seed=1)
     assert deltas[1] == pytest.approx(BOX_CONSTANT / 32.0)
     assert abs(x[1]) >= BOX_CONSTANT / 32.0
 
@@ -220,7 +231,7 @@ def test_box_sampler_two_axis_vectors():
 def test_box_sampler_certified_profile_holds(rng):
     m = 12
     rows = triangular_unit_rows(rng, m)
-    x, deltas, _ = sample_box_separator(rows, seed=2)
+    x, deltas, _ = sample_box_separator(rows, *box_parameters(m), seed=2)
     js = np.arange(1, m + 1, dtype=float)
     np.testing.assert_allclose(deltas, BOX_CONSTANT * js**-5.0)
     assert np.all(np.abs(rows @ x) >= deltas)
@@ -231,7 +242,7 @@ def test_box_sampler_acceptance_rate(rng):
     rows = triangular_unit_rows(rng, 10)
     attempted = accepted = 0
     for i in range(1000):
-        _, _, stats = sample_box_separator(rows, seed=20_000 + i)
+        _, _, stats = sample_box_separator(rows, *box_parameters(10), seed=20_000 + i)
         attempted += stats.attempted
         accepted += stats.accepted
     rate = accepted / attempted
@@ -242,9 +253,23 @@ def test_box_sampler_acceptance_rate(rng):
 def test_box_sampler_rejects_non_adapted_input():
     bad = np.array([[0.0, 1.0], [1.0, 0.0]])  # v1 has mass above index 1
     with pytest.raises(ValidationError, match="not adapted"):
-        sample_box_separator(bad, seed=0)
-    with pytest.raises(ValidationError, match="square"):
-        sample_box_separator(np.eye(2, 3), seed=0)
+        sample_box_separator(bad, *box_parameters(2), seed=0)
+    with pytest.raises(ValidationError, match="halfwidths"):
+        sample_box_separator(np.eye(2, 3), *box_parameters(2), seed=0)
+
+
+@pytest.mark.parametrize("which, value", [
+    pytest.param(0, 0.0, id="zero-halfwidth"),
+    pytest.param(0, -0.25, id="negative-halfwidth"),
+    pytest.param(0, np.inf, id="infinite-halfwidth"),
+    pytest.param(0, np.nan, id="nan-halfwidth"),
+    pytest.param(1, -1.0, id="negative-threshold"),
+])
+def test_box_sampler_rejects_bad_boxes(which, value):
+    params = [p.copy() for p in box_parameters(2)]
+    params[which][1] = value
+    with pytest.raises(ValidationError):
+        sample_box_separator(np.eye(2), *params, seed=0)
 
 
 # ---------------------------------------------------------------------------
