@@ -25,11 +25,10 @@ import sys
 import numpy as np
 
 from . import familyio
-from .geometry import ConstructionError, ValidationError
+from .geometry import ConstructionError, ValidationError, _keyed_rng
 from .polytope import Box, box_projection_volume, mc_shadow_volume, slab_measure_bound
 from .prevalence import (
     McConfig,
-    _keyed_rng,
     mc_bad_set_measure,
     mc_det_lower_bound,
     mc_inverse_bound,
@@ -39,7 +38,6 @@ from .separator import (
     certify,
     common_complement,
     decay_fit_prefixes,
-    derive_seeds,
     is_well_separating,
     random_subspace_family,
 )
@@ -168,7 +166,7 @@ def cmd_mc(args) -> int:
         overall = report.verdict
     else:  # translation
         family = _mc_family(args, args.k)
-        base = common_complement(family, derive_seeds(args.seed, 2)[0])
+        base = common_complement(family, args.seed)
         if args.translation:
             translation = _parse_vectors(args.translation, "translation")
         else:
@@ -190,8 +188,7 @@ def _mc_family(args, codim: int):
     """The --family file, else a random codim-``codim`` family from --seed."""
     if args.family:
         return familyio.load_family(args.family)[0]
-    return random_subspace_family(derive_seeds(args.seed, 3)[2], args.dim, codim,
-                                  args.members)
+    return random_subspace_family(args.seed, args.dim, codim, args.members)
 
 
 def _random_shifts(seed: int, count: int, k: int) -> np.ndarray:
@@ -204,10 +201,11 @@ def _random_shifts(seed: int, count: int, k: int) -> np.ndarray:
 def cmd_volume(args) -> int:
     halfwidths = _parse_floats(args.halfwidths, "halfwidths")
     normal = _parse_floats(args.normal, "normal")
-    norm = float(np.linalg.norm(normal))
-    if norm == 0.0:
+    if not np.any(normal):
         raise ValidationError("normal vector must be nonzero")
-    normal = normal / norm
+    # a power of two scales exactly, so the norm neither over- nor underflows
+    normal = np.ldexp(normal, -int(np.frexp(np.abs(normal).max())[1]))
+    normal = normal / np.linalg.norm(normal)
     box = Box(halfwidths)
     exact = box_projection_volume(box, normal)
     lines = [f"projection_volume {exact!r}"]

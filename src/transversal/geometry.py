@@ -13,6 +13,17 @@ Gram and unit-norm checks shared by every module live here as well.
 
 All operations are pure: inputs are validated and frozen on construction
 (copied unless already read-only), and nothing is mutated afterwards.
+
+Every random draw comes from ``_keyed_rng(seed, *key)``, a counter-based
+stream addressed by the master seed and an integer key (Salmon et al.,
+SC 2011).  No two streams of one command share a key:
+
+    ()         bulk samples, shadow oracle
+    (1,)       det floors
+    (c,)       translation chunk c
+    (7,)       shifts
+    (l, t)     construction: recursion level l, trial t
+    (n, k, J)  random family
 """
 
 from __future__ import annotations
@@ -34,6 +45,13 @@ class ValidationError(ValueError):
 
 class ConstructionError(RuntimeError):
     """A randomized construction could not be completed."""
+
+
+def _keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """The stream of (seed, key...); _keyed_rng(seed) is default_rng(seed)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def as_vector(x) -> np.ndarray:
@@ -58,9 +76,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _gram_defects(frames: np.ndarray) -> np.ndarray:
     """max |F F^T - I| of a (k, n) frame, or of every frame of a (..., k, n)
-    stack; NaN if non-finite."""
-    gram = frames @ np.swapaxes(frames, -1, -2)
-    return np.abs(gram - np.eye(frames.shape[-2])).max(axis=(-2, -1), initial=0.0)
+    stack; inf or NaN where it overflows or is non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = frames @ np.swapaxes(frames, -1, -2)
+        return np.abs(gram - np.eye(frames.shape[-2])).max(axis=(-2, -1), initial=0.0)
 
 
 def _check_unit(arr: np.ndarray, what: str) -> None:
@@ -69,7 +88,7 @@ def _check_unit(arr: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(arr, axis=1)
     if np.any(np.abs(norms - 1.0) > DEFAULT_TOL):
         bad = int(np.argmax(np.abs(norms - 1.0))) + 1
-        raise ValidationError(f"{what} {bad} is not unit (norm {norms[bad - 1]!r})")
+        raise ValidationError(f"{what} {bad} is not unit (norm {float(norms[bad - 1])!r})")
 
 
 @dataclass(frozen=True)
@@ -134,7 +153,8 @@ def orthonormalize(vectors) -> OrthonormalFrame:
     counts as dependent, and then ValidationError names the rank r < m; a
     shorter frame is never returned.  Inputs that already form an
     orthonormal frame are returned unchanged, which keeps repeated
-    normalization bit-stable.
+    normalization bit-stable.  Other inputs are scaled first by a power of
+    two, which is exact and keeps their largest norm in range.
     """
     try:
         arr = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -147,9 +167,10 @@ def orthonormalize(vectors) -> OrthonormalFrame:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("non-finite entries")
     m, n = arr.shape
+    if m <= n and _gram_defects(arr) <= DEFAULT_TOL:
+        return OrthonormalFrame(arr)
+    arr = np.ldexp(arr, -int(np.frexp(np.abs(arr).max())[1]))
     if m <= n:
-        if _gram_defects(arr) <= DEFAULT_TOL:
-            return OrthonormalFrame(arr)
         frame, full_rank = _householder_frames(arr)
         if full_rank:
             return OrthonormalFrame(frame)

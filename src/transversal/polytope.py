@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _BLOCK_CELLS, ValidationError, _check_unit, as_vector
+from .geometry import _BLOCK_CELLS, ValidationError, _check_unit, _keyed_rng, as_vector
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ def mc_shadow_volume(box: Box, v, samples: int, seed: int) -> McEstimate:
     """Monte Carlo oracle for the shadow volume, independent of the closed form.
 
     Draws ``samples`` points of the hyperplane v-perp, uniform over the
-    shadow's bounding box, from numpy's default generator seeded with
-    ``seed``, and counts hits, where a point z is a hit iff the fiber line
-    {z + t v} meets the box (a 1-D interval intersection, solved exactly).
+    shadow's bounding box, from _keyed_rng(seed), and counts hits, where a
+    point z is a hit iff the fiber line {z + t v} meets the box (a 1-D
+    interval intersection, solved exactly).
     Fibers are drawn in chunks of _BLOCK_CELLS // n, so memory stays bounded
     at any sample count.  A box whose largest halfwidth reaches 2^_SHADOW_MAX_EXP
     is drawn scaled down by a power of two, which is exact, and the bounding
@@ -131,9 +131,7 @@ def mc_shadow_volume(box: Box, v, samples: int, seed: int) -> McEstimate:
         raise ValidationError("need at least 1000 samples")
     if n > 4:
         raise ValidationError("shadow oracle supports dimensions up to 4")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _keyed_rng(seed)
     shift = max(0, int(np.frexp(box.halfwidths.max())[1]) - _SHADOW_MAX_EXP)
     h = np.ldexp(box.halfwidths, -shift)
 

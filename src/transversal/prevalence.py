@@ -19,19 +19,11 @@ exceptional:
   stack, then takes one QR and one degree evaluation (|N_j b| at k = 1, a
   closed form at k = 2, one SVD at k >= 3).
 
-The first three, the bulk suites, draw all their samples at once, scaled to
-ball points in place, and stream them in blocks of about _BLOCK_CELLS
-float64 cells, keeping integer totals or running minima, so their memory is
-the draws plus one block and every result is bit-equal to one pass.
-
-Sampling uses counter-based RNG keyed by the master seed (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so results are
-deterministic and addressable by index.  Each bulk suite draws its samples
-from one stream, _keyed_rng(seed) or _keyed_rng(seed, 1).  Chunk c of the
-translation suite, samples c * _TRANSLATION_CHUNK onward, draws from
-_keyed_rng(seed, c): a full chunk's Gaussians, then its uniforms, whatever
-the sample count, so a sample's draws do not depend on the sample count and
-a longer run extends a shorter one.
+The first three, the bulk suites, draw all their samples at once from one
+keyed stream (see geometry), scale them to ball points in place, and stream
+them in blocks of about _BLOCK_CELLS float64 cells, keeping integer totals
+or running minima, so their memory is the draws plus one block and every
+result is bit-equal to one pass.
 """
 
 from __future__ import annotations
@@ -46,6 +38,7 @@ from .geometry import (
     ValidationError,
     _det,
     _householder_frames,
+    _keyed_rng,
     degrees_of_transversality,
 )
 from .separator import ComplementResult, SubspaceFamily, is_well_separating
@@ -139,11 +132,6 @@ def _plain(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     return obj
-
-
-def _keyed_rng(seed: int, *index: int) -> np.random.Generator:
-    """Deterministic stream derived from (master seed, index...)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(index)))
 
 
 def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
@@ -259,8 +247,6 @@ def det_slab_coefficient(A_tilde: np.ndarray, eta_grid, samples: int,
         raise ValidationError("shift matrix must be square")
     if not np.all(np.isfinite(A_tilde)):
         raise ValidationError("shift matrix has non-finite entries")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
     k = A_tilde.shape[0]

@@ -35,6 +35,7 @@ from .geometry import (
     _freeze,
     _gram_defects,
     _householder_frames,
+    _keyed_rng,
     as_vector,
     degrees_of_transversality,
     orthonormalize,
@@ -267,14 +268,16 @@ def adapt_basis(v_list):
     return frame, coords
 
 
-def sample_box_separator(v_list, halfwidths, thresholds, deltas, seed: int):
+def sample_box_separator(v_list, halfwidths, thresholds, deltas, key: tuple):
     """Unit vector x with every |<x, v_j>| >= deltas_j, for m unit v_j in R^n.
 
     Draws y uniformly from the box prod_i [-h_i, h_i] until every |<y, v_j>|
-    clears t_j = thresholds_j.  By polytope.slab_measure_bound, the slab of
-    v_j covers at most t_j * sum_i |v_ji| / h_i of the box; these shares must
-    sum to at most 1/2, so each draw accepts with probability >= 1/2.  The
-    caller picks deltas_j <= t_j / sup ||y||_2, so normalization keeps them.
+    clears t_j = thresholds_j; trial t draws from _keyed_rng(*key, t), so its
+    first i coordinates depend only on h_1..h_i.  The slab of v_j covers at
+    most t_j * sum_i |v_ji| / h_i of the box (polytope.slab_measure_bound);
+    these shares must sum to at most 1/2, so each draw accepts with
+    probability >= 1/2.  The caller picks deltas_j <= t_j / sup ||y||_2, so
+    normalization keeps them.
 
     Gives up with ConstructionError after DEFAULT_MAX_TRIES draws.  Returns
     (x, deltas, RejectionStats), re-checking the profile on x (hard assertion).
@@ -295,14 +298,13 @@ def sample_box_separator(v_list, halfwidths, thresholds, deltas, seed: int):
     if budget > 0.5 * (1.0 + 1e-12):
         raise ValidationError(f"vectors are not adapted to the box: their slabs may "
                               f"cover {budget:.3g} of it, more than 1/2")
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, DEFAULT_MAX_TRIES + 1):
-        y = rng.uniform(-halfw, halfw)
+    for trial in range(DEFAULT_MAX_TRIES):
+        y = _keyed_rng(*key, trial).uniform(-halfw, halfw)
         if np.all(np.abs(V @ y) >= thresholds):
             x = y / np.linalg.norm(y)
             if np.any(np.abs(V @ x) < deltas):
                 raise ConstructionError("accepted draw violates the certified profile")
-            return x, deltas, RejectionStats(attempt, 1)
+            return x, deltas, RejectionStats(trial + 1, 1)
     raise ConstructionError(
         f"no acceptable box draw in {DEFAULT_MAX_TRIES} tries "
         f"(failure probability <= 2**-{DEFAULT_MAX_TRIES} per construction)"
@@ -367,14 +369,9 @@ def _certificate_constants(levels: int) -> dict:
     }
 
 
-def derive_seeds(seed: int, count: int) -> list[int]:
-    state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
-    return [int(s) for s in state]
-
-
-def _line_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
+def _line_complement(family: SubspaceFamily, seed: int, level: int) -> ComplementResult:
     """Certified line complementing J hyperplanes in R^n, from
-    sample_box_separator.
+    sample_box_separator keyed by (seed, level).
 
     For J <= n it draws from the shrinking box (halfwidths j^-2) in a basis
     adapted to the ordered normals and certifies BOX_CONSTANT * j^-5.  For
@@ -390,14 +387,15 @@ def _line_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
         coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
         j = np.arange(1, J + 1, dtype=float)
         x_c, deltas, stats = sample_box_separator(
-            coords, j ** -2.0, RAW_MARGIN * j ** -5.0, BOX_CONSTANT * j ** -5.0, seed)
+            coords, j ** -2.0, RAW_MARGIN * j ** -5.0, BOX_CONSTANT * j ** -5.0,
+            (seed, level))
         x = frame.vectors.T @ x_c
         constants = _certificate_constants(1)
     else:
         bound = 0.5 / (J * n)
         x, deltas, stats = sample_box_separator(
             normals, np.ones(n), np.full(J, 0.5 / (J * math.sqrt(n))),
-            np.full(J, bound), seed)
+            np.full(J, bound), (seed, level))
         constants = {"profile_scale": bound, "profile_exponent": 0.0, "members": J}
     comp = OrthonormalFrame(x[None, :])
     return ComplementResult(comp, deltas, constants, certify(comp, family), seed, stats)
@@ -416,22 +414,21 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     produced against those hyperplanes, and C = C1 + span(x2).  Certificates
     compose as delta_j = delta1_j * delta2_j * LINE_CONSTANT, giving the
     overall profile LINE_CONSTANT**(k-1) * (BOX_CONSTANT * j^-5)**k.
+    The relaxed family gets the same seed and x2 draws at level k, so C1 is
+    the complement the relaxed family gets on its own.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
     n = family.ambient_dim
     k = family.codim
     J = len(family)
     if k == 1:
-        return _line_complement(family, seed)
+        return _line_complement(family, seed, 1)
     if J > n - k:
         raise ValidationError(
             f"family of {J} members with codim {k} in R^{n}: need J <= n - k"
         )
 
-    seed1, seed2 = derive_seeds(seed, 2)
     relaxed = SubspaceFamily(family.normals[:, : k - 1])
-    first = common_complement(relaxed, seed1)
+    first = common_complement(relaxed, seed)
     B1 = first.complement.vectors  # (k-1) x n
 
     N = family.normals
@@ -439,7 +436,7 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     U, _, _ = np.linalg.svd(G)
     u = U[:, None, :, -1]  # (J, 1, k): unit null vectors of G_j^T
     enlarged = SubspaceFamily.from_normals(u @ N)
-    second = _line_complement(enlarged, seed2)
+    second = _line_complement(enlarged, seed, k)
     # J <= n - k keeps the second stage on the adapted box, whose dominance check
     # puts x2 at distance >= BOX_CONSTANT from V_1 + C1, which contains C1:
     # the direct sum has full rank k
@@ -460,7 +457,7 @@ def random_subspace_family(seed: int, ambient_dim: int, codim: int,
     One (size, codim, ambient_dim) Gaussian draw, orthonormalized block by
     block; a rank-deficient block (probability zero) raises ValidationError.
     """
-    rng = np.random.default_rng(seed)
+    rng = _keyed_rng(seed, ambient_dim, codim, size)
     return SubspaceFamily.from_normals(rng.standard_normal((size, codim, ambient_dim)))
 
 
@@ -481,5 +478,4 @@ __all__ = [
     "is_well_separating",
     "common_complement",
     "random_subspace_family",
-    "derive_seeds",
 ]

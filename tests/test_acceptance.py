@@ -77,7 +77,7 @@ def test_acceptance_2_cube_separator():
         k = int(rng.integers(1, 51))
         normals = np.vstack([random_unit(rng, n) for _ in range(k)])
         x, deltas, stats = sample_box_separator(normals, *cube_parameters(k, n),
-                                                seed=2000 + i)
+                                                key=(2000 + i,))
         ok &= abs(np.linalg.norm(x) - 1.0) <= 1e-12
         ok &= np.all(deltas >= 0.5 / (k * n) - 1e-15)
         ok &= np.all(np.abs(normals @ x) >= deltas)
@@ -97,7 +97,7 @@ def test_acceptance_3_box_separator():
     for i in range(1000):
         m = int(rng.integers(1, 16))
         V = triangular_unit_rows(rng, m)
-        x, deltas, stats = sample_box_separator(V, *box_parameters(m), seed=3000 + i)
+        x, deltas, stats = sample_box_separator(V, *box_parameters(m), key=(3000 + i,))
         j = np.arange(1, m + 1, dtype=float)
         floor = BOX_CONSTANT * j**-5.0
         ok &= abs(np.linalg.norm(x) - 1.0) <= 1e-12

@@ -133,6 +133,22 @@ def test_no_default_is_set_by_every_library_call():
     assert always_set == []
 
 
+#: numpy's generator and seeding constructors.
+RNG_CONSTRUCTORS = {"default_rng", "SeedSequence", "RandomState", "Generator"}
+
+
+def test_keyed_rng_is_the_one_generator_constructor():
+    """Every random stream comes from geometry._keyed_rng: no other
+    top-level definition of the library calls a numpy generator or seeding
+    constructor."""
+    callers = {f"{module}.{getattr(node, 'name', f'line {node.lineno}')}"
+               for module, tree in _parse_modules().items()
+               for node in tree.body
+               for name, _, _ in _calls(node)
+               if name in RNG_CONSTRUCTORS}
+    assert callers == {"geometry._keyed_rng"}
+
+
 def test_every_exported_name_exists():
     """Each name in the package's and every module's ``__all__`` is defined."""
     modules = [transversal] + [importlib.import_module(f"transversal.{stem}")

@@ -439,11 +439,16 @@ def test_volume_axis_and_slab_bound():
                  2.0 * np.sqrt(2.0) * 1e-200, id="1e-200"),
     pytest.param("1e308,1", "0,1", math.inf, math.inf, id="1e308"),
     pytest.param("1e308,1e-16", "0,1", math.inf, math.inf, id="1e308-aspect-1e324"),
+    pytest.param("1,1", "1e-200,1e-200", 2.0 * np.sqrt(2.0), 2.0 * np.sqrt(2.0),
+                 id="normal-1e-200"),
+    pytest.param("1,1", "1e200,1e200", 2.0 * np.sqrt(2.0), 2.0 * np.sqrt(2.0),
+                 id="normal-1e200"),
 ])
 def test_volume_of_extreme_boxes(halfwidths, normal, volume, estimate):
-    """Shadow volumes near float64's ends: a value is inf only where the
-    true one overflows, and then agreement is judged on the box scaled to a
-    largest halfwidth in [1/2, 1), never as inf <= inf."""
+    """Shadow volumes and normals near float64's ends: a value is inf only
+    where the true one overflows, and then agreement is judged on the box
+    scaled to a largest halfwidth in [1/2, 1), never as inf <= inf; a normal
+    whose norm over- or underflows is normalized all the same."""
     cp = run_cli("volume", "--halfwidths", halfwidths, "--normal", normal, "--mc",
                  "--samples", 10_000)
     assert cp.returncode == 0, cp.stderr

@@ -68,6 +68,23 @@ def test_orthonormalize_already_orthonormal_is_bit_stable():
     np.testing.assert_array_equal(frame.vectors, q[:3])
 
 
+@pytest.mark.parametrize("rows, frame", [
+    pytest.param([[1e160, 1.0]], [[1.0, 1e-160]], id="norm-overflows"),
+    pytest.param([[1e-200, 1e-200], [1e-200, -1e-200]],
+                 [[0.5 ** 0.5, 0.5 ** 0.5], [0.5 ** 0.5, -0.5 ** 0.5]], id="norm-underflows"),
+])
+def test_orthonormalize_takes_rows_whose_norms_leave_float64(rows, frame):
+    np.testing.assert_allclose(orthonormalize(rows).vectors, frame, rtol=1e-15, atol=0.0)
+
+
+def test_orthonormalize_ignores_power_of_two_scaling(rng):
+    """The frames of V and of 2^s V agree bit for bit."""
+    V = rng.standard_normal((4, 9))
+    frame = orthonormalize(V).vectors
+    for s in (-1000, -3, 1, 1000):
+        np.testing.assert_array_equal(orthonormalize(np.ldexp(V, s)).vectors, frame)
+
+
 def test_orthonormalize_rejects_empty_and_mismatched():
     with pytest.raises(ValidationError):
         orthonormalize(np.zeros((0, 3)))
