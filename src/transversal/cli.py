@@ -16,7 +16,6 @@ stdout data stream stays machine-parseable.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os

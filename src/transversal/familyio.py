@@ -5,6 +5,14 @@ round-trips float64 exactly, so save/load cycles are bit-stable and equal
 seeds yield byte-identical files.  Output is strict JSON (RFC 8259): an
 undefined fit is written as null, and any other non-finite float is an
 error rather than a bare NaN token.
+
+Input is strict JSON too, decoded by orjson with correctly rounded float
+parsing: NaN and Infinity tokens, numbers that overflow float64 and bytes
+that are not UTF-8 are "not valid JSON".  A family file is decoded member by
+member: its top-level "normals" array is split into member spans, and each
+member goes straight into one (J, k, n) float64 array, so the file's numbers
+never exist as one tree of Python floats.  A document the split does not fit
+is decoded whole, with the same result and the same errors.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .geometry import OrthonormalFrame, ValidationError
 from .separator import (
@@ -41,14 +50,15 @@ def _size(doc: dict, key: str) -> int:
 
 
 def family_from_dict(doc: dict):
-    """Parse and validate a family document; returns (SubspaceFamily, labels)."""
+    """Parse and validate a family document, whose normals are a list of
+    blocks or a (J, k, n) array; returns (SubspaceFamily, labels)."""
     try:
         n = _size(doc, "dim")
         k = _size(doc, "codim")
         blocks = doc["normals"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed family document: {exc}") from exc
-    if not isinstance(blocks, list) or not blocks:
+    if not isinstance(blocks, (list, np.ndarray)) or len(blocks) == 0:
         raise ValidationError("family document lists no normals")
     family = SubspaceFamily.from_normals(blocks)
     if (family.codim, family.ambient_dim) != (k, n):
@@ -137,10 +147,10 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _read_json(path) -> dict:
-    text = Path(path).read_text()
+def _parse(data: bytes, path) -> dict:
+    """The JSON object that the bytes of file ``path`` hold."""
     try:
-        doc = json.loads(text)
+        doc = orjson.loads(data)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -148,14 +158,102 @@ def _read_json(path) -> dict:
     return doc
 
 
+_NORMALS = b'"normals"'
+_WHITESPACE = b" \t\n\r"
+
+
+def _member_spans(data: bytes, start: int):
+    """([(begin, end), ...] of the members, end of the array) of the array
+    opened by the '[' at data[start], walking from bracket to bracket; None
+    unless every item is an array and one comma separates each pair."""
+    find = data.find
+    spans = []
+    separator = b""
+    pos = start + 1
+    opening, closing = find(b"[", pos), find(b"]", pos)
+    while 0 <= closing:
+        if not 0 <= opening < closing:
+            if data[pos:closing].strip(_WHITESPACE):
+                return None
+            return spans, closing + 1
+        if data[pos:opening].strip(_WHITESPACE) != separator:
+            return None
+        begin, depth = opening, 1
+        opening = find(b"[", opening + 1)
+        while depth and 0 <= closing:
+            if 0 <= opening < closing:
+                depth += 1
+                opening = find(b"[", opening + 1)
+            else:
+                depth -= 1
+                pos = closing + 1
+                closing = find(b"]", pos)
+        if depth:
+            return None
+        spans.append((begin, pos))
+        separator = b","
+    return None
+
+
+def _split_family(data: bytes):
+    """The family document in ``data`` with its normals as one (J, k, n)
+    float64 array, decoded one member at a time; None where the walk does
+    not fit the document.
+
+    The one literal "normals" key (no backslash outside the array, so no
+    key is spelled with an escape) must open an array of numeric arrays
+    with no string inside it.  The rest of the document is decoded with
+    that array emptied, and its top-level "normals" must read [], which
+    proves that the walk found the top-level value.  Only the bytes after
+    the array can hold a second "normals", since the array holds no quote.
+    """
+    key = data.find(_NORMALS)
+    if key < 0:
+        return None
+    start = data.find(b"[", key)
+    if start < 0 or data[key + len(_NORMALS):start].strip(_WHITESPACE) != b":":
+        return None
+    walk = _member_spans(data, start)
+    if walk is None or not walk[0]:
+        return None
+    spans, end = walk
+    if (data.find(b'"', start, end) >= 0 or data.find(_NORMALS, end) >= 0
+            or data.find(b"\\", 0, start) >= 0 or data.find(b"\\", end) >= 0):
+        return None
+    view = memoryview(data)
+    try:
+        doc = orjson.loads(data[:start] + b"[]" + data[end:])
+        normals = None
+        for j, (begin, stop) in enumerate(spans):
+            block = np.array(orjson.loads(view[begin:stop]), dtype=float)
+            if block.ndim == 1:
+                block = block[None, :]
+            if normals is None:
+                normals = np.empty((len(spans), *block.shape))
+            if block.shape != normals.shape[1:]:
+                return None
+            normals[j] = block
+    except (json.JSONDecodeError, TypeError, ValueError):
+        return None
+    if not isinstance(doc, dict) or doc.get("normals") != []:
+        return None
+    doc["normals"] = normals
+    return doc
+
+
 def load_family(path):
-    return family_from_dict(_read_json(path))
+    """(SubspaceFamily, labels or None) of a family file; see
+    family_from_dict."""
+    data = Path(path).read_bytes()
+    doc = _split_family(data) or _parse(data, path)
+    del data  # freed before family_from_dict copies the normals
+    return family_from_dict(doc)
 
 
 def load_complement(path):
     """(OrthonormalFrame, read-only certified deltas or None) of a complement
     file; see complement_from_dict."""
-    return complement_from_dict(_read_json(path))
+    return complement_from_dict(_parse(Path(path).read_bytes(), path))
 
 
 def save_complement(path, result: ComplementResult) -> None:

@@ -197,6 +197,26 @@ def decay_fit_prefixes(deltas) -> tuple[np.ndarray, np.ndarray]:
     return slope, scale
 
 
+def _whole_profile_slopes(rows: np.ndarray) -> np.ndarray:
+    """decay_fit_prefixes(rows)[0][:, -1] of an (m, J) stack of positive
+    profiles, bit for bit.  Every entry counts, so the x side (the means of
+    log i, their increments and sxx) is one (J,) computation shared by all
+    rows, and only the y side needs (m, J) prefix sums."""
+    J = rows.shape[-1]
+    if J < 2:
+        return np.full(len(rows), np.nan)
+    count = np.arange(1, J + 1)
+    x = np.log(np.arange(1.0, J + 1.0))
+    dx = x.copy()
+    dx[1:] -= (np.cumsum(x) / count)[:-1]
+    weighted = (count - 1) / count * dx
+    sxx = np.cumsum(weighted * dx)[-1]
+    dy = np.log(rows)
+    dy[:, 1:] -= (np.cumsum(dy, axis=-1) / count)[:, :-1]
+    sxy = np.cumsum(weighted * dy, axis=-1)[:, -1]
+    return sxy / sxx
+
+
 def _profile(deltas) -> np.ndarray:
     """Read-only float64 copy of a finite nonempty profile in [0, 1]."""
     d = _freeze(as_vector(deltas))
@@ -346,8 +366,14 @@ def is_well_separating(deltas, max_exponent: float):
     d = np.asarray(deltas, dtype=float)
     if d.ndim == 0 or d.shape[-1] == 0:
         raise ValidationError("a profile needs at least one delta")
-    verdict = np.all(d > 0, axis=-1)
-    p = -decay_fit_prefixes(d)[0][..., -1]
+    rows = d.reshape(-1, d.shape[-1])
+    positive = np.all(rows > 0, axis=-1)
+    slope = np.empty(len(rows))
+    slope[positive] = _whole_profile_slopes(rows[positive])
+    if not positive.all():
+        slope[~positive] = decay_fit_prefixes(rows[~positive])[0][:, -1]
+    verdict = positive.reshape(d.shape[:-1])
+    p = -slope.reshape(d.shape[:-1])
     if d.shape[-1] >= 3:
         j = np.arange(1.0, d.shape[-1] + 1.0)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -149,6 +149,26 @@ def test_keyed_rng_is_the_one_generator_constructor():
     assert callers == {"geometry._keyed_rng"}
 
 
+#: (module, function) of the calls that decode JSON.
+JSON_DECODERS = {("json", "loads"), ("json", "load"), ("orjson", "loads")}
+
+
+def test_familyio_is_the_one_json_reader():
+    """The input format lives in one module: no other library module calls
+    json.loads, json.load or orjson.loads, or imports them by name."""
+    readers = set()
+    for module, tree in _parse_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) \
+                    and (node.func.value.id, node.func.attr) in JSON_DECODERS:
+                readers.add(module)
+            elif isinstance(node, ast.ImportFrom) and any(
+                    (node.module, alias.name) in JSON_DECODERS for alias in node.names):
+                readers.add(module)
+    assert readers == {"familyio"}
+
+
 def test_every_exported_name_exists():
     """Each name in the package's and every module's ``__all__`` is defined."""
     modules = [transversal] + [importlib.import_module(f"transversal.{stem}")

@@ -529,6 +529,37 @@ def test_malformed_json_is_input_error(tmp_path):
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["construct", "certify"])
+def test_undecodable_input_files_are_input_errors(single_hyperplane, tmp_path, command):
+    """A family or complement file that is not UTF-8 is not valid JSON: exit 2
+    with one error line, not a UnicodeDecodeError traceback."""
+    bad = tmp_path / "bad.json"
+    if command == "construct":
+        doc = json.loads(single_hyperplane.read_text())
+        bad.write_bytes(json.dumps({**doc, "labels": ["@"]}).encode().replace(b"@", b"\xff"))
+        cp = run_cli("construct", "--family", bad, "--out", tmp_path / "x.json")
+    else:
+        comp = tmp_path / "comp.json"
+        assert run_cli("construct", "--family", single_hyperplane,
+                       "--out", comp).returncode == 0
+        bad.write_bytes(comp.read_bytes().replace(b"certified-by-construction", b"\xff"))
+        cp = run_cli("certify", "--family", single_hyperplane, "--complement", bad)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr.startswith(f"error: {bad}: not valid JSON (")
+    assert cp.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+def test_non_finite_numbers_are_not_valid_json(tmp_path, number):
+    """Input is strict JSON: NaN and Infinity tokens and numbers that
+    overflow float64 are rejected by the parser."""
+    path = tmp_path / "nan.json"
+    path.write_text('{"dim": 2, "codim": 1, "normals": [[[%s, 1.0]]]}' % number)
+    cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith(f"error: {path}: not valid JSON (")
+
+
 def test_non_numeric_normals_are_input_error(tmp_path):
     path = tmp_path / "letters.json"
     path.write_text(json.dumps({"dim": 3, "codim": 1, "normals": [[["a", 0, 0]]]}))
