@@ -6,10 +6,10 @@ the one subspace type, and a member V of codimension k through an
 orthonormal basis of its orthogonal complement (its "normal frame"), so
 the degree of transversality of C to V reduces to the action of a small
 k x k matrix.  One sign-fixed Householder QR kernel orthonormalizes
-(..., m, n) stacks of blocks for the whole package: ``orthonormalize``
-(m independent vectors to a frame of m rows, or an error naming their
-rank), ``separator.adapt_basis`` and the stacked translation suite.  The
-Gram and unit-norm checks shared by every module live here as well.
+(..., m, n) stacks of blocks for ``orthonormalize`` (m independent vectors
+to a frame of m rows, or an error naming their rank) and the translation
+suite; ``separator.adapt_basis`` applies the raw factors without forming
+the frame.  The Gram and unit-norm checks shared by every module live here.
 
 All operations are pure: inputs are validated and frozen on construction
 (copied unless already read-only), and nothing is mutated afterwards.

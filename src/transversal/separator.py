@@ -34,7 +34,6 @@ from .geometry import (
     _check_unit,
     _freeze,
     _gram_defects,
-    _householder_frames,
     _keyed_rng,
     as_vector,
     degrees_of_transversality,
@@ -263,16 +262,15 @@ class ComplementResult:
 
 
 def adapt_basis(v_list):
-    """Orthonormal c_1..c_m with v_j in span(c_1..c_j) for ordered unit v_j.
+    """Coordinates of ordered unit v_j in an orthonormal c_1..c_m with v_j in
+    span(c_1..c_j), and the lift back to R^n.  Returns (lift, coords).
 
-    The frame is the sign-fixed Householder QR frame of V (see
-    geometry._householder_frames), the frame Gram-Schmidt would build on
-    independent input.  Since R is upper triangular, v_j = sum_{l <= j}
-    R_lj c_l holds whatever the pivots are: when v_j depends on its
-    predecessors, R_jj vanishes and c_j is still a Householder column
-    orthonormal to the rest, so the full-rank flag is ignored and index
-    alignment is preserved.  Returns (OrthonormalFrame, coords) where
-    coords[i, l] = <v_i, c_l> is lower triangular up to DEFAULT_TOL.
+    The c_l are the sign-fixed Householder QR frame of V, left in LAPACK's
+    factored form (Golub & Van Loan, Matrix Computations, 5.1.6): with
+    V^T = Q R and s = sign(diag R), coords = R^T diag(s) is exactly lower
+    triangular, and lift(x_c) = sum_l x_c[l] c_l = Q [s x_c; 0] applies the
+    m reflectors in O(mn).  A dependent v_j gets R_jj = 0 and a reflector
+    column c_j still orthonormal to the rest, so indices stay aligned.
     """
     V = np.atleast_2d(np.asarray(v_list, dtype=float))
     if V.size == 0:
@@ -283,9 +281,18 @@ def adapt_basis(v_list):
         raise ValidationError(
             f"cannot adapt {m} vectors in R^{n}: more vectors than ambient dimension"
         )
-    frame = OrthonormalFrame(_householder_frames(V)[0])
-    coords = V @ frame.vectors.T
-    return frame, coords
+    h, tau = np.linalg.qr(V.T, mode="raw")  # R^T on and below h's diagonal
+    sign = np.where(np.diagonal(h) < 0.0, -1.0, 1.0)
+    coords = np.tril(h[:, :m]) * sign
+    np.fill_diagonal(h, 1.0)  # reflector l is h[l, l:] on coordinates l..n-1
+
+    def lift(x_c):
+        x = np.concatenate((sign * x_c, np.zeros(n - m)))
+        for l in range(m - 1, -1, -1):
+            x[l:] -= (tau[l] * (h[l, l:] @ x[l:])) * h[l, l:]
+        return x
+
+    return lift, coords
 
 
 def sample_box_separator(v_list, halfwidths, thresholds, deltas, key: tuple):
@@ -408,14 +415,14 @@ def _line_complement(family: SubspaceFamily, seed: int, level: int) -> Complemen
     J = len(family)
     normals = family.normals[:, 0]
     if J <= n:
-        frame, coords = adapt_basis(normals)
+        lift, coords = adapt_basis(normals)
         # rows of coords are unit up to round-off; renormalize
         coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
         j = np.arange(1, J + 1, dtype=float)
         x_c, deltas, stats = sample_box_separator(
             coords, j ** -2.0, RAW_MARGIN * j ** -5.0, BOX_CONSTANT * j ** -5.0,
             (seed, level))
-        x = frame.vectors.T @ x_c
+        x = lift(x_c)
         constants = _certificate_constants(1)
     else:
         bound = 0.5 / (J * n)
@@ -468,6 +475,9 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     # the direct sum has full rank k
     comp = orthonormalize(np.vstack([B1, second.complement.vectors]))
     certified = first.certified * second.certified * LINE_CONSTANT
+    if not np.all(certified > 0):
+        raise ConstructionError(f"certified profile of codim {k} underflows to 0 "
+                                f"from index {int(np.argmin(certified > 0)) + 1}")
     stats = RejectionStats(
         first.rejection_stats.attempted + second.rejection_stats.attempted,
         first.rejection_stats.accepted + second.rejection_stats.accepted,

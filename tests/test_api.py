@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import transversal
+from transversal import separator
 
 PACKAGE = Path(transversal.__file__).parent
 
@@ -167,6 +169,12 @@ def test_familyio_is_the_one_json_reader():
                     (node.module, alias.name) in JSON_DECODERS for alias in node.names):
                 readers.add(module)
     assert readers == {"familyio"}
+
+
+def test_adapt_basis_keeps_its_first_parameter_name():
+    """The benchmark's span counter reads adapt_basis's rows by the name of
+    its first parameter, v_list, when it is passed by keyword."""
+    assert next(iter(inspect.signature(separator.adapt_basis).parameters)) == "v_list"
 
 
 def test_every_exported_name_exists():

@@ -171,6 +171,18 @@ def test_construct_many_hyperplanes_gets_cube_profile(tmp_path):
     assert np.all(measured >= certified)
 
 
+def test_construct_underflowing_profile_is_construction_error(tmp_path):
+    """J = n - k is valid input, so a certified profile that underflows to 0
+    in the recursion is a failed construction (exit 3), not invalid input."""
+    path = tmp_path / "deep.json"
+    write_family(path, random_subspace_family(5, 130, 30, 100))
+    out = tmp_path / "x.json"
+    cp = run_cli("construct", "--family", path, "--out", out)
+    assert cp.returncode == 3, cp.stderr
+    assert "underflows to 0 from index 96" in cp.stderr
+    assert not out.exists()
+
+
 def test_certify_construct_output(codim2_family, tmp_path):
     path, fam = codim2_family
     out = tmp_path / "comp.json"

@@ -10,6 +10,7 @@ from transversal import familyio, separator
 from transversal.geometry import (
     ConstructionError,
     ValidationError,
+    _householder_frames,
     _keyed_rng,
     degrees_of_transversality,
     orthonormalize,
@@ -135,30 +136,37 @@ def test_cube_sampler_exhaustion_is_construction_error(monkeypatch):
 # adapted bases
 
 
+def lifted_frame(lift, m):
+    """The frame c_1..c_m of an adapt_basis lift: the lifts of the unit vectors."""
+    return np.array([lift(row) for row in np.eye(m)])
+
+
 def test_adapt_basis_already_adapted():
-    frame, coords = adapt_basis([e(0, 4), e(1, 4)])
-    np.testing.assert_array_equal(frame.vectors, np.eye(4)[:2])
+    lift, coords = adapt_basis([e(0, 4), e(1, 4)])
+    np.testing.assert_array_equal(lifted_frame(lift, 2), np.eye(4)[:2])
     np.testing.assert_allclose(coords, np.eye(2, 2), atol=1e-12)
 
 
 def test_adapt_basis_dependent_pair_gets_filler():
-    frame, coords = adapt_basis([e(0, 3), e(0, 3)])
-    assert frame.size == 2
-    np.testing.assert_allclose(frame.vectors[0], e(0, 3))
-    assert abs(np.dot(frame.vectors[0], frame.vectors[1])) <= 1e-12
+    lift, coords = adapt_basis([e(0, 3), e(0, 3)])
+    frame = lifted_frame(lift, 2)
+    assert coords.shape == (2, 2) and np.linalg.norm(frame[1]) == pytest.approx(1.0)
+    np.testing.assert_allclose(frame[0], e(0, 3))
+    assert abs(np.dot(frame[0], frame[1])) <= 1e-12
     # v2 = e1 lies in span(c1) and therefore in span(c1, c2)
     np.testing.assert_allclose(coords[1], [1.0, 0.0], atol=1e-12)
 
 
 def test_adapt_basis_random_projection_residuals(rng):
     V = np.array([random_unit(rng, 8) for _ in range(5)])
-    frame, coords = adapt_basis(V)
+    lift, coords = adapt_basis(V)
+    frame = lifted_frame(lift, 5)
     for j in range(5):
-        head = frame.vectors[: j + 1]
+        head = frame[: j + 1]
         residual = V[j] - (V[j] @ head.T) @ head
         assert np.linalg.norm(residual) <= 1e-9
-    # coords must be lower triangular
-    assert np.max(np.abs(np.triu(coords, k=1))) <= 1e-12
+    # coords are R^T: exactly lower triangular
+    assert not np.triu(coords, k=1).any()
 
 
 @st.composite
@@ -184,22 +192,41 @@ def unit_rows(draw):
 @settings(max_examples=200, deadline=None)
 def test_adapt_basis_properties(V):
     m = V.shape[0]
-    frame, coords = adapt_basis(V)
-    C = frame.vectors
+    lift, coords = adapt_basis(V)
+    C = lifted_frame(lift, m)
     assert C.shape == V.shape
     assert np.max(np.abs(C @ C.T - np.eye(m))) <= 1e-12
-    assert np.max(np.abs(np.triu(coords, k=1)), initial=0.0) <= 1e-12
+    assert not np.triu(coords, k=1).any()
     assert np.all(np.diagonal(coords) >= -1e-12)
     assert np.linalg.norm(V - coords @ C) <= 1e-12
 
 
+@given(V=unit_rows())
+@settings(max_examples=200, deadline=None)
+def test_adapt_basis_lift_matches_formed_frames(V):
+    """lift(x_c) is x_c in the frame the factorization would form, and in the
+    Gram-Schmidt frame up to the first row that depends on its predecessors:
+    from there on the two pick different, equally valid filler directions."""
+    m = V.shape[0]
+    lift, _ = adapt_basis(V)
+    x_c = np.random.default_rng(m).standard_normal(m)
+    np.testing.assert_allclose(lift(x_c), _householder_frames(V)[0].T @ x_c,
+                               rtol=0, atol=1e-12)
+    reference = mgs_adapt_basis(V)
+    independent = [np.linalg.norm(v - (v @ reference[:j].T) @ reference[:j]) > 1e-10
+                   for j, v in enumerate(V)]
+    r = independent.index(False) if False in independent else m
+    x_c[r:] = 0.0
+    np.testing.assert_allclose(lift(x_c), reference.T @ x_c, rtol=0, atol=1e-12)
+
+
 def test_adapt_basis_matches_gram_schmidt_oracle(rng):
     V = np.array([random_unit(rng, 200) for _ in range(199)])
-    frame, coords = adapt_basis(V)
+    lift, coords = adapt_basis(V)
     reference = mgs_adapt_basis(V)
-    np.testing.assert_allclose(frame.vectors, reference, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lifted_frame(lift, 199), reference, rtol=0, atol=1e-12)
     np.testing.assert_allclose(coords, V @ reference.T, rtol=0, atol=1e-12)
-    # orthonormalize shares the QR kernel; pin it on rows that are not unit
+    # orthonormalize's QR kernel builds the same frame; pin it on rows that are not unit
     W = rng.standard_normal((40, 60)) * rng.uniform(0.5, 3.0, (40, 1))
     np.testing.assert_allclose(orthonormalize(W).vectors, mgs_adapt_basis(W),
                                rtol=0, atol=1e-12)
@@ -550,6 +577,25 @@ def test_hyperplane_complement_random_family(rng):
         doc = familyio.complement_to_dict(res)
         assert doc["certified"]["provenance"] == "certified-by-construction"
         assert doc["measured"]["provenance"] == "measured-by-svd"
+
+
+@pytest.mark.parametrize("n, J", [(100, 99), (60, 60)])
+def test_line_complement_matches_formed_frame_oracle(n, J):
+    """The box path, sampling in adapted coordinates and lifting through the
+    factored QR, agrees with the same draws in a formed Gram-Schmidt frame:
+    the same accepted trial and certified profile, bit for bit, and the same
+    basis up to rounding."""
+    fam = random_subspace_family(5, n, 1, J)
+    res = common_complement(fam, seed=7)
+    V = fam.normals[:, 0]
+    frame = mgs_adapt_basis(V)
+    coords = V @ frame.T
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    x_c, deltas, stats = sample_box_separator(coords, *box_parameters(J), (7, 1))
+    np.testing.assert_array_equal(res.certified, deltas)
+    assert res.rejection_stats == stats and stats.attempted > 1
+    np.testing.assert_allclose(res.complement.vectors[0], frame.T @ x_c,
+                               rtol=0, atol=1e-12)
 
 
 def test_cube_complement_handles_many_members():
