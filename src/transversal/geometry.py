@@ -7,9 +7,12 @@ orthonormal basis of its orthogonal complement (its "normal frame"), so
 the degree of transversality of C to V reduces to the action of a small
 k x k matrix.  One sign-fixed Householder QR kernel orthonormalizes
 (..., m, n) stacks of blocks for ``orthonormalize`` (m independent vectors
-to a frame of m rows, or an error naming their rank) and the translation
-suite; ``separator.adapt_basis`` applies the raw factors without forming
-the frame.  The Gram and unit-norm checks shared by every module live here.
+to a frame of m rows, or an error naming their rank), and
+``separator.adapt_basis`` applies its raw factors without forming the
+frame; the translation suite orthonormalizes its spans by its own stacked
+Gram-Schmidt under the same rank rule (see prevalence).  The smallest-
+singular-value step of the degrees of transversality and the Gram and
+unit-norm checks, which every module shares, live here.
 
 All operations are pure: inputs are validated and frozen on construction
 (copied unless already read-only), and nothing is mutated afterwards.
@@ -246,9 +249,18 @@ def degrees_of_transversality(normals: np.ndarray, basis: np.ndarray) -> np.ndar
     |N_j b^T| (LAPACK's 1 x 1 SVD agrees, but rescales products below
     sqrt(tiny) / eps, about 6.7e-139, and can then be 1 ulp off); at k = 2
     they come from _sigma_min_2x2's closed form, within 8u sigma_max of the
-    exact value (u = 2^-53); at k >= 3 one stacked SVD gives them.
+    exact value (u = 2^-53); at k >= 3 one stacked SVD gives them.  That
+    step is _degrees, which the translation suite applies to products it
+    forms as one GEMM per sample, so its deltas agree with these to a few
+    units in the last place, not bit for bit.
     """
-    prods = normals @ np.swapaxes(basis, -1, -2)[..., None, :, :]
+    return _degrees(normals @ np.swapaxes(basis, -1, -2)[..., None, :, :])
+
+
+def _degrees(prods: np.ndarray) -> np.ndarray:
+    """Smallest singular values of a (..., k, k) stack of products N_j B^T,
+    clipped to [0, 1]: |.| at k = 1, _sigma_min_2x2 at k = 2 and one stacked
+    SVD at k >= 3."""
     k = prods.shape[-1]
     if k == 1:
         s = np.abs(prods[..., 0, 0])

@@ -434,6 +434,22 @@ def _line_complement(family: SubspaceFamily, seed: int, level: int) -> Complemen
     return ComplementResult(comp, deltas, constants, certify(comp, family), seed, stats)
 
 
+def _composed_profile(J: int, k: int) -> np.ndarray:
+    """The certified profile of a codim-k complement of J <= n - k members,
+    k >= 2: the box profile BOX_CONSTANT * j^-5 of each level, composed as
+    the recursion composes it.  Raises ConstructionError at the first level
+    whose profile underflows to 0, before any level draws.
+    """
+    line = BOX_CONSTANT * np.arange(1, J + 1, dtype=float) ** -5.0
+    certified = line
+    for level in range(2, k + 1):
+        certified = certified * line * LINE_CONSTANT
+        if not np.all(certified > 0):
+            raise ConstructionError(f"certified profile of codim {level} underflows to 0 "
+                                    f"from index {int(np.argmin(certified > 0)) + 1}")
+    return certified
+
+
 def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     """Certified common complement of J subspaces of codimension k in R^n.
 
@@ -446,9 +462,10 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     enlarged to the hyperplane V_j + C1, a second certified direction x2 is
     produced against those hyperplanes, and C = C1 + span(x2).  Certificates
     compose as delta_j = delta1_j * delta2_j * LINE_CONSTANT, giving the
-    overall profile LINE_CONSTANT**(k-1) * (BOX_CONSTANT * j^-5)**k.
-    The relaxed family gets the same seed and x2 draws at level k, so C1 is
-    the complement the relaxed family gets on its own.
+    overall profile LINE_CONSTANT**(k-1) * (BOX_CONSTANT * j^-5)**k, which
+    _composed_profile checks for underflow before any level draws.  The
+    relaxed family gets the same seed and x2 draws at level k, so C1 is the
+    complement the relaxed family gets on its own.
     """
     n = family.ambient_dim
     k = family.codim
@@ -460,6 +477,7 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
             f"family of {J} members with codim {k} in R^{n}: need J <= n - k"
         )
 
+    certified = _composed_profile(J, k)
     relaxed = SubspaceFamily(family.normals[:, : k - 1])
     first = common_complement(relaxed, seed)
     B1 = first.complement.vectors  # (k-1) x n
@@ -474,10 +492,6 @@ def common_complement(family: SubspaceFamily, seed: int) -> ComplementResult:
     # puts x2 at distance >= BOX_CONSTANT from V_1 + C1, which contains C1:
     # the direct sum has full rank k
     comp = orthonormalize(np.vstack([B1, second.complement.vectors]))
-    certified = first.certified * second.certified * LINE_CONSTANT
-    if not np.all(certified > 0):
-        raise ConstructionError(f"certified profile of codim {k} underflows to 0 "
-                                f"from index {int(np.argmin(certified > 0)) + 1}")
     stats = RejectionStats(
         first.rejection_stats.attempted + second.rejection_stats.attempted,
         first.rejection_stats.accepted + second.rejection_stats.accepted,

@@ -347,6 +347,19 @@ def test_mc_reports_are_byte_identical_for_equal_seeds():
         assert c.stdout != a.stdout
 
 
+@pytest.mark.parametrize("radius", ["1e150", "1e155", "1e160"])
+def test_mc_translation_survives_huge_radii(radius):
+    """Past about 1e150 the translation is negligible and every span is the
+    base's; spans with entries past about 1e154 once overflowed the rank
+    floor and failed the suite with a RuntimeWarning."""
+    cp = run_cli("mc", "translation", "--radius", radius)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    doc = strict_json(cp.stdout)
+    assert doc["reports"][0]["estimate"] == 1.0
+    assert doc["verdict"] is True
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(("--max-exponent", -100), id="no-sample-passes"),
     pytest.param(("--members", 1), id="one-member"),

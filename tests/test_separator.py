@@ -665,6 +665,18 @@ def test_common_complement_codim3_certified_exponent():
         assert np.linalg.matrix_rank(M, tol=1e-9) == 25
 
 
+def test_underflowing_profile_fails_before_any_draw(monkeypatch):
+    """The composed profile is checked before level 1: a family whose
+    codim-30 profile underflows draws nothing before ConstructionError."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+    monkeypatch.setattr(separator, "sample_box_separator", no_draws)
+    fam = random_subspace_family(5, 130, 30, 100)
+    with pytest.raises(ConstructionError,
+                       match="profile of codim 30 underflows to 0 from index 96"):
+        common_complement(fam, seed=0)
+
+
 def test_common_complement_rejects_insufficient_headroom():
     fam = random_subspace_family(14, 6, 2, 5)  # J = 5 > n - k = 4
     with pytest.raises(ValidationError, match="J <= n - k"):
