@@ -33,14 +33,6 @@ from .separator import (
 )
 
 
-def family_to_dict(family: SubspaceFamily) -> dict:
-    return {
-        "dim": family.ambient_dim,
-        "codim": family.codim,
-        "normals": family.normals.tolist(),
-    }
-
-
 def _size(doc: dict, key: str) -> int:
     """doc[key], rejecting a float, a bool or a string rather than converting it."""
     value = doc[key]
@@ -261,7 +253,6 @@ def save_complement(path, result: ComplementResult) -> None:
 
 
 __all__ = [
-    "family_to_dict",
     "family_from_dict",
     "certificate_to_dict",
     "complement_to_dict",

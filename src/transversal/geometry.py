@@ -5,14 +5,14 @@ an orthonormal basis: a candidate complement C as an ``OrthonormalFrame``,
 the one subspace type, and a member V of codimension k through an
 orthonormal basis of its orthogonal complement (its "normal frame"), so
 the degree of transversality of C to V reduces to the action of a small
-k x k matrix.  One sign-fixed Householder QR kernel orthonormalizes
-(..., m, n) stacks of blocks for ``orthonormalize`` (m independent vectors
-to a frame of m rows, or an error naming their rank), and
-``separator.adapt_basis`` applies its raw factors without forming the
-frame; the translation suite orthonormalizes its spans by its own stacked
-Gram-Schmidt under the same rank rule (see prevalence).  The smallest-
-singular-value step of the degrees of transversality and the Gram and
-unit-norm checks, which every module shares, live here.
+k x k matrix.  One stacked Gram-Schmidt kernel, with one rank rule,
+orthonormalizes every (m, k, n) stack of blocks: for ``orthonormalize``
+(independent vectors to a frame of as many rows, or an error naming their
+rank), for family loading and for the translation suite's spans.
+``separator.adapt_basis`` keeps LAPACK's raw Householder factors instead,
+which its lift applies without forming the frame.  The smallest-singular-
+value step of the degrees of transversality and the Gram and unit-norm
+checks, which every module shares, live here.
 
 All operations are pure: inputs are validated and frozen on construction
 (copied unless already read-only), and nothing is mutated afterwards.
@@ -131,33 +131,47 @@ class OrthonormalFrame:
         return self.size
 
 
-def _householder_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-fixed Householder QR frames of a (..., m, n) stack, m <= n.
+def _gram_schmidt_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt frames of a (m, k, n) stack of blocks.
 
-    Each block V gets Q^T from the reduced QR V^T = Q R (Golub & Van Loan,
-    Matrix Computations, section 5.2) with diag(R) >= 0, the frame
-    Gram-Schmidt builds on independent rows.  Returns (frames, full_rank):
-    full_rank holds where every |R_jj| exceeds DEFAULT_TOL times the block's
-    largest row norm, Gram-Schmidt's residual test; other frames still have
-    m orthonormal rows.
+    Classical Gram-Schmidt with one re-orthogonalization pass (CGS2), run on
+    the whole stack at once: twice, row j of every block loses its
+    components along the frame rows before it, all taken from the same row
+    by one einsum pair; then it is normalized.  On numerically full-rank
+    blocks the frames are orthonormal to working accuracy, as Householder
+    QR's are (Giraud, Langou & Rozloznik, Numer. Math. 101, 2005).  Each
+    block is first scaled by a power of two, which is exact and keeps its
+    entries below 1 in magnitude, so 2^s V and V get the same frame.
+    Returns (frames, independent): row j of a block is independent where
+    its residual norm exceeds DEFAULT_TOL times the block's largest row
+    norm.  A dependent row is zeroed, so later rows are never projected
+    onto noise, and a block is orthonormal exactly where all its rows are
+    independent.
     """
-    q, r = np.linalg.qr(np.swapaxes(stack, -1, -2))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    frames = np.swapaxes(q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], -1, -2)
-    floor = DEFAULT_TOL * np.linalg.norm(stack, axis=-1).max(axis=-1, keepdims=True)
-    return frames, np.all(np.abs(diag) > floor, axis=-1)
+    m, k, n = stack.shape
+    exponents = np.frexp(np.abs(stack).reshape(m, k * n).max(axis=1))[1]
+    frames = np.ldexp(stack, -exponents[:, None, None])
+    floor = DEFAULT_TOL * np.sqrt(np.einsum("mkn,mkn->mk", frames, frames).max(axis=1))
+    independent = np.empty((m, k), dtype=bool)
+    for j in range(k):
+        row, done = frames[:, j], frames[:, :j]
+        for _ in range(2):
+            row -= np.einsum("mj,mjn->mn", np.einsum("mjn,mn->mj", done, row), done)
+        residual = np.sqrt(np.einsum("mn,mn->m", row, row))
+        independent[:, j] = residual > floor
+        np.divide(row, residual[:, None], out=row, where=independent[:, j, None])
+        row[~independent[:, j]] = 0.0
+    return frames, independent
 
 
 def orthonormalize(vectors) -> OrthonormalFrame:
     """Orthonormal frame with the span of m independent rows, one row per input row.
 
-    The sign-fixed Householder QR frame of ``_householder_frames``.  A row
-    whose residual is at most DEFAULT_TOL times the largest input norm
-    counts as dependent, and then ValidationError names the rank r < m; a
+    The Gram-Schmidt frame of ``_gram_schmidt_frames``.  When r < m rows
+    are independent by its rule, ValidationError names the rank r < m; a
     shorter frame is never returned.  Inputs that already form an
     orthonormal frame are returned unchanged, which keeps repeated
-    normalization bit-stable.  Other inputs are scaled first by a power of
-    two, which is exact and keeps their largest norm in range.
+    normalization bit-stable.
     """
     try:
         arr = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -172,14 +186,11 @@ def orthonormalize(vectors) -> OrthonormalFrame:
     m, n = arr.shape
     if m <= n and _gram_defects(arr) <= DEFAULT_TOL:
         return OrthonormalFrame(arr)
-    arr = np.ldexp(arr, -int(np.frexp(np.abs(arr).max())[1]))
-    if m <= n:
-        frame, full_rank = _householder_frames(arr)
-        if full_rank:
-            return OrthonormalFrame(frame)
-    # sigma_min <= min |R_jj|, so the rank at the same tolerance is below m
-    r = np.linalg.matrix_rank(arr, tol=DEFAULT_TOL * np.linalg.norm(arr, axis=1).max())
-    raise ValidationError(f"rank {r} < {m}: vectors are linearly dependent")
+    frames, independent = _gram_schmidt_frames(arr[None])
+    r = int(np.count_nonzero(independent))
+    if r < m:
+        raise ValidationError(f"rank {r} < {m}: vectors are linearly dependent")
+    return OrthonormalFrame(frames[0])
 
 
 def _det(M: np.ndarray) -> np.ndarray:

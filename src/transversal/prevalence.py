@@ -36,10 +36,10 @@ import numpy as np
 
 from .geometry import (
     _BLOCK_CELLS,
-    DEFAULT_TOL,
     ValidationError,
     _degrees,
     _det,
+    _gram_schmidt_frames,
     _keyed_rng,
 )
 from .separator import ComplementResult, SubspaceFamily, is_well_separating
@@ -451,39 +451,6 @@ def mc_inverse_bound(A_list, delta_list, config: McConfig):
     return report, eps_hat
 
 
-def _gram_schmidt_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt frames of a (m, k, n) stack of blocks, k <= n.
-
-    Classical Gram-Schmidt with one re-orthogonalization pass (CGS2), run on
-    the whole stack at once: twice, row j of every block loses its
-    components along the frame rows before it, all taken from the same row;
-    then it is normalized.  On numerically full-rank blocks the frames are
-    orthonormal to working accuracy, as Householder QR's are (Giraud, Langou
-    & Rozloznik, Numer. Math. 101, 2005), and they are the sign-fixed frames
-    of geometry's _householder_frames up to round-off.  Each block is first
-    scaled by a power of two, which is exact and keeps its entries below 1
-    in magnitude.  Returns (frames, full_rank) with _householder_frames'
-    rule: full_rank holds where every row's residual norm exceeds
-    DEFAULT_TOL times the block's largest row norm.  Other frames are not
-    orthonormal.
-    """
-    m, k, n = stack.shape
-    exponents = np.frexp(np.abs(stack).reshape(m, k * n).max(axis=1))[1]
-    rows = [np.ldexp(stack[:, j], -exponents[:, None]) for j in range(k)]
-    sq_norms = [np.einsum("mn,mn->m", row, row) for row in rows]
-    floor = DEFAULT_TOL * np.sqrt(np.max(sq_norms, axis=0))
-    full_rank = np.ones(m, dtype=bool)
-    for j, row in enumerate(rows):
-        for _ in range(2):
-            coeffs = [np.einsum("mn,mn->m", q, row) for q in rows[:j]]
-            for q, c in zip(rows[:j], coeffs):
-                row -= c[:, None] * q
-        residual = np.sqrt(np.einsum("mn,mn->m", row, row))
-        full_rank &= residual > floor
-        np.divide(row, residual[:, None], out=row, where=residual[:, None] > 0.0)
-    return np.stack(rows, axis=1), full_rank
-
-
 def translation_experiment(base: ComplementResult, family: SubspaceFamily,
                            translation, config: McConfig, radius: float,
                            max_exponent: float):
@@ -499,15 +466,14 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
     chunk, so sample i's draws do not depend on ``config.samples``.  The
     chunk's sample s takes row s of both: its k ball points, in
     sample_ball's form, are the rows of its A^T.  Each chunk maps its draws
-    to ball points at once, orthonormalizes its spans by
-    _gram_schmidt_frames, which rejects a span by orthonormalize's rank
-    rule, takes one (k, n) x (n, J k) product per sample and one stacked
-    degree evaluation (geometry's _degrees), and fits each profile once in
-    one stacked verdict.  The frames and products round differently from
-    orthonormalize's Householder QR and certify's products, so a delta row
-    agrees with the deltas of certify(orthonormalize(A^T B + X), family) to
-    a few units in the last place, not bit for bit.  The suite passes when
-    at least 99% of the samples pass.
+    to ball points at once, orthonormalizes its spans by geometry's
+    _gram_schmidt_frames, the kernel and rank rule of orthonormalize, takes
+    one (k, n) x (n, J k) product per sample and one stacked degree
+    evaluation (geometry's _degrees), and fits each profile once in one
+    stacked verdict.  The products round differently from certify's, so a
+    delta row agrees with the deltas of certify(orthonormalize(A^T B + X),
+    family) to a few units in the last place, not bit for bit.  The suite
+    passes when at least 99% of the samples pass.
 
     Returns (McReport, list with one entry per sample: its read-only (J,)
     row of measured deltas, or None for a degenerate draw).
@@ -537,7 +503,8 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
         rng.standard_normal(out=g)
         rng.random(out=u)
         At = _to_ball(g[:m].reshape(-1, k), u[:m].reshape(-1, 1), radius)
-        spans, full_rank = _gram_schmidt_frames(At.reshape(m, k, k) @ basis + X)
+        spans, independent = _gram_schmidt_frames(At.reshape(m, k, k) @ basis + X)
+        full_rank = independent.all(axis=1)
         # (m, k, J k) products F N^T, seen as the (m, J, k, k) stack of N_j F^T
         prods = spans[full_rank] @ normals_t
         deltas = _degrees(prods.reshape(-1, k, J, k).transpose(0, 2, 3, 1))

@@ -34,6 +34,7 @@ from .geometry import (
     _check_unit,
     _freeze,
     _gram_defects,
+    _gram_schmidt_frames,
     _keyed_rng,
     as_vector,
     degrees_of_transversality,
@@ -129,17 +130,28 @@ class SubspaceFamily:
 
         The (J, k, n) shape is checked first.  One stacked Gram check then
         finds the blocks that are not orthonormal within DEFAULT_TOL; the
-        others keep their bytes.  Only the failing blocks are orthonormalized,
-        one at a time, and orthonormalize's rejection of a rank-deficient one
-        is re-raised with its member index.
+        others keep their bytes.  The failing blocks are orthonormalized by
+        one stacked Gram-Schmidt call, orthonormalize's kernel, so each gets
+        the frame orthonormalize gives it.  The first that is non-finite or
+        has fewer than k independent rows by orthonormalize's rule raises
+        ValidationError with its member index.
         """
         normals = _stack_blocks(normal_blocks)
         _check_family_shape(normals)
-        for i in np.flatnonzero(~(_gram_defects(normals) <= DEFAULT_TOL)):
-            try:
-                normals[i] = orthonormalize(normals[i]).vectors
-            except ValidationError as exc:
-                raise ValidationError(f"family member {i + 1}: normals have {exc}") from exc
+        failing = np.flatnonzero(~(_gram_defects(normals) <= DEFAULT_TOL))
+        if failing.size:
+            finite = np.isfinite(normals[failing]).all(axis=(1, 2))
+            frames, independent = _gram_schmidt_frames(normals[failing[finite]])
+            ranks = np.zeros(failing.size, dtype=int)
+            ranks[finite] = np.count_nonzero(independent, axis=1)
+            k = normals.shape[1]
+            if np.any(ranks < k):
+                i = int(np.argmax(ranks < k))
+                reason = (f"rank {ranks[i]} < {k}: vectors are linearly dependent"
+                          if finite[i] else "non-finite entries")
+                raise ValidationError(
+                    f"family member {failing[i] + 1}: normals have {reason}")
+            normals[failing] = frames
         normals.setflags(write=False)
         return cls(normals)
 
@@ -504,8 +516,9 @@ def random_subspace_family(seed: int, ambient_dim: int, codim: int,
                            size: int) -> SubspaceFamily:
     """Family of ``size`` independent uniformly random codim-k subspaces.
 
-    One (size, codim, ambient_dim) Gaussian draw, orthonormalized block by
-    block; a rank-deficient block (probability zero) raises ValidationError.
+    One (size, codim, ambient_dim) Gaussian draw, orthonormalized by one
+    stacked Gram-Schmidt call; a rank-deficient block (probability zero)
+    raises ValidationError.
     """
     rng = _keyed_rng(seed, ambient_dim, codim, size)
     return SubspaceFamily.from_normals(rng.standard_normal((size, codim, ambient_dim)))

@@ -7,9 +7,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from transversal.geometry import as_vector
+from transversal.geometry import DEFAULT_TOL, as_vector
 from transversal.polytope import Box, McEstimate
-from transversal.separator import BOX_CONSTANT, RAW_MARGIN
+from transversal.separator import BOX_CONSTANT, RAW_MARGIN, SubspaceFamily
 
 
 @pytest.fixture
@@ -76,6 +76,33 @@ def mgs_adapt_basis(V, tol=1e-10):
                 f = f - np.dot(q, f) * q
         rows.append(f / np.linalg.norm(f))
     return np.array(rows)
+
+
+def householder_frames(stack):
+    """Reference oracle for ``geometry._gram_schmidt_frames``: sign-fixed
+    Householder QR frames of a (..., m, n) stack, m <= n.
+
+    Each block V gets Q^T from the reduced QR V^T = Q R (Golub & Van Loan,
+    Matrix Computations, section 5.2) with diag(R) >= 0, the frame
+    Gram-Schmidt builds on independent rows.  Returns (frames, full_rank):
+    full_rank holds where every |R_jj| exceeds DEFAULT_TOL times the block's
+    largest row norm, Gram-Schmidt's residual test; other frames still have
+    m orthonormal rows.
+    """
+    q, r = np.linalg.qr(np.swapaxes(stack, -1, -2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    frames = np.swapaxes(q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], -1, -2)
+    floor = DEFAULT_TOL * np.linalg.norm(stack, axis=-1).max(axis=-1, keepdims=True)
+    return frames, np.all(np.abs(diag) > floor, axis=-1)
+
+
+def family_to_dict(family: SubspaceFamily) -> dict:
+    """The family-file document of a family, for writing with familyio.dump_json."""
+    return {
+        "dim": family.ambient_dim,
+        "codim": family.codim,
+        "normals": family.normals.tolist(),
+    }
 
 
 def loop_certify(C, family):

@@ -15,6 +15,7 @@ import numpy as np
 from conftest import (
     box_parameters,
     cube_parameters,
+    family_to_dict,
     line_min_norm,
     null_basis,
     random_unit,
@@ -237,7 +238,7 @@ def test_acceptance_10_roundtrip_determinism(tmp_path):
     res = common_complement(fam, 17)
     fpath = tmp_path / "fam.json"
     with open(fpath, "w") as fh:
-        fh.write(familyio.dump_json(familyio.family_to_dict(fam)))
+        fh.write(familyio.dump_json(family_to_dict(fam)))
     fam2, _ = familyio.load_family(fpath)
     for a, b in zip(fam.normals, fam2.normals):
         ok &= float(np.max(np.abs(a - b))) <= 1e-12

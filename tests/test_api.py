@@ -14,9 +14,8 @@ from transversal import separator
 
 PACKAGE = Path(transversal.__file__).parent
 
-#: Public names no other library code needs to reference.  family_to_dict is
-#: the family-file writer: no command writes families, but tests round-trip it.
-ALLOWED = {"family_to_dict"}
+#: Public names no other library code needs to reference.
+ALLOWED: set[str] = set()
 
 #: Defaulted parameters no library call needs to set.  Tests and the
 #: benchmark call main(argv) in-process; the console script calls main().
@@ -149,6 +148,25 @@ def test_keyed_rng_is_the_one_generator_constructor():
                for name, _, _ in _calls(node)
                if name in RNG_CONSTRUCTORS}
     assert callers == {"geometry._keyed_rng"}
+
+
+def test_gram_schmidt_frames_is_the_one_orthonormalization_kernel():
+    """Frames are orthonormalized by geometry._gram_schmidt_frames alone:
+    no other top-level definition of the library is named so, only
+    separator.adapt_basis refers to a QR (its raw Householder factors feed
+    its lift), and nothing refers to matrix_rank."""
+    modules = _parse_modules()
+    kernels = {f"{module}.{node.name}" for module, tree in modules.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_gram_schmidt_frames"}
+    assert kernels == {"geometry._gram_schmidt_frames"}
+    users = {name: {f"{module}.{getattr(node, 'name', f'line {node.lineno}')}"
+                    for module, tree in modules.items()
+                    for node in tree.body
+                    if name in _referenced_names(node)}
+             for name in ("qr", "matrix_rank")}
+    assert users == {"qr": {"separator.adapt_basis"}, "matrix_rank": set()}
 
 
 #: (module, function) of the calls that decode JSON.

@@ -16,6 +16,8 @@ from transversal.separator import (
     random_subspace_family,
 )
 
+from conftest import family_to_dict
+
 
 def run_cli(*args, log=None, blas_threads=None):
     env = dict(os.environ)
@@ -30,7 +32,7 @@ def run_cli(*args, log=None, blas_threads=None):
 
 def write_family(path, family):
     with open(path, "w") as fh:
-        fh.write(familyio.dump_json(familyio.family_to_dict(family)))
+        fh.write(familyio.dump_json(family_to_dict(family)))
 
 
 def strict_json(text):
@@ -104,7 +106,7 @@ def test_construct_rejects_rank_deficient_family(tmp_path):
 
 def test_certify_names_rank_deficient_later_member(codim2_family, tmp_path):
     path, fam = codim2_family
-    doc = familyio.family_to_dict(fam)
+    doc = family_to_dict(fam)
     doc["normals"][3][1] = [2.0 * x for x in doc["normals"][3][0]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -118,7 +120,7 @@ def test_certify_names_rank_deficient_later_member(codim2_family, tmp_path):
 def test_family_labels_load_and_are_checked(tmp_path):
     """The loader returns a family file's optional labels as strings and
     rejects a label list whose length does not match the members."""
-    doc = familyio.family_to_dict(random_subspace_family(3, 4, 1, 2))
+    doc = family_to_dict(random_subspace_family(3, 4, 1, 2))
     _, labels = familyio.family_from_dict({**doc, "labels": ["a", 7]})
     assert labels == ["a", "7"]
     path = tmp_path / "labelled.json"
@@ -139,7 +141,7 @@ def test_family_with_empty_normals_is_shape_error(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("dim", 3.5), ("codim", True)])
 def test_family_sizes_must_be_integers(tmp_path, key, value):
-    doc = {**familyio.family_to_dict(random_subspace_family(3, 4, 1, 2)), key: value}
+    doc = {**family_to_dict(random_subspace_family(3, 4, 1, 2)), key: value}
     path = tmp_path / "sizes.json"
     path.write_text(json.dumps(doc))
     cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")

@@ -94,6 +94,13 @@ def test_orthonormalize_rejects_empty_and_mismatched():
         orthonormalize([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
+def test_orthonormalize_names_the_rank_of_more_rows_than_dimensions(rng):
+    """Four rows in R^3 have rank 3 by the kernel's own count."""
+    with pytest.raises(ValidationError,
+                       match=r"^rank 3 < 4: vectors are linearly dependent$"):
+        orthonormalize(rng.standard_normal((4, 3)))
+
+
 def test_orthonormalize_preserves_span(rng):
     vecs = rng.standard_normal((4, 7))
     frame = orthonormalize(vecs)

@@ -16,7 +16,7 @@ from transversal.geometry import (
     DEFAULT_TOL,
     ValidationError,
     _det,
-    _householder_frames,
+    _gram_schmidt_frames,
     _keyed_rng,
     orthonormalize,
 )
@@ -26,7 +26,6 @@ from transversal.prevalence import (
     McConfig,
     McReport,
     _ball_matrices,
-    _gram_schmidt_frames,
     _sigma_min_bracket,
     _to_ball,
     ball_volume,
@@ -47,7 +46,7 @@ from transversal.separator import (
     random_subspace_family,
 )
 
-from conftest import fraction_det, random_unit
+from conftest import fraction_det, householder_frames, random_unit
 
 
 def toy_family():
@@ -648,16 +647,21 @@ def span_stacks(draw):
 @given(stack=span_stacks())
 @settings(max_examples=200, deadline=None)
 def test_gram_schmidt_frames_agree_with_householder(stack):
-    """The translation suite's CGS2 frames against orthonormalize's kernel,
-    which gets each block scaled by the same power of two (exact).  Accepted
-    frames are orthonormal to 1e-14 and within 32 u kappa_2 of the sign-fixed
+    """The CGS2 kernel against the Householder oracle, which gets each block
+    scaled by the same power of two (exact).  Accepted frames are
+    orthonormal to 1e-14 and within 32 u kappa_2 of the sign-fixed
     Householder frame, the forward error of a QR factor (u = 2^-53).  The
     rank decisions agree wherever a block's smallest residual ratio |R_jj| /
-    max row norm lies outside [DEFAULT_TOL / 2, 2 DEFAULT_TOL]."""
-    frames, full_rank = _gram_schmidt_frames(stack)
+    max row norm lies outside [DEFAULT_TOL / 2, 2 DEFAULT_TOL].  Each block
+    of the stack, dependent and zero ones included, gets exactly the frame
+    and flags of a one-block call, which is what lets family loading
+    orthonormalize its failing blocks in one call, and its dependent rows
+    are zero."""
+    frames, independent = _gram_schmidt_frames(stack)
+    full_rank = independent.all(axis=1)
     exponents = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
     scaled = np.ldexp(stack, -exponents[:, None, None])
-    reference, reference_rank = _householder_frames(scaled)
+    reference, reference_rank = householder_frames(scaled)
     diag = np.abs(np.diagonal(np.linalg.qr(np.swapaxes(scaled, -1, -2), mode="r"),
                               axis1=-2, axis2=-1))
     largest = np.linalg.norm(scaled, axis=-1).max(axis=-1, keepdims=True)
@@ -669,6 +673,11 @@ def test_gram_schmidt_frames_agree_with_householder(stack):
     for F, H, block in zip(frames[full_rank], reference[full_rank], scaled[full_rank]):
         assert np.max(np.abs(F @ F.T - np.eye(k))) <= 1e-14
         assert np.max(np.abs(F - H)) <= 32 * 2.0 ** -53 * np.linalg.cond(block)
+    for block, F, flags in zip(stack, frames, independent):
+        alone, alone_flags = _gram_schmidt_frames(block[None])
+        np.testing.assert_array_equal(F, alone[0])
+        np.testing.assert_array_equal(flags, alone_flags[0])
+        assert not F[~flags].any()
 
 
 @pytest.mark.parametrize("n, k, J, ceiling", [

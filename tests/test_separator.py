@@ -10,7 +10,6 @@ from transversal import familyio, separator
 from transversal.geometry import (
     ConstructionError,
     ValidationError,
-    _householder_frames,
     _keyed_rng,
     degrees_of_transversality,
     orthonormalize,
@@ -36,6 +35,7 @@ from conftest import (
     SIGMA_MIN_2X2_TOL,
     box_parameters,
     cube_parameters,
+    householder_frames,
     line_min_norm,
     loop_certify,
     mgs_adapt_basis,
@@ -210,7 +210,7 @@ def test_adapt_basis_lift_matches_formed_frames(V):
     m = V.shape[0]
     lift, _ = adapt_basis(V)
     x_c = np.random.default_rng(m).standard_normal(m)
-    np.testing.assert_allclose(lift(x_c), _householder_frames(V)[0].T @ x_c,
+    np.testing.assert_allclose(lift(x_c), householder_frames(V)[0].T @ x_c,
                                rtol=0, atol=1e-12)
     reference = mgs_adapt_basis(V)
     independent = [np.linalg.norm(v - (v @ reference[:j].T) @ reference[:j]) > 1e-10
@@ -226,7 +226,7 @@ def test_adapt_basis_matches_gram_schmidt_oracle(rng):
     reference = mgs_adapt_basis(V)
     np.testing.assert_allclose(lifted_frame(lift, 199), reference, rtol=0, atol=1e-12)
     np.testing.assert_allclose(coords, V @ reference.T, rtol=0, atol=1e-12)
-    # orthonormalize's QR kernel builds the same frame; pin it on rows that are not unit
+    # orthonormalize's kernel builds the same frame; pin it on rows that are not unit
     W = rng.standard_normal((40, 60)) * rng.uniform(0.5, 3.0, (40, 1))
     np.testing.assert_allclose(orthonormalize(W).vectors, mgs_adapt_basis(W),
                                rtol=0, atol=1e-12)
@@ -457,6 +457,31 @@ def test_from_normals_names_rank_deficient_member():
     blocks = random_subspace_family(4, 5, 2, 4).normals.copy()
     blocks[2, 1] = 3.0 * blocks[2, 0]
     with pytest.raises(ValidationError, match="member 3: normals have rank 1 < 2"):
+        SubspaceFamily.from_normals(blocks)
+
+
+@pytest.mark.parametrize("bad, value, dependent, message", [
+    pytest.param(3, math.nan, None, "family member 4: normals have non-finite entries",
+                 id="nan"),
+    pytest.param(3, math.inf, None, "family member 4: normals have non-finite entries",
+                 id="inf"),
+    pytest.param(3, -math.inf, None, "family member 4: normals have non-finite entries",
+                 id="minus-inf"),
+    pytest.param(4, math.nan, 1, "family member 2: normals have rank 1 < 2: "
+                 "vectors are linearly dependent", id="dependent-before-nan"),
+    pytest.param(1, math.nan, 4, "family member 2: normals have non-finite entries",
+                 id="nan-before-dependent"),
+])
+def test_from_normals_names_the_first_failing_member(rng, bad, value, dependent,
+                                                     message):
+    """Among Gaussian members, the first that is non-finite or rank-deficient
+    is named, and loading raises no RuntimeWarning (which the suite turns
+    into an error)."""
+    blocks = rng.standard_normal((6, 2, 7))
+    blocks[bad, 1, 4] = value
+    if dependent is not None:
+        blocks[dependent, 1] = 2.0 * blocks[dependent, 0]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         SubspaceFamily.from_normals(blocks)
 
 
