@@ -4,13 +4,21 @@ Subcommands
 -----------
 construct   build a certified common complement for a family file
 certify     measure a complement against a family, emit a CSV profile
-mc          run a Monte Carlo suite: badset | det | inverse | translation
+mc SUITE    run a Monte Carlo suite; each takes --seed, --samples and
+            --epsilon-grid, plus only the flags it reads:
+              badset       --family, or --dim and --members
+              det          --members, --k, --zero-shifts
+              inverse      --members, --k, --delta-exponent
+              translation  --family, or --dim, --members and --k;
+                           --radius, --max-exponent, --translation
 volume      box shadow volumes and slab bounds, optionally cross-checked
 
 Exit codes: 0 success (including a false certify verdict), 2 invalid
-input, 3 algorithmic failure (e.g. sampler exhaustion).  Diagnostics go to
-stderr and are controlled by TRANSVERSAL_LOG in {quiet, info, debug}; the
-stdout data stream stays machine-parseable.
+input (including a flag the suite does not read, or a shape flag beside
+the --family file that fixes the shape), 3 algorithmic failure (e.g.
+sampler exhaustion).  Diagnostics go to stderr and are controlled by
+TRANSVERSAL_LOG in {quiet, info, debug}; the stdout data stream stays
+machine-parseable.
 """
 
 from __future__ import annotations
@@ -129,57 +137,80 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def cmd_mc(args) -> int:
-    for name in ("k", "members", "dim"):
-        if getattr(args, name) < 1:
-            raise ValidationError(f"--{name} must be at least 1, got {getattr(args, name)}")
+#: The random family's or shift stack's shape when no --family file fixes it.
+_SHAPE_DEFAULTS = {"k": 1, "members": 50, "dim": 6}
+
+
+def cmd_mc_badset(args) -> int:
+    config = _mc_config(args)
+    return _write_reports(args, mc_bad_set_measure(_mc_family(args, 1), config))
+
+
+def cmd_mc_det(args) -> int:
+    config = _mc_config(args)
+    if args.zero_shifts:
+        shifts = np.zeros((args.members, args.k, args.k))
+    else:
+        shifts = _random_shifts(args.seed, args.members, args.k)
+    return _write_reports(args, [mc_det_lower_bound(shifts, config)[0]])
+
+
+def cmd_mc_inverse(args) -> int:
+    config = _mc_config(args)
+    j = np.arange(1, args.members + 1, dtype=float)
+    deltas = j ** -float(args.delta_exponent)
+    shifts = _random_shifts(args.seed, args.members, args.k)
+    # rescale each shift into the allowed spectral ball of radius 1/delta
+    norms = np.linalg.norm(shifts, ord=2, axis=(1, 2))
+    cap = 1.0 / deltas
+    scale = np.minimum(1.0, cap / np.maximum(norms, 1e-300))
+    shifts = shifts * scale[:, None, None]
+    return _write_reports(args, [mc_inverse_bound(shifts, deltas, config)[0]])
+
+
+def cmd_mc_translation(args) -> int:
+    config = _mc_config(args)
+    family = _mc_family(args, args.k)
+    base = common_complement(family, args.seed)
+    if args.translation:
+        translation = _parse_vectors(args.translation, "translation")
+    else:
+        translation = np.eye(family.codim, family.ambient_dim)
+    max_exponent = args.max_exponent
+    if max_exponent is None:
+        max_exponent = 5.0 * family.codim ** 2 + 2.0
+    report, _ = translation_experiment(
+        base, family, translation, config,
+        radius=args.radius, max_exponent=max_exponent)
+    return _write_reports(args, [report])
+
+
+def _mc_config(args) -> McConfig:
+    """The suite's McConfig, once its shape flags are settled: a shape flag
+    left out takes its default, and one given must be at least 1 and may
+    not come with a --family file, which fixes the shape."""
+    family = getattr(args, "family", None)
+    for name, default in _SHAPE_DEFAULTS.items():
+        if not hasattr(args, name):
+            continue
+        value = getattr(args, name)
+        if value is None:
+            setattr(args, name, default)
+        elif family:
+            raise ValidationError(f"--family fixes the shape, so --{name} cannot be given")
+        elif value < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {value}")
     grid = tuple(float(e) for e in _parse_floats(args.epsilon_grid, "epsilon grid"))
-    config = McConfig(samples=args.samples, seed=args.seed, epsilon_grid=grid)
-    out: dict
-    if args.suite == "badset":
-        family = _mc_family(args, 1)
-        reports = mc_bad_set_measure(family, config)
-        out = {"suite": "badset", "reports": [r.to_dict() for r in reports]}
-        overall = all(r.verdict for r in reports)
-    elif args.suite == "det":
-        k = args.k
-        if args.zero_shifts:
-            shifts = np.zeros((args.members, k, k))
-        else:
-            shifts = _random_shifts(args.seed, args.members, k)
-        report, _ = mc_det_lower_bound(shifts, config)
-        out = {"suite": "det", "reports": [report.to_dict()]}
-        overall = report.verdict
-    elif args.suite == "inverse":
-        k = args.k
-        j = np.arange(1, args.members + 1, dtype=float)
-        deltas = j ** -float(args.delta_exponent)
-        shifts = _random_shifts(args.seed, args.members, k)
-        # rescale each shift into the allowed spectral ball of radius 1/delta
-        norms = np.linalg.norm(shifts, ord=2, axis=(1, 2))
-        cap = 1.0 / deltas
-        scale = np.minimum(1.0, cap / np.maximum(norms, 1e-300))
-        shifts = shifts * scale[:, None, None]
-        report, _ = mc_inverse_bound(shifts, deltas, config)
-        out = {"suite": "inverse", "reports": [report.to_dict()]}
-        overall = report.verdict
-    else:  # translation
-        family = _mc_family(args, args.k)
-        base = common_complement(family, args.seed)
-        if args.translation:
-            translation = _parse_vectors(args.translation, "translation")
-        else:
-            translation = np.eye(family.codim, family.ambient_dim)
-        max_exponent = args.max_exponent
-        if max_exponent is None:
-            max_exponent = 5.0 * family.codim ** 2 + 2.0
-        report, _ = translation_experiment(
-            base, family, translation, config,
-            radius=args.radius, max_exponent=max_exponent)
-        out = {"suite": "translation", "reports": [report.to_dict()]}
-        overall = report.verdict
-    out["verdict"] = bool(overall)
-    sys.stdout.write(familyio.dump_json(out))
+    return McConfig(samples=args.samples, seed=args.seed, epsilon_grid=grid)
+
+
+def _write_reports(args, reports) -> int:
+    """Print the suite's reports and their joint verdict as one JSON document."""
+    sys.stdout.write(familyio.dump_json({
+        "suite": args.suite,
+        "reports": [r.to_dict() for r in reports],
+        "verdict": all(r.verdict for r in reports),
+    }))
     return EXIT_OK
 
 
@@ -233,6 +264,23 @@ def cmd_volume(args) -> int:
     return EXIT_OK
 
 
+#: The suite-specific mc flags; each suite parser takes the ones it reads.
+_MC_FLAGS = {
+    "--family": dict(default=None, help="family JSON file, which fixes the shape"),
+    "--dim": dict(type=int, help=f"ambient dimension n (default {_SHAPE_DEFAULTS['dim']})"),
+    "--members": dict(type=int,
+                      help=f"family/shift count J (default {_SHAPE_DEFAULTS['members']})"),
+    "--k": dict(type=int, help=f"codim / matrix size (default {_SHAPE_DEFAULTS['k']})"),
+    "--zero-shifts": dict(action="store_true", help="use zero shift matrices"),
+    "--delta-exponent": dict(type=float, default=2.0, help="delta_j = j^-q"),
+    "--radius": dict(type=float, default=1.0, help="coefficient ball radius"),
+    "--max-exponent": dict(type=float, default=None,
+                           help="decay ceiling (default 5k^2 + 2)"),
+    "--translation": dict(default=None,
+                          help="translation vectors 'a,b,...;c,d,...' (default e_1..e_k)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transversal",
@@ -255,26 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("mc", help="run a Monte Carlo suite")
-    p.add_argument("suite", choices=["badset", "det", "inverse", "translation"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--epsilon-grid", default="0.1,0.01,0.001",
-                   help="decreasing comma list; doubles as the det eta-grid")
-    p.add_argument("--members", type=int, default=50, help="family/shift count J")
-    p.add_argument("--dim", type=int, default=6, help="ambient dimension n")
-    p.add_argument("--k", type=int, default=1, help="codim / matrix size")
-    p.add_argument("--family", default=None, help="family JSON (badset, translation)")
-    p.add_argument("--zero-shifts", action="store_true",
-                   help="det: use zero shift matrices")
-    p.add_argument("--delta-exponent", type=float, default=2.0,
-                   help="inverse: delta_j = j^-q")
-    p.add_argument("--radius", type=float, default=1.0,
-                   help="translation: coefficient ball radius")
-    p.add_argument("--max-exponent", type=float, default=None,
-                   help="translation: decay ceiling (default 5k^2 + 2)")
-    p.add_argument("--translation", default=None,
-                   help="translation vectors 'a,b,...;c,d,...' (default e_1..e_k)")
-    p.set_defaults(func=cmd_mc)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for suite, func, help_text, flags in (
+        ("badset", cmd_mc_badset, "measure of the bad set of a hyperplane family",
+         ("--family", "--dim", "--members")),
+        ("det", cmd_mc_det, "determinant slab bound of shifted matrices",
+         ("--members", "--k", "--zero-shifts")),
+        ("inverse", cmd_mc_inverse, "inverse floors of shifted matrices",
+         ("--members", "--k", "--delta-exponent")),
+        ("translation", cmd_mc_translation, "translated perturbed complements",
+         ("--family", "--dim", "--members", "--k", "--radius", "--max-exponent",
+          "--translation")),
+    ):
+        p = suites.add_parser(suite, help=help_text)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=10_000)
+        p.add_argument("--epsilon-grid", default="0.1,0.01,0.001",
+                       help="decreasing comma list; doubles as the det eta-grid")
+        for flag in flags:
+            p.add_argument(flag, **_MC_FLAGS[flag])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("volume", help="box shadow volume and slab bounds")
     p.add_argument("--halfwidths", required=True, help="comma list of h_i > 0")

@@ -374,11 +374,11 @@ def is_well_separating(deltas, max_exponent: float):
     ``deltas`` is one nonempty profile or a (..., J) stack of them, and a
     NaN max_exponent is rejected.  p is minus the log-log OLS slope of the
     whole profile (the last prefix of decay_fit_prefixes, NaN with fewer
-    than two positive deltas).  A profile with a zero entry fails, and a
-    positive profile with J < 3 passes, as no fit is meaningful there.
-    Otherwise eps = min_j delta_j * j^p and the profile passes iff
-    p <= max_exponent and eps > 0.  Returns (verdict, p): a bool and a
-    float, or a (...) boolean array and a (...) float array.
+    than two positive deltas).  The verdict is "positive, and slope within
+    the ceiling": a positive profile passes iff J < 3, where no fit is
+    meaningful, or p <= max_exponent; its floor min_j delta_j * j^p is
+    then positive.  Returns (verdict, p): a bool and a float, or a (...)
+    boolean array and a (...) float array.
     """
     if math.isnan(max_exponent):
         raise ValidationError("max_exponent must be a number")
@@ -394,10 +394,7 @@ def is_well_separating(deltas, max_exponent: float):
     verdict = positive.reshape(d.shape[:-1])
     p = -slope.reshape(d.shape[:-1])
     if d.shape[-1] >= 3:
-        j = np.arange(1.0, d.shape[-1] + 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps = np.min(d * j ** p[..., None], axis=-1)
-        verdict &= (p <= max_exponent) & (eps > 0)
+        verdict &= p <= max_exponent
     if verdict.ndim:
         return verdict, p
     return bool(verdict), float(p)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -59,12 +60,31 @@ def codim2_family(tmp_path):
     return path, fam
 
 
+#: The flags each mc suite reads, and so the only ones it accepts.
+MC_SUITE_FLAGS = {
+    "badset": {"--family", "--dim", "--members"},
+    "det": {"--members", "--k", "--zero-shifts"},
+    "inverse": {"--members", "--k", "--delta-exponent"},
+    "translation": {"--family", "--dim", "--members", "--k", "--radius",
+                    "--max-exponent", "--translation"},
+}
+MC_SHARED_FLAGS = {"--seed", "--samples", "--epsilon-grid"}
+
+
 def test_help_screens():
     assert run_cli("--help").returncode == 0
     for sub in ("construct", "certify", "mc", "volume"):
         cp = run_cli(sub, "--help")
         assert cp.returncode == 0, cp.stderr
     assert "common complements" in run_cli("--help").stdout
+    pairs = 0
+    for suite, flags in MC_SUITE_FLAGS.items():
+        cp = run_cli("mc", suite, "--help")
+        assert cp.returncode == 0, cp.stderr
+        listed = set(re.findall(r"--[a-z][a-z-]*", cp.stdout)) - {"--help"}
+        assert listed == flags | MC_SHARED_FLAGS
+        pairs += len(listed)
+    assert pairs == 28
 
 
 def test_construct_single_hyperplane(single_hyperplane, tmp_path):
@@ -433,6 +453,31 @@ def test_mc_invalid_input_exits_2_without_traceback(args):
     assert cp.returncode == 2, cp.stderr
     assert "Traceback" not in cp.stderr
     assert cp.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ("det", "--family", "x"),
+    ("badset", "--k", 3),
+    ("inverse", "--radius", 2),
+])
+def test_mc_flag_a_suite_does_not_read_exits_2(args):
+    cp = run_cli("mc", *args)
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert "unrecognized arguments" in cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("translation", "--k", 1, "--dim", 99, "--members", 7),
+    ("badset", "--dim", 4),
+])
+def test_mc_shape_flags_with_a_family_file_exit_2(args, codim2_family):
+    """The family file fixes n, J and k, so a shape flag beside it is an error."""
+    suite, *flags = args
+    cp = run_cli("mc", suite, "--family", codim2_family[0], *flags)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and "--family" in cp.stderr
 
 
 def test_mc_unknown_suite_is_input_error():

@@ -504,6 +504,17 @@ def test_is_well_separating_constant_true():
     assert is_well_separating([0.3, 0.3, 0.3, 0.3], max_exponent=1.0)[0]
 
 
+def test_is_well_separating_ignores_an_underflowing_floor():
+    """A positive profile within the ceiling passes even where its floor
+    min_j delta_j * j^p underflows to 0.0 in float64."""
+    deltas = np.ones(50)
+    deltas[1] = 5e-324
+    verdict, p = is_well_separating(deltas, 7.0)
+    assert p == pytest.approx(-43.74, abs=0.01)
+    assert np.min(deltas * np.arange(1.0, 51.0) ** p) == 0.0
+    assert verdict is True
+
+
 def test_is_well_separating_preconditions():
     """A zero entry fails; a positive profile with J < 3 passes whatever
     the ceiling, while its exponent is still reported; a stack gets one
