@@ -155,7 +155,7 @@ def _gram_schmidt_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     independent = np.empty((m, k), dtype=bool)
     for j in range(k):
         row, done = frames[:, j], frames[:, :j]
-        for _ in range(2):
+        for _ in range(2 if j else 0):  # row 0 has no rows before it
             row -= np.einsum("mj,mjn->mn", np.einsum("mjn,mn->mj", done, row), done)
         residual = np.sqrt(np.einsum("mn,mn->m", row, row))
         independent[:, j] = residual > floor
@@ -239,7 +239,7 @@ def _sigma_min_2x2(M: np.ndarray) -> np.ndarray:
         smax = np.hypot(a + d, c - b)
         smax += np.hypot(a - d, b + c)
         smax *= 0.5
-        det = np.abs(_det(M))
+        det = np.abs(a * d - b * c)  # _det's expression, on the copies in hand
         s = np.divide(det, smax, out=np.zeros_like(smax), where=smax > 0.0)
     lo, hi = _CLOSED_FORM_RANGE
     far = (smax > 0.0) & ((smax < lo) | (smax > hi))

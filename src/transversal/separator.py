@@ -387,9 +387,11 @@ def is_well_separating(deltas, max_exponent: float):
         raise ValidationError("a profile needs at least one delta")
     rows = d.reshape(-1, d.shape[-1])
     positive = np.all(rows > 0, axis=-1)
-    slope = np.empty(len(rows))
-    slope[positive] = _whole_profile_slopes(rows[positive])
-    if not positive.all():
+    if positive.all():
+        slope = _whole_profile_slopes(rows)
+    else:
+        slope = np.empty(len(rows))
+        slope[positive] = _whole_profile_slopes(rows[positive])
         slope[~positive] = decay_fit_prefixes(rows[~positive])[0][:, -1]
     verdict = positive.reshape(d.shape[:-1])
     p = -slope.reshape(d.shape[:-1])

@@ -60,6 +60,26 @@ def codim2_family(tmp_path):
     return path, fam
 
 
+#: Each command's help line, as the root help lists it.
+COMMAND_HELP = {
+    "construct": "build a certified common complement",
+    "certify": "measure a complement against a family (CSV)",
+    "mc": "run a Monte Carlo suite",
+    "volume": "box shadow volume and slab bounds",
+}
+#: Each mc suite's help line, as the mc help lists it.
+MC_SUITE_HELP = {
+    "badset": "measure of the bad set of a hyperplane family",
+    "det": "determinant slab bound of shifted matrices",
+    "inverse": "inverse floors of shifted matrices",
+    "translation": "translated perturbed complements",
+}
+#: The flags of the commands other than mc, and so the only ones each accepts.
+COMMAND_FLAGS = {
+    "construct": {"--family", "--seed", "--out"},
+    "certify": {"--family", "--complement", "--max-exponent", "--out"},
+    "volume": {"--halfwidths", "--normal", "--delta", "--mc", "--samples", "--seed"},
+}
 #: The flags each mc suite reads, and so the only ones it accepts.
 MC_SUITE_FLAGS = {
     "badset": {"--family", "--dim", "--members"},
@@ -71,17 +91,33 @@ MC_SUITE_FLAGS = {
 MC_SHARED_FLAGS = {"--seed", "--samples", "--epsilon-grid"}
 
 
+def listed_flags(help_text):
+    return set(re.findall(r"--[a-z][a-z-]*", help_text)) - {"--help"}
+
+
+def lists(help_text, names):
+    """Whether a help screen lists every name with its help line."""
+    return all(re.search(rf"^ +{name} +{re.escape(text)}$", help_text, re.M)
+               for name, text in names.items())
+
+
 def test_help_screens():
-    assert run_cli("--help").returncode == 0
-    for sub in ("construct", "certify", "mc", "volume"):
-        cp = run_cli(sub, "--help")
+    root = run_cli("--help")
+    assert root.returncode == 0
+    assert "common complements" in root.stdout
+    assert lists(root.stdout, COMMAND_HELP)
+    mc = run_cli("mc", "--help")
+    assert mc.returncode == 0, mc.stderr
+    assert lists(mc.stdout, MC_SUITE_HELP)
+    for command, flags in COMMAND_FLAGS.items():
+        cp = run_cli(command, "--help")
         assert cp.returncode == 0, cp.stderr
-    assert "common complements" in run_cli("--help").stdout
+        assert listed_flags(cp.stdout) == flags
     pairs = 0
     for suite, flags in MC_SUITE_FLAGS.items():
         cp = run_cli("mc", suite, "--help")
         assert cp.returncode == 0, cp.stderr
-        listed = set(re.findall(r"--[a-z][a-z-]*", cp.stdout)) - {"--help"}
+        listed = listed_flags(cp.stdout)
         assert listed == flags | MC_SHARED_FLAGS
         pairs += len(listed)
     assert pairs == 28
@@ -456,15 +492,21 @@ def test_mc_invalid_input_exits_2_without_traceback(args):
 
 
 @pytest.mark.parametrize("args", [
-    ("det", "--family", "x"),
-    ("badset", "--k", 3),
-    ("inverse", "--radius", 2),
+    ("mc", "det", "--family", "x"),
+    ("mc", "badset", "--k", 3),
+    ("mc", "inverse", "--radius", 2),
+    ("volume", "--halfwidths", 1, "--normal", 1, "--bogus", 2),
 ])
 def test_mc_flag_a_suite_does_not_read_exits_2(args):
-    cp = run_cli("mc", *args)
+    """A foreign flag is reported with the usage of the parser it was
+    given to, which names the suite's --help."""
+    cp = run_cli(*args)
+    prog = "transversal " + " ".join(a for a in args[:2] if not a.startswith("-"))
+    foreign = " ".join(map(str, args[-2:]))
     assert cp.returncode == 2, cp.stderr
     assert "Traceback" not in cp.stderr
-    assert "unrecognized arguments" in cp.stderr
+    assert cp.stderr.startswith(f"usage: {prog} [-h] ")
+    assert cp.stderr.endswith(f"{prog}: error: unrecognized arguments: {foreign}\n")
 
 
 @pytest.mark.parametrize("args", [
