@@ -21,10 +21,15 @@ exceptional:
   closed form at k = 2, one SVD at k >= 3).
 
 The first three, the bulk suites, draw all their samples at once from one
-keyed stream (see geometry), scale them to ball points in place, and stream
-them in blocks of about _BLOCK_CELLS float64 cells, keeping integer totals
-or running minima, so their memory is the draws plus one block and every
-result is bit-equal to one pass.
+keyed stream (see geometry) and scale them to ball points in place.  The
+bad-set counts and the determinant slab counts stream them in blocks of
+about _BLOCK_CELLS float64 cells, keeping integer totals.  The determinant
+floors and the sigma_min brackets take each chunk of samples against
+every shift in one GEMM of fixed shape (_shift_tables): det(A +
+A_j) by multilinearity, and the squared column norms of the sums, so for
+k <= 3 no (samples, J, k, k) sums are formed.  So each suite's memory is
+the draws plus one block or chunk, and no result depends on the block
+size or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -49,7 +54,14 @@ from .separator import ComplementResult, SubspaceFamily, is_well_separating
 #: changing it changes the draws.
 _TRANSLATION_CHUNK = 256
 
-#: c in the slack tau = c k^3 2^k eps ||M||_F of _sigma_min_bracket.
+#: Samples per GEMM of _shift_tables, for up to 64 shifts: a fixed power of
+#: two, so that the product's shape, and with it its rounding, is the same
+#: for every chunk, sample count and BLAS thread count.  More shifts halve
+#: it (see _shift_chunk), so each (J, chunk) table stays within 2^16 cells.
+_SHIFT_CHUNK = 1024
+
+#: c in _sigma_min_bracket's slacks: tau = c k^3 2^k eps ||M||_F and the
+#: expansion radii c (2k^2 + 3k) eps s^k and c (2k^2 + 3k) eps s^2.
 _FLOOR_SLACK = 8.0
 
 
@@ -135,6 +147,21 @@ def _plain(obj):
     return obj
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (count, dim) array, as a (count, 1)
+    column bit-equal to np.linalg.norm(rows, axis=1, keepdims=True).
+
+    Below 8 columns numpy sums each row's squares left to right, as the
+    column-by-column sum here does, at a third of the cost; from 8 on its
+    row sum is pairwise, so numpy's norm runs."""
+    if rows.shape[1] >= 8:
+        return np.linalg.norm(rows, axis=1, keepdims=True)
+    sq = np.square(rows[:, :1])
+    for c in range(1, rows.shape[1]):
+        sq += np.square(rows[:, c:c + 1])
+    return np.sqrt(sq, out=sq)
+
+
 def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     """Ball points from (count, dim) Gaussians g and (count, 1) uniforms u:
     g scaled in place, in blocks of about _BLOCK_CELLS cells, so that each
@@ -142,7 +169,7 @@ def _to_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     block = max(1, _BLOCK_CELLS // g.shape[1])
     for start in range(0, len(g), block):
         rows = g[start:start + block]
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        norms = _row_norms(rows)
         norms[norms == 0] = 1.0
         rows *= radius * u[start:start + block] ** (1.0 / g.shape[1]) / norms
     return g
@@ -172,6 +199,124 @@ def _shift_stack(A_list) -> np.ndarray:
     if not np.all(np.isfinite(A_arr)):
         raise ValidationError("A_list has non-finite entries")
     return A_arr
+
+
+def _cofactors(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Signed cofactors (-1)^(i+j) det(minor_ij) of a component-major
+    (k, k, ...) stack with k <= 3, written to out; a 3 x 3 minor rounds as
+    _det's."""
+    k = len(m)
+    if k == 1:
+        out[0, 0] = 1.0
+    elif k == 2:
+        out[0, 0], out[0, 1], out[1, 0], out[1, 1] = m[1, 1], -m[1, 0], -m[0, 1], m[0, 0]
+    else:
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                np.subtract(m[i1, j1] * m[i2, j2], m[i1, j2] * m[i2, j1], out=out[i, j])
+    return out
+
+
+def _shift_coefficients(shifts: np.ndarray, norms: bool) -> np.ndarray:
+    """(rows, features) coefficients of _shift_tables for (J, k, k) shifts B,
+    k <= 3: J determinant rows, then with ``norms`` k blocks of J column rows.
+
+    Against the features (vec A, vec cof A, det A, 1, ||a_c||^2 ...) a
+    determinant row is (vec cof B, vec B, 1, det B, 0 ...), the terms of
+    det(A + B) with 0 ... k columns from B; at k = 2 the two cross terms
+    are one, so its vec A slot is 0, and at k = 1 both are det A and det B.
+    Column c's row is 2 b_c on its vec A slots, ||b_c||^2 against the 1 and
+    1 against ||a_c||^2, summing to ||a_c + b_c||^2.
+    """
+    J, k, _ = shifts.shape
+    kk = k * k
+    B = np.moveaxis(shifts, 0, -1)
+    coef = np.zeros((2 * kk + 2 + k * norms, (1 + k * norms) * J))
+    det_rows = coef[:, :J]
+    if k == 3:
+        det_rows[:kk] = _cofactors(B, np.empty(B.shape)).reshape(kk, J)
+    if k >= 2:
+        det_rows[kk:2 * kk] = B.reshape(kk, J)
+    det_rows[2 * kk] = 1.0
+    det_rows[2 * kk + 1] = _det(shifts)
+    for c in range(k if norms else 0):
+        col_rows = coef[:, (1 + c) * J:(2 + c) * J]
+        col_rows[c:kk:k] = 2.0 * B[:, c]
+        col_rows[2 * kk + 1] = np.sum(B[:, c] * B[:, c], axis=0)
+        col_rows[2 * kk + 2 + c] = 1.0
+    return np.ascontiguousarray(coef.T)
+
+
+def _shift_chunk(J: int) -> int:
+    """Samples per GEMM of _shift_tables for J shifts: _SHIFT_CHUNK, halved
+    while a (J, chunk) table would exceed 2^16 cells; it depends on J only."""
+    chunk = _SHIFT_CHUNK
+    while chunk > 1 and chunk * J > 1 << 16:
+        chunk //= 2
+    return chunk
+
+
+def _shift_tables(A: np.ndarray, shifts: np.ndarray, norms: bool = False):
+    """Yield (start, dets, col_sq, scale) for the pairs M = A_s + A_j of an
+    (S, k, k) stack A against (J, k, k) shifts, a chunk of samples at a
+    time: dets[j, s] = det M and, with ``norms``, col_sq[c, j, s] = ||m_c||^2
+    for each column c and scale[j, s] = ||A_s||_F + ||A_j||_F, for the
+    chunk's samples start, start + 1, ...; without, both are None.  The
+    arrays are scratch: the next chunk overwrites them, so a caller may too.
+
+    For k <= 3 nothing of size k^2 J per sample is formed: by multilinearity
+    in the columns, det(A + B) = det A + <cof A, B> + <A, cof B> + det B and
+    ||a_c + b_c||^2 = ||a_c||^2 + 2 <a_c, b_c> + ||b_c||^2, so each chunk is
+    one GEMM of _shift_coefficients against the samples' features (vec A,
+    vec cof A, det A, 1 and the ||a_c||^2).  The chunk is _shift_chunk(J)
+    samples, the last one zero-padded, so the GEMM has one shape and its
+    rounding does not depend on the sample count or the BLAS thread count.
+    Each value is within gamma_m s^k (determinants) or gamma_m s^2 (squared
+    norms) of the exact one, with s = ||A_s||_F + ||A_j||_F and m = 2k^2 +
+    3k roundings, as its terms sum to at most per(|A| + |B|) <= s^k, and
+    (||a_c|| + ||b_c||)^2 <= s^2.  k = 1 gives a + b and zero shifts give
+    _det(A), exactly.  From k = 4 on the sums are formed, about
+    _BLOCK_CELLS cells a chunk, and _det takes their LU determinants.
+    """
+    S, k, _ = A.shape
+    J = len(shifts)
+    if k > 3:
+        chunk = max(1, _BLOCK_CELLS // (k * k * J))
+        for start in range(0, S, chunk):
+            M = A[start:start + chunk] + shifts[:, None]
+            with np.errstate(all="ignore"):  # out-of-range sums: see the bracket
+                col_sq = np.moveaxis(np.sum(M * M, axis=-2), -1, 0) if norms else None
+                dets = _det(M)
+            yield start, dets, col_sq, None
+        return
+    kk = k * k
+    with np.errstate(all="ignore"):  # out of range, s^k voids the radii
+        coef = _shift_coefficients(shifts, norms)
+        shift_fro = np.linalg.norm(shifts, axis=(1, 2))[:, None]
+    chunk = _shift_chunk(J)
+    feats = np.empty((len(coef[0]), chunk))
+    vec, cof = feats[:kk].reshape(k, k, -1), feats[kk:2 * kk].reshape(k, k, -1)
+    feats[2 * kk + 1] = 1.0
+    table = np.empty((len(coef), chunk))
+    for start in range(0, S, chunk):
+        block = A[start:start + chunk]
+        m = len(block)
+        feats[:, m:] = 0.0
+        vec_m = vec[..., :m]
+        np.copyto(vec_m, np.moveaxis(block, 0, -1))
+        with np.errstate(all="ignore"):
+            _cofactors(vec_m, cof[..., :m])
+            feats[2 * kk, :m] = _det(np.moveaxis(vec_m, (0, 1), (-2, -1)))
+            if norms:
+                np.sum(vec_m * vec_m, axis=0, out=feats[2 * kk + 2:, :m])
+                scale = np.sqrt(np.sum(feats[2 * kk + 2:, :m], axis=0)) + shift_fro
+            np.matmul(coef, feats, out=table)
+        if norms:
+            yield start, table[:J, :m], table[J:].reshape(k, J, -1)[..., :m], scale
+        else:
+            yield start, table[:, :m], None, None
 
 
 def mc_bad_set_measure(family: SubspaceFamily, config: McConfig) -> list[McReport]:
@@ -277,9 +422,11 @@ def mc_det_lower_bound(A_list, config: McConfig):
     ``config.epsilon_grid`` (the first shift acts as the fixed reference);
     (b) reports eps_hat = min_j j^2 |det(A + A_j)| per sample and the
     fraction of samples with eps_hat > 0, which should be 1 up to
-    measure-zero ties.  eps_hat is a running minimum over the shifts, taken
-    per block of samples; like a minimum over all of them at once, it
-    propagates NaN.
+    measure-zero ties.  The determinants come from _shift_tables, a chunk
+    of samples against every shift at once; at k = 1, with zero shifts and
+    from k = 4 on they are those of _det(A + A_j), and at k = 2, 3 within
+    the expansion's rounding of them.  Like a minimum over the whole table,
+    eps_hat propagates NaN.
 
     Returns (McReport, per-sample eps_hat array); the verdict requires the
     linear fit to have r^2 >= 0.99 and the positive fraction >= 0.99.
@@ -290,14 +437,12 @@ def mc_det_lower_bound(A_list, config: McConfig):
         A_arr[0], config.epsilon_grid, config.samples, config.seed)
 
     A = _ball_matrices(_keyed_rng(config.seed, 1), config.samples, k)
-    eps_hat = np.full(config.samples, np.inf)
-    block = max(1, _BLOCK_CELLS // k ** 2)
-    for start in range(0, config.samples, block):
-        A_c = np.ascontiguousarray(np.moveaxis(A[start:start + block], 0, -1))
-        out = eps_hat[start:start + block]
-        for idx in range(J):
-            M = np.moveaxis(A_c + A_arr[idx][..., None], -1, 0)  # (block, k, k)
-            np.minimum(out, (idx + 1.0) ** 2 * np.abs(_det(M)), out=out)
+    eps_hat = np.empty(config.samples)
+    j2 = np.arange(1, J + 1, dtype=float)[:, None] ** 2
+    for start, dets, _, _ in _shift_tables(A, A_arr):
+        np.abs(dets, out=dets)
+        dets *= j2
+        eps_hat[start:start + dets.shape[1]] = np.min(dets, axis=0)
 
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
@@ -354,31 +499,52 @@ def inverse_bound_check(A, A_list, delta_list):
     return _sigma_min_floors(A, A_arr, delta)
 
 
-def _sigma_min_bracket(M: np.ndarray):
-    """(lo, hi) with lo <= sigma_min(M) <= hi for a (..., k, k) stack with
-    k >= 2, valid for the exact sigma_min and for LAPACK's computed one.
+def _sigma_min_bracket(dets: np.ndarray, col_sq: np.ndarray, scale):
+    """(lo, hi) with lo <= sigma_min(M) <= hi for the (J, chunk) pairs M =
+    A_s + A_j of one _shift_tables chunk, k = len(col_sq) >= 2, valid for
+    the exact sigma_min and for LAPACK's computed one of the formed sum.
 
     Above: the smallest column norm.  Below: |det M| / (||M||_F^2 /
-    (k-1))^((k-1)/2), by AM-GM on sigma_1..sigma_{k-1}.  Both ends move out
-    by tau = c k^3 2^k eps ||M||_F.  It covers LAPACK's absolute error in
-    sigma_min and _det's rounding: for k <= 3 that moves the lower end by at
-    most (k-1)^((k-1)/2) gamma_{2k-1} ||M||_F; for the LU, a backward error
-    E of up to about k^2 2^(k-1) eps ||M||_F (growth factor 2^(k-1)) moves
-    it by at most k ||E||_2.  Where ||M||_F^k leaves [2^-900, 2^900], under-
-    or overflow could break the bounds, so the bracket is [0, inf).  Fastest
-    when each component M[..., i, j] is contiguous, as _det then copies
-    nothing.
+    (k-1))^((k-1)/2), by AM-GM on sigma_1..sigma_{k-1}.  For k <= 3 the
+    tables are the expansion's, so first |det M| shrinks by c (2k^2 + 3k)
+    eps s^k and each squared column norm grows by c (2k^2 + 3k) eps s^2,
+    s = ``scale``, which bounds their distance to the exact values (see
+    _shift_tables).  Then both ends move out by tau = c k^3 2^k eps ||M||_F,
+    with ||M||_F from the widened norms.  tau covers LAPACK's absolute error
+    in sigma_min, the rounding of the formed sum (at most u ||M||_F) and of
+    the two ends' own formulas; from k = 4 on, where the tables are the
+    formed sums' and _det is an LU, it covers that LU's backward error E of
+    up to about k^2 2^(k-1) eps ||M||_F (growth factor 2^(k-1)), which moves
+    the lower end by at most k ||E||_2.  Where s^k (k <= 3) or ||M||_F^k
+    leaves [2^-900, 2^900], under- or overflow could break the bounds, so
+    the bracket is [0, inf).
     """
-    k = M.shape[-1]
+    k = len(col_sq)
+    eps = np.finfo(float).eps
     with np.errstate(all="ignore"):  # out-of-range entries are widened below
-        col_sq = np.sum(M * M, axis=-2)
-        fro_sq = np.sum(col_sq, axis=-1)
-        fro = np.sqrt(fro_sq)
-        lower = np.abs(_det(M)) / (fro_sq / (k - 1)) ** ((k - 1) / 2)
-        tau = _FLOOR_SLACK * k ** 3 * 2.0 ** k * np.finfo(float).eps * fro
-        trusted = (fro > 2.0 ** (-900 / k)) & (fro < 2.0 ** (900 / k))
-        lo = np.where(trusted, np.maximum(lower - tau, 0.0), 0.0)
-        hi = np.where(trusted, np.sqrt(np.min(col_sq, axis=-1)) + tau, np.inf)
+        lo = np.abs(dets)
+        hi = np.min(col_sq, axis=0)
+        fro = np.sum(col_sq, axis=0)
+        if k <= 3:
+            sq_radius = scale * scale
+            sq_radius *= _FLOOR_SLACK * (2 * k * k + 3 * k) * eps
+            lo -= sq_radius * scale if k == 3 else sq_radius
+            np.maximum(lo, 0.0, out=lo)
+            hi += sq_radius
+            sq_radius *= k
+            fro += sq_radius
+        lo /= (fro / (k - 1)) ** ((k - 1) / 2)
+        np.sqrt(fro, out=fro)
+        size = scale if k <= 3 else fro
+        untrusted = ~((size > 2.0 ** (-900 / k)) & (size < 2.0 ** (900 / k)))
+        tau = fro
+        tau *= _FLOOR_SLACK * k ** 3 * 2.0 ** k * eps
+        lo -= tau
+        np.maximum(lo, 0.0, out=lo)
+        np.sqrt(hi, out=hi)
+        hi += tau
+        lo[untrusted] = 0.0
+        hi[untrusted] = np.inf
     return lo, hi
 
 
@@ -387,41 +553,41 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
     """eps_hat_s = min_j sigma_min(A_s + A_j) * j^2 * delta_j^-(k-1) for an
     (S, k, k) stack, bit-equal to one SVD over all S * J sums.
 
-    Samples go in chunks of about _BLOCK_CELLS / (k^2 J), so each chunk's
-    sums fill one block array; a pair's bracket and SVD do not depend on
-    its chunk.  At k = 1 (delta^0 = 1) it is min_j |m| j^2 of the sums m,
-    NaN where one overflows, as from LAPACK's 1 x 1 SVD, which rescales and
-    can be 1 ulp off where |m| leaves about [6.7e-139, 1.5e138].  From k = 2
-    on, the weighting (x * j^2) * delta^-(k-1) rounds monotonically, so a
-    pair whose weighted _sigma_min_bracket lower end exceeds its sample's
-    smallest weighted upper end cannot hold the minimum; the same LAPACK
-    SVD runs on the remaining pairs, in the same rounding order.
+    At k = 1 (delta^0 = 1) it is min_j |m| j^2 of the sums m, formed in
+    chunks of about _BLOCK_CELLS / J samples, NaN where one overflows, as
+    from LAPACK's 1 x 1 SVD, which rescales and can be 1 ulp off where |m|
+    leaves about [6.7e-139, 1.5e138].  From k = 2 on, _shift_tables gives
+    each chunk's determinants and column norms, and the weighting (x * j^2)
+    * delta^-(k-1) rounds monotonically, so a pair whose weighted
+    _sigma_min_bracket lower end exceeds its sample's smallest weighted
+    upper end cannot hold the minimum; the remaining pairs' sums are formed
+    and go to the same LAPACK SVD, so the floors do not depend on the chunk.
     """
     S, k, _ = A.shape
     J = len(A_arr)
     j2 = np.arange(1, J + 1, dtype=float) ** 2
     dpow = delta ** -(k - 1)
-    A_c = np.moveaxis(A, 0, -1)
-    shifts_c = np.moveaxis(A_arr, 0, -1)[..., None, :]
-    chunk = max(1, _BLOCK_CELLS // (k * k * J))
     eps_hat = np.empty(S)
-    for start in range(0, S, chunk):
-        # component-major (k, k, chunk, J) sums, seen as a (chunk, J, k, k) stack
-        M_c = np.add(A_c[..., start:start + chunk, None], shifts_c, order="C")
-        if k == 1:
-            s = np.abs(M_c[0, 0], out=M_c[0, 0])
+    if k == 1:
+        a, b = A[:, 0, 0], A_arr[:, 0, 0]
+        chunk = max(1, _BLOCK_CELLS // J)
+        for start in range(0, S, chunk):
+            s = np.add.outer(a[start:start + chunk], b)
+            np.abs(s, out=s)
             s[s == np.inf] = np.nan
             s *= j2
             eps_hat[start:start + len(s)] = np.min(s, axis=1)
-            continue
-        M = np.moveaxis(M_c, (0, 1), (-2, -1))
-        lo, hi = _sigma_min_bracket(M)
-        cutoff = np.min((hi * j2) * dpow, axis=1, keepdims=True)
-        rows, cols = np.nonzero(~((lo * j2) * dpow > cutoff))
-        s = np.linalg.svd(M[rows, cols], compute_uv=False)[:, -1]
-        floors = np.full(len(lo), np.inf)
+        return eps_hat
+    for start, dets, col_sq, scale in _shift_tables(A, A_arr, norms=True):
+        lo, hi = _sigma_min_bracket(dets, col_sq, scale)
+        for end in (lo, hi):
+            end *= j2[:, None]
+            end *= dpow[:, None]
+        cols, rows = np.nonzero(~(lo > np.min(hi, axis=0)))
+        s = np.linalg.svd(A[start + rows] + A_arr[cols], compute_uv=False)[:, -1]
+        floors = np.full(lo.shape[1], np.inf)
         np.minimum.at(floors, rows, (s * j2[cols]) * dpow[cols])
-        eps_hat[start:start + len(lo)] = floors
+        eps_hat[start:start + len(floors)] = floors
     return eps_hat
 
 

@@ -157,14 +157,15 @@ def mc_slab_measure(box: Box, v, delta: float, samples: int = 10_000,
 
 def fraction_det(M) -> Fraction:
     """Reference oracle for ``geometry._det``: the exact determinant of a
-    float k x k matrix, summed over all permutations in rational arithmetic."""
+    k x k matrix of floats or Fractions, summed over all permutations in
+    rational arithmetic."""
     k = len(M)
     total = Fraction(0)
     for perm in permutations(range(k)):
         inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
         term = Fraction(-1 if inversions % 2 else 1)
         for i, j in enumerate(perm):
-            term *= Fraction(float(M[i][j]))
+            term *= Fraction(M[i][j])
         total += term
     return total
 

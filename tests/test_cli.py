@@ -451,11 +451,17 @@ def test_construct_one_member_writes_null_fit(single_hyperplane, tmp_path):
         familyio.dump_json({"x": math.nan})
 
 
-def test_mc_translation_is_byte_identical_across_blas_thread_counts():
-    """The translation suite factors small blocks only, so its report does
-    not depend on the BLAS thread count."""
-    args = ("mc", "translation", "--samples", 1000, "--k", 2, "--dim", 30,
-            "--members", 20)
+@pytest.mark.parametrize("args", [
+    ("translation", "--samples", 1000, "--k", 2, "--dim", 30, "--members", 20),
+    ("det", "--k", 3, "--members", 50),
+    ("inverse", "--k", 3, "--members", 50),
+], ids=["translation", "det", "inverse"])
+def test_mc_is_byte_identical_across_blas_thread_counts(args):
+    """The translation suite factors small blocks only, and det and inverse
+    take their shifted determinants and column norms from GEMMs of one
+    fixed chunk shape, so their reports do not depend on the BLAS thread
+    count."""
+    args = ("mc", *args)
     one = run_cli(*args, blas_threads=1)
     two = run_cli(*args, blas_threads=2)
     assert one.returncode == two.returncode == 0, one.stderr

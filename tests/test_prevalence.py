@@ -26,6 +26,7 @@ from transversal.prevalence import (
     McConfig,
     McReport,
     _ball_matrices,
+    _shift_tables,
     _sigma_min_bracket,
     _to_ball,
     ball_volume,
@@ -354,23 +355,119 @@ def test_mc_inverse_bound_positive_fraction(rng):
     assert eps_hat.shape == (2000,)
 
 
+def _tables(A, shifts, norms=False):
+    """_shift_tables' (J, S) determinants, (k, J, S) squared column norms
+    and (J, S) scales, each joined over the chunks, or None where it yields
+    None."""
+    parts = [[], [], []]
+    for _, *tables in _shift_tables(A, shifts, norms):
+        for part, table in zip(parts, tables):
+            if table is not None:
+                part.append(table.copy())
+    return [np.concatenate(part, axis=-1) if part else None for part in parts]
+
+
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5),
        kind=st.sampled_from(["random", "near", "rank", "graded"]))
 @settings(max_examples=60, deadline=None)
 def test_sigma_min_bracket_holds_lapack_sigma_min(seed, k, kind):
-    """lo <= LAPACK's sigma_min <= hi on random stacks, nearly and exactly
-    rank-deficient ones, and ones with entries spread over 1e-150..1e150."""
+    """lo <= LAPACK's sigma_min(A_s + A_j) <= hi on every (sample, shift)
+    pair: random pairs; pairs whose sum is nearly or exactly rank-deficient,
+    as the sample itself against a zero shift or as a target reached by a
+    shift minus a sample; a shift that nearly cancels a sample; and pairs
+    whose entries spread over 1e-150..1e150."""
     rng = np.random.default_rng(seed)
-    M = rng.standard_normal((500, k, k))
-    if kind == "near":
-        M[:, -1] = M[:, 0] + 1e-9 * rng.standard_normal((500, k))
-    elif kind == "rank":
-        M[:, -1] = M[:, 0] * 2.0
+    A = rng.standard_normal((200, k, k))
+    shifts = rng.standard_normal((6, k, k))
+    if kind in ("near", "rank"):
+        target = rng.standard_normal((102, k, k))
+        if kind == "near":
+            target[:, -1] = target[:, 0] + 1e-9 * rng.standard_normal((102, k))
+        else:
+            target[:, -1] = target[:, 0] * 2.0
+        A[:100] = target[:100]
+        shifts[0] = 0.0
+        shifts[1:3] = target[100:] - A[100:102]
+        shifts[3] = -A[150] + 1e-9 * rng.standard_normal((k, k))
     elif kind == "graded":
-        M *= 10.0 ** rng.uniform(-150, 150, size=(500, 1, 1))
-    lo, hi = _sigma_min_bracket(M)
-    s = np.linalg.svd(M, compute_uv=False)[:, -1]
+        A *= 10.0 ** rng.uniform(-150, 150, size=(200, 1, 1))
+        shifts *= 10.0 ** rng.uniform(-150, 150, size=(6, 1, 1))
+    dets, col_sq, scale = _tables(A, shifts, norms=True)
+    lo, hi = _sigma_min_bracket(dets, col_sq, scale)
+    s = np.linalg.svd(A + shifts[:, None], compute_uv=False)[..., -1]
     assert np.all(lo <= s) and np.all(s <= hi)
+
+
+@pytest.mark.parametrize("J", [65, 300])
+def test_many_shifts_halve_the_chunk(J):
+    """Beyond 64 shifts the chunk halves per doubling of J, so each (J,
+    chunk) table stays within 2^16 cells; a sample's tables do not depend on
+    the sample count, and the floors are still the full SVD's."""
+    chunk = prevalence._shift_chunk(J)
+    assert chunk * J <= 1 << 16 < 2 * chunk * J and chunk & (chunk - 1) == 0
+    rng = np.random.default_rng(J)
+    A = _ball_matrices(_keyed_rng(J), 400, 3)
+    shifts = 0.5 * rng.standard_normal((J, 3, 3))
+    tables = _tables(A, shifts, norms=True)
+    for whole, part in zip(tables, _tables(A[:250], shifts, norms=True)):
+        assert np.array_equal(whole[..., :250], part)
+    delta = np.full(J, 0.25)
+    floors = inverse_bound_check(A, shifts, delta)
+    assert np.array_equal(floors, _full_svd_floor(A, shifts, delta))
+
+
+def _expansion_radius(k: int, scale, power: int) -> Fraction:
+    """gamma_m scale^power with m = 2k^2 + 3k, the roundings along any term
+    of _shift_tables' expansion, and u = 2^-53."""
+    m = 2 * k * k + 3 * k
+    u = Fraction(1, 2 ** 53)
+    return m * u / (1 - m * u) * Fraction(float(scale)) ** power
+
+
+def _exact_sum(a, b):
+    """The exact sum of two float k x k matrices, as Fractions."""
+    return [[Fraction(x) + Fraction(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+       kind=st.sampled_from(["random", "graded", "cancel", "zero"]))
+@settings(max_examples=40, deadline=None)
+def test_shift_tables_are_within_the_expansion_bound(seed, k, kind):
+    """Each determinant of _shift_tables is within gamma_m s^k, and each
+    squared column norm within gamma_m s^2, of the exact value for the
+    exact sum A_s + A_j (s = ||A_s||_F + ||A_j||_F, m = 2k^2 + 3k), on
+    random pairs, on entries graded over 1e-150..1e150 (where s^k lies in
+    [2^-900, 2^900]; outside, under- and overflow void the bound and the
+    bracket widens to [0, inf)), and on shifts that nearly cancel a sample.
+    At k = 1 the table is fl(a + b), and zero shifts give _det(A), bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((24, k, k))
+    shifts = rng.standard_normal((5, k, k))
+    if kind == "graded":
+        A *= 10.0 ** rng.uniform(-150, 150, size=(24, 1, 1))
+        shifts *= 10.0 ** rng.uniform(-150, 150, size=(5, 1, 1))
+    elif kind == "cancel":
+        shifts[:4] = -A[:4] + 1e-9 * rng.standard_normal((4, k, k))
+    elif kind == "zero":
+        shifts[:] = 0.0
+    dets, col_sq, _ = _tables(A, shifts, norms=True)
+    for j, b in enumerate(shifts):
+        for i, a in enumerate(A):
+            s = np.linalg.norm(a) + np.linalg.norm(b)
+            if not 2.0 ** (-900 / k) < s < 2.0 ** (900 / k):
+                continue
+            M = _exact_sum(a, b)
+            err = abs(Fraction(float(dets[j, i])) - fraction_det(M))
+            assert err <= _expansion_radius(k, s, k)
+            for c in range(k):
+                exact = sum(M[r][c] ** 2 for r in range(k))
+                err = abs(Fraction(float(col_sq[c, j, i])) - exact)
+                assert err <= _expansion_radius(k, s, 2)
+    if k == 1:
+        assert np.array_equal(dets, shifts[:, 0, :1] + A[:, 0, 0])
+    if kind == "zero":
+        assert np.array_equal(dets, np.broadcast_to(_det(A), dets.shape))
 
 
 def _full_svd_floor(A, shifts, delta):
@@ -439,11 +536,15 @@ def test_inverse_floor_outside_float_range_matches_full_svd(k, scale):
 # blocks of the bulk suites
 
 
+#: Ball dimensions on both sides of 8, where _row_norms hands over to
+#: numpy's norm, whose row sum is unrolled pairwise from 8 entries on.
+_BALL_DIMS = (1, 3, 7, 8, 9, 30)
+
+
 def _bulk_results():
-    """Every output of the three bulk suites, of ball draws at dims 1, 3, 8
-    and 30 (numpy's row sum is unrolled pairwise from 8 entries on) and of
-    k = 1 inverse floors, on small inputs whose sample count, 1000, is no
-    multiple of the ragged block sizes below."""
+    """Every output of the three bulk suites, of ball draws at _BALL_DIMS
+    and of k = 1 inverse floors, on small inputs whose sample count, 1000,
+    is no multiple of the ragged block sizes below."""
     cfg = McConfig(samples=1000, seed=13, epsilon_grid=(0.3, 0.05, 0.01))
     fam = random_subspace_family(14, 5, 1, 7)
     rng = np.random.default_rng(15)
@@ -455,7 +556,7 @@ def _bulk_results():
                                  np.arange(1.0, 6.0) ** -1.0)
     floors_k1 = inverse_bound_check(_ball_matrices(_keyed_rng(18), 1000, 1),
                                     shifts[:, :1, :1], np.arange(1.0, 6.0) ** -1.0)
-    balls = [sample_ball(_keyed_rng(19), 1000, dim).tobytes() for dim in (1, 3, 8, 30)]
+    balls = [sample_ball(_keyed_rng(19), 1000, dim).tobytes() for dim in _BALL_DIMS]
     return ([r.to_dict() for r in mc_bad_set_measure(fam, cfg)], report.to_dict(),
             eps_hat.tobytes(), (c_hat, r2, mu.tobytes()), floors.tobytes(),
             floors_k1.tobytes(), balls)
@@ -478,6 +579,23 @@ def test_bulk_suites_are_bit_equal_across_block_sizes(cells, monkeypatch):
     assert _bulk_results() == whole
 
 
+@pytest.mark.parametrize("dim", _BALL_DIMS)
+def test_ball_draws_are_those_of_numpy_norm(dim, monkeypatch):
+    """Over ragged blocks, the ball draws are bit for bit those scaled by
+    np.linalg.norm's row norms, on rows spread over e^-90..e^90 and a zero
+    row, below 8 columns, where the norms are summed column by column, and
+    from 8 on, where numpy's norm runs."""
+    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", dim * 37)
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((1000, dim)) * np.exp(rng.uniform(-90, 90, (1000, dim)))
+    g[7] = 0.0
+    u = rng.random((1000, 1))
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    expected = g * (u ** (1.0 / dim) / norms)
+    assert np.array_equal(_to_ball(g, u, 1.0), expected)
+
+
 def test_badset_totals_are_those_of_the_whole_table(monkeypatch):
     """Per epsilon, the union count and the slab-sum estimate summed over
     ragged blocks are those of the whole (samples, J) hit table."""
@@ -495,11 +613,13 @@ def test_badset_totals_are_those_of_the_whole_table(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflow-nan"])
 def test_det_floors_are_the_minimum_of_the_shift_table(scale, monkeypatch):
-    """The running minimum over ragged blocks is min(axis=0) of the whole
-    (J, samples) table of j^2 |det(A + A_j)|, bit for bit; a shift of
-    1e200 * ones makes every 2 x 2 minor inf - inf, and like the table's
-    minimum the running one turns that NaN into every sample's floor."""
+    """Over ragged blocks and chunks, each floor lies within the expansion's
+    bound of min_j j^2 |det(A + A_j)| of the exact determinants: j^2 (|d_j|
+    -+ gamma_m s_j^3), widened by the weighting's rounding.  A shift of
+    1e200 * ones makes every 2 x 2 minor of that shift inf - inf, and like
+    the table's minimum the floors turn that NaN into every sample's."""
     monkeypatch.setattr(prevalence, "_BLOCK_CELLS", 9 * 37)
+    monkeypatch.setattr(prevalence, "_SHIFT_CHUNK", 64)
     shifts = np.random.default_rng(24).standard_normal((6, 3, 3))
     shifts /= np.linalg.norm(shifts, ord=2, axis=(1, 2))[:, None, None]
     shifts[3] = scale * np.ones((3, 3))
@@ -507,9 +627,31 @@ def test_det_floors_are_the_minimum_of_the_shift_table(scale, monkeypatch):
     A = _ball_matrices(_keyed_rng(25, 1), 1000, 3)
     with np.errstate(invalid="ignore", over="ignore"):
         _, eps_hat = mc_det_lower_bound(shifts, cfg)
-        table = [(j + 1.0) ** 2 * np.abs(_det(A + s)) for j, s in enumerate(shifts)]
-    assert np.array_equal(eps_hat, np.min(table, axis=0), equal_nan=True)
     assert np.all(np.isnan(eps_hat)) == (scale > 1.0)
+    if scale > 1.0:
+        return
+    u = Fraction(1, 2 ** 53)
+    for a, floor in zip(A, eps_hat):
+        low, high = [], []
+        for j, b in enumerate(shifts, start=1):
+            d = abs(fraction_det(_exact_sum(a, b)))
+            r = _expansion_radius(3, np.linalg.norm(a) + np.linalg.norm(b), 3)
+            low.append(j * j * (d - r))
+            high.append(j * j * (d + r))
+        assert min(low) * (1 - u) <= Fraction(float(floor)) <= min(high) * (1 + u)
+
+
+def test_det_floors_from_k4_are_lu_determinants_bit_for_bit(monkeypatch):
+    """From k = 4 on the sums are formed and _det takes their LU
+    determinants, so over ragged blocks the floors are min_j j^2 |_det(A +
+    A_j)| bit for bit."""
+    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", 16 * 5 * 37)
+    shifts = np.random.default_rng(30).standard_normal((5, 4, 4))
+    cfg = McConfig(samples=1000, seed=31, epsilon_grid=(0.1, 0.01, 0.001))
+    _, eps_hat = mc_det_lower_bound(shifts, cfg)
+    A = _ball_matrices(_keyed_rng(31, 1), 1000, 4)
+    table = [(j + 1.0) ** 2 * np.abs(_det(A + s)) for j, s in enumerate(shifts)]
+    assert np.array_equal(eps_hat, np.min(table, axis=0))
 
 
 @pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow-nan"])
