@@ -27,6 +27,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -387,13 +388,34 @@ def _add_flags(parser: argparse.ArgumentParser, flags: dict) -> argparse.Argumen
     return parser
 
 
+#: Flags whose value is a vector, and may so start with a minus sign.
+_VECTOR_FLAGS = ("--normal", "--translation")
+
+
+def _attach_vector_values(argv) -> list[str]:
+    """``argv`` with each vector flag's value that starts like a negative
+    number ("-1,1", "-.5,1") attached to its flag, as "--normal=-1,1".
+    argparse reads a separate "-1,1" as an option, not as a value, since it
+    is not one negative number.  A flag may be abbreviated, as argparse
+    allows."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (re.match(r"-\.?\d", token) and len(flag) > 2 and "=" not in flag
+                and any(name.startswith(flag) for name in _VECTOR_FLAGS)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     try:
         _setup_logging()
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _attach_vector_values(sys.argv[1:] if argv is None else argv)
     parser, innermost = build_parser(argv)
     args, extras = parser.parse_known_args(argv)
     if extras:

@@ -5,7 +5,11 @@ has an exact closed form (a sum of face volumes weighted by |v_i|).  Slabs
 {|<y, v>| <= delta} intersected with the box are bounded by twice the slab
 width times that shadow volume.  A Monte Carlo fiber estimator, drawn in
 chunks, cross-checks the shadow volume for n <= 4; it is exact (stderr 0)
-for n <= 2, where every fiber over the shadow's bounding box hits.
+for n <= 2, where every fiber over the shadow's bounding box hits.  Each
+chunk's uniforms go into one buffer made per call and are mapped into the
+bounding box in place, bit for bit numpy's rng.uniform; they are projected
+by one GEMM into a second buffer, and each axis bounds the fiber parameter
+by two ends whose order the sign of v_i fixes.
 """
 
 from __future__ import annotations
@@ -110,15 +114,23 @@ def mc_shadow_volume(box: Box, v, samples: int, seed: int) -> McEstimate:
     Draws ``samples`` points of the hyperplane v-perp, uniform over the
     shadow's bounding box, from _keyed_rng(seed), and counts hits, where a
     point z is a hit iff the fiber line {z + t v} meets the box (a 1-D
-    interval intersection, solved exactly).
-    Fibers are drawn in chunks of _BLOCK_CELLS // n, so memory stays bounded
-    at any sample count.  A box whose largest halfwidth reaches 2^_SHADOW_MAX_EXP
-    is drawn scaled down by a power of two, which is exact, and the bounding
+    interval intersection, solved exactly).  Fibers are drawn in chunks of
+    _BLOCK_CELLS // n, so memory stays bounded at any sample count.  Each
+    chunk fills one buffer, made once per call, by rng.random() and maps it
+    into the bounding box in place as lo + (hi - lo) * u, which is what
+    rng.uniform(lo, hi) computes from the same stream; np.matmul projects it
+    into a second buffer.  Axis i bounds the fiber parameter t by (-h_i -
+    z_i) / v_i and (h_i - z_i) / v_i, the lower end first when v_i > 0 and
+    last when v_i < 0; rounding is monotone, so that order is the one
+    np.minimum and np.maximum would find, and both running ends are
+    tightened in place.  An axis with |v_i| < 1e-15 tests |z_i| <= h_i
+    instead.  A box whose largest halfwidth reaches 2^_SHADOW_MAX_EXP is
+    drawn scaled down by a power of two, which is exact, and the bounding
     box's volume is formed from mantissas and exponents: the estimate is inf
     or 0.0 only where it leaves float64's range, and the draws of every
     other box are unchanged.  For n <= 2 the bounding box is the shadow
-    itself (the point {0} at n = 1, the corner-projection interval at
-    n = 2): every fiber hits and the estimate is exact, with stderr 0.
+    itself (the point {0} at n = 1, the corner-projection interval at n =
+    2): every fiber hits and the estimate is exact, with stderr 0.
 
     Only n <= 4 is supported.
     """
@@ -147,22 +159,36 @@ def mc_shadow_volume(box: Box, v, samples: int, seed: int) -> McEstimate:
     bbox_mant = float(np.prod(extent))
 
     hits = 0
-    chunk = max(1, _BLOCK_CELLS // n)
+    chunk = min(samples, max(1, _BLOCK_CELLS // n))
+    # rng.uniform(lo, hi) is lo + (hi - lo) * u of rng.random()'s u
+    draws = np.empty(chunk * (n - 1))
+    scale, offset = np.tile(hi - lo, chunk), np.tile(lo, chunk)
+    base = np.empty((chunk, n))
+    t_lo, t_hi, end = np.empty(chunk), np.empty(chunk), np.empty(chunk)
+    inside = np.empty(chunk, dtype=bool)
+    flat = [i for i in range(n) if abs(v[i]) < 1e-15]
     for start in range(0, samples, chunk):
         m = min(chunk, samples - start)
-        base = rng.uniform(lo, hi, size=(m, n - 1)) @ w_basis  # <base, v> = 0
-        t_lo = np.full(m, -np.inf)
-        t_hi = np.full(m, np.inf)
-        feasible = np.ones(m, dtype=bool)
+        d = rng.random(out=draws[:m * (n - 1)])
+        d *= scale[:d.size]
+        d += offset[:d.size]
+        z = np.matmul(d.reshape(m, n - 1), w_basis, out=base[:m])  # <z, v> = 0
+        lower, upper = t_lo[:m], t_hi[:m]
+        lower.fill(-np.inf)
+        upper.fill(np.inf)
         for i in range(n):
-            if abs(v[i]) < 1e-15:
-                feasible &= np.abs(base[:, i]) <= h[i]
+            if i in flat:
                 continue
-            a = (-h[i] - base[:, i]) / v[i]
-            b = (h[i] - base[:, i]) / v[i]
-            t_lo = np.maximum(t_lo, np.minimum(a, b))
-            t_hi = np.minimum(t_hi, np.maximum(a, b))
-        hits += int(np.count_nonzero(feasible & (t_lo <= t_hi)))
+            # rounding is monotone, so the sign of v_i orders the two ends
+            ends = (-h[i], h[i]) if v[i] > 0 else (h[i], -h[i])
+            for edge, bound, tighten in zip(ends, (lower, upper), (np.maximum, np.minimum)):
+                np.subtract(edge, z[:, i], out=end[:m])
+                end[:m] /= v[i]
+                tighten(bound, end[:m], out=bound)
+        ok = np.less_equal(lower, upper, out=inside[:m])
+        for i in flat:
+            ok &= np.abs(z[:, i]) <= h[i]
+        hits += int(np.count_nonzero(ok))
     p = hits / samples
     with np.errstate(over="ignore"):
         estimate, stderr = np.ldexp(

@@ -23,13 +23,15 @@ exceptional:
 The first three, the bulk suites, draw all their samples at once from one
 keyed stream (see geometry) and scale them to ball points in place.  The
 bad-set counts and the determinant slab counts stream them in blocks of
-about _BLOCK_CELLS float64 cells, keeping integer totals.  The determinant
-floors and the sigma_min brackets take each chunk of samples against
-every shift in one GEMM of fixed shape (_shift_tables): det(A +
-A_j) by multilinearity, and the squared column norms of the sums, so for
-k <= 3 no (samples, J, k, k) sums are formed.  So each suite's memory is
-the draws plus one block or chunk, and no result depends on the block
-size or on the BLAS thread count.
+about _BLOCK_CELLS float64 cells, keeping integer totals; the bad set
+compares each block once, at the largest epsilon, and counts every epsilon
+on the cells that comparison finds.  The determinant floors and the
+sigma_min brackets take each chunk of samples against every shift in one
+GEMM of fixed shape (_shift_tables): det(A + A_j) by multilinearity, and
+the squared column norms of the sums, so for k <= 3 no (samples, J, k, k)
+sums are formed.  So each suite's memory is the draws plus one block or
+chunk, and no result depends on the block size or on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -324,12 +326,17 @@ def mc_bad_set_measure(family: SubspaceFamily, config: McConfig) -> list[McRepor
     one report per epsilon of ``config.epsilon_grid``.
 
     Requires codim 1 (so n >= 2).  One draw of ball points serves the whole
-    grid.  It is projected onto the normals in blocks of samples, and each
-    epsilon compares a block's projections with its thresholds, adding to
-    two integer totals: the samples in the union of the slabs and the slab
-    hits.  The analytic bound is epsilon * (pi^2 / 3) * vol(B^{n-1}); the
-    truncated sum over the J observed members is reported in the metadata
-    and is always smaller.
+    grid.  It is projected onto the normals in blocks of samples, by
+    np.matmul into one buffer, and each block is compared once, with the
+    thresholds of the largest epsilon, the first of the grid.  McConfig
+    makes the grid strictly decreasing and rounding is monotone, so every
+    smaller epsilon's threshold eps_e * j^-2 is at most eps_0 * j^-2 and its
+    hits are a subset of those cells.  Each epsilon then compares only those
+    cells and adds to two integer totals: the slab hits, and the samples in
+    the union of the slabs, the distinct rows among its cells, which come
+    sorted from np.flatnonzero.  The analytic bound is
+    epsilon * (pi^2 / 3) * vol(B^{n-1}); the truncated sum over the J
+    observed members is reported in the metadata and is always smaller.
     """
     if family.codim != 1:
         raise ValidationError("bad-set suite requires a codimension-1 family")
@@ -340,16 +347,23 @@ def mc_bad_set_measure(family: SubspaceFamily, config: McConfig) -> list[McRepor
     thresholds = [epsilon * j2 for epsilon in config.epsilon_grid]
     union = [0] * len(thresholds)
     slab_hits = [0] * len(thresholds)
-    block = max(1, _BLOCK_CELLS // J)
-    hits = np.empty((min(block, config.samples), J), dtype=bool)
+    block = min(config.samples, max(1, _BLOCK_CELLS // J))
+    projs = np.empty((block, J))
+    hits = np.empty((block, J), dtype=bool)
     for start in range(0, config.samples, block):
-        proj = points[start:start + block] @ family.normals[:, 0].T
+        pts = points[start:start + block]
+        proj = np.matmul(pts, family.normals[:, 0].T, out=projs[:len(pts)])
         np.abs(proj, out=proj)
-        hit = hits[:len(proj)]
+        # the grid decreases, so every threshold lies below the first, which
+        # finds every cell that any epsilon can count
+        cells = np.flatnonzero(np.less_equal(proj, thresholds[0], out=hits[:len(pts)]))
+        rows, cols = np.divmod(cells, J)
+        values = proj.ravel()[cells]
         for e, threshold in enumerate(thresholds):
-            np.less_equal(proj, threshold, out=hit)
-            union[e] += int(np.count_nonzero(np.any(hit, axis=1)))
-            slab_hits[e] += int(np.count_nonzero(hit))
+            inside = rows[values <= threshold[cols]]
+            slab_hits[e] += inside.size
+            # flatnonzero lists the cells row by row, so rows are sorted
+            union[e] += int(np.count_nonzero(inside[1:] != inside[:-1])) + int(inside.size > 0)
     vol = ball_volume(n)
     shell = ball_volume(n - 1)
     reports = []
@@ -583,7 +597,7 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
         for end in (lo, hi):
             end *= j2[:, None]
             end *= dpow[:, None]
-        cols, rows = np.nonzero(~(lo > np.min(hi, axis=0)))
+        cols, rows = np.divmod(np.flatnonzero(~(lo > np.min(hi, axis=0))), lo.shape[1])
         s = np.linalg.svd(A[start + rows] + A_arr[cols], compute_uv=False)[:, -1]
         floors = np.full(lo.shape[1], np.inf)
         np.minimum.at(floors, rows, (s * j2[cols]) * dpow[cols])

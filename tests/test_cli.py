@@ -455,13 +455,25 @@ def test_construct_one_member_writes_null_fit(single_hyperplane, tmp_path):
     ("translation", "--samples", 1000, "--k", 2, "--dim", 30, "--members", 20),
     ("det", "--k", 3, "--members", 50),
     ("inverse", "--k", 3, "--members", 50),
-], ids=["translation", "det", "inverse"])
+    ("badset", "--dim", 8, "--members", 200),
+], ids=["translation", "det", "inverse", "badset"])
 def test_mc_is_byte_identical_across_blas_thread_counts(args):
-    """The translation suite factors small blocks only, and det and inverse
+    """The translation suite factors small blocks only, det and inverse
     take their shifted determinants and column norms from GEMMs of one
-    fixed chunk shape, so their reports do not depend on the BLAS thread
-    count."""
+    fixed chunk shape, and badset projects each block by one GEMM into a
+    fixed buffer, so their reports do not depend on the BLAS thread count."""
     args = ("mc", *args)
+    one = run_cli(*args, blas_threads=1)
+    two = run_cli(*args, blas_threads=2)
+    assert one.returncode == two.returncode == 0, one.stderr
+    assert one.stdout == two.stdout
+
+
+@pytest.mark.parametrize("normal", ["1,2,3,4", "-1,0,2,-3"], ids=["n4", "negative-flat"])
+def test_volume_mc_is_byte_identical_across_blas_thread_counts(normal):
+    """The shadow oracle projects each chunk by one GEMM into a fixed
+    buffer, so its estimate does not depend on the BLAS thread count."""
+    args = ("volume", "--halfwidths", "1,0.5,0.25,0.125", f"--normal={normal}", "--mc")
     one = run_cli(*args, blas_threads=1)
     two = run_cli(*args, blas_threads=2)
     assert one.returncode == two.returncode == 0, one.stderr
@@ -502,6 +514,7 @@ def test_mc_invalid_input_exits_2_without_traceback(args):
     ("mc", "badset", "--k", 3),
     ("mc", "inverse", "--radius", 2),
     ("volume", "--halfwidths", 1, "--normal", 1, "--bogus", 2),
+    ("volume", "--halfwidths", 1, "--normal", "-1,1", "--bogus", 2),
 ])
 def test_mc_flag_a_suite_does_not_read_exits_2(args):
     """A foreign flag is reported with the usage of the parser it was
@@ -541,6 +554,25 @@ def test_volume_diagonal_with_mc():
     assert float(data["projection_volume"]) == pytest.approx(2.0 * np.sqrt(2))
     assert float(data["mc_rel_error"]) <= 0.01
     assert data["mc_agreement"] == "ok"
+
+
+@pytest.mark.parametrize("value", ["-1,1", "-.5,1", "-1e-3,1"])
+def test_volume_normal_may_start_with_a_minus_sign(value):
+    """A vector that starts with "-" is --normal's value, not an option: it
+    prints the bytes of the attached --normal=VALUE form."""
+    args = ("volume", "--halfwidths", "1,2", "--mc", "--samples", 1000)
+    split = run_cli(*args, "--normal", value)
+    attached = run_cli(*args, f"--normal={value}")
+    assert split.returncode == attached.returncode == 0, split.stderr
+    assert split.stdout == attached.stdout
+
+
+def test_mc_translation_vector_may_start_with_a_minus_sign():
+    args = ("mc", "translation", "--samples", 1000)
+    split = run_cli(*args, "--translation", "-1,0,0,0,0,0.5")
+    attached = run_cli(*args, "--translation=-1,0,0,0,0,0.5")
+    assert split.returncode == attached.returncode == 0, split.stderr
+    assert split.stdout == attached.stdout
 
 
 def test_volume_axis_and_slab_bound():

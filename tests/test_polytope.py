@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transversal import polytope
-from transversal.geometry import ValidationError
+from transversal.geometry import ValidationError, _keyed_rng
 from transversal.polytope import (
     Box,
     box_projection_volume,
@@ -258,6 +258,70 @@ def test_shadow_oracle_chunks_match_one_draw(n, monkeypatch):
     monkeypatch.setattr(polytope, "_BLOCK_CELLS", n * (samples + 1))
     whole = mc_shadow_volume(box, v, samples=samples, seed=21)
     assert chunked == whole
+
+
+def reference_shadow_volume(box, v, samples, seed):
+    """The shadow oracle as a per-axis np.minimum / np.maximum fiber loop
+    over rng.uniform draws, in the library's chunks: the arithmetic the
+    in-place kernel must reproduce bit for bit."""
+    n = box.dim
+    rng = _keyed_rng(seed)
+    shift = max(0, int(np.frexp(box.halfwidths.max())[1]) - polytope._SHADOW_MAX_EXP)
+    h = np.ldexp(box.halfwidths, -shift)
+    w_basis = np.linalg.svd(v[None, :], full_matrices=True)[2][1:]
+    corners = np.array(np.meshgrid(*[(-hh, hh) for hh in h])).reshape(n, -1).T
+    corner_proj = corners @ w_basis.T
+    lo, hi = corner_proj.min(axis=0), corner_proj.max(axis=0)
+    extent, extent_exp = np.frexp(hi - lo)
+    hits = 0
+    chunk = max(1, polytope._BLOCK_CELLS // n)
+    for start in range(0, samples, chunk):
+        m = min(chunk, samples - start)
+        base = rng.uniform(lo, hi, size=(m, n - 1)) @ w_basis
+        t_lo, t_hi = np.full(m, -np.inf), np.full(m, np.inf)
+        feasible = np.ones(m, dtype=bool)
+        for i in range(n):
+            if abs(v[i]) < 1e-15:
+                feasible &= np.abs(base[:, i]) <= h[i]
+                continue
+            a = (-h[i] - base[:, i]) / v[i]
+            b = (h[i] - base[:, i]) / v[i]
+            t_lo = np.maximum(t_lo, np.minimum(a, b))
+            t_hi = np.minimum(t_hi, np.maximum(a, b))
+        hits += int(np.count_nonzero(feasible & (t_lo <= t_hi)))
+    p = hits / samples
+    mant = float(np.prod(extent))
+    with np.errstate(over="ignore"):
+        estimate, stderr = np.ldexp([mant * p, mant * np.sqrt(p * (1.0 - p) / samples)],
+                                    int(extent_exp.sum()) + shift * (n - 1))
+    return polytope.McEstimate(float(estimate), float(stderr))
+
+
+def _unit(x):
+    x = np.asarray(x, dtype=float)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("h, v", [
+    pytest.param([0.7, 1.3], _unit([2.0, -1.0]), id="n2"),
+    pytest.param([1.0, 0.5, 0.25], _unit([1.0, -2.0, 3.0]), id="n3"),
+    pytest.param([1.0, 0.5, 0.25, 0.125], _unit([1.0, 2.0, 3.0, 4.0]), id="n4"),
+    pytest.param([1.0, 0.5, 0.25, 2.0], _unit([1e-16, 1.0, -1.0, 2.0]), id="flat-axis"),
+    pytest.param([1.0, 0.5, 0.25], _unit([0.0, 0.0, 1.0]), id="two-flat-axes"),
+    pytest.param([1.2, 0.5, 0.8, 0.3], _unit([-1.0, -2.0, -3.0, -4.0]), id="all-negative"),
+    pytest.param([2.0 ** 980, 3.0, 2.0 ** 975], _unit([1.0, -2.0, 3.0]), id="huge-box"),
+    pytest.param([2.0 ** 971, 0.5, 1.0, 2.0], _unit([-1.0, 1.0, 2.0, 1.0]),
+                 id="box-at-max-exp"),
+])
+def test_shadow_oracle_matches_the_minmax_reference(h, v, monkeypatch):
+    """Sign-chosen fiber ends and draws mapped in place give the estimate of
+    the reference loop, on whole chunks and on ragged ones."""
+    box = Box(np.asarray(h))
+    assert mc_shadow_volume(box, v, samples=50_000, seed=31) == \
+        reference_shadow_volume(box, v, 50_000, 31)
+    monkeypatch.setattr(polytope, "_BLOCK_CELLS", box.dim * 997)
+    assert mc_shadow_volume(box, v, samples=5_003, seed=32) == \
+        reference_shadow_volume(box, v, 5_003, 32)
 
 
 def test_shadow_oracle_memory_is_bounded():

@@ -611,6 +611,35 @@ def test_badset_totals_are_those_of_the_whole_table(monkeypatch):
             vol * float(np.mean(np.count_nonzero(hits, axis=1)))
 
 
+@pytest.mark.parametrize("dim, J, grid", [
+    pytest.param(4, 9, (4.0, 1.0, 0.3, 0.01), id="saturating-largest-eps"),
+    pytest.param(5, 7, (1.0,), id="one-eps-saturating"),
+    pytest.param(6, 40, (0.05,), id="one-eps"),
+    pytest.param(3, 1, (0.5, 0.2, 0.001), id="one-member"),
+])
+def test_badset_counts_are_those_of_the_per_eps_table(dim, J, grid, monkeypatch):
+    """Comparing each block once, at the largest epsilon, and counting the
+    smaller ones on its hit cells gives, per epsilon, the union count and
+    slab sum of that epsilon's whole (samples, J) hit table, over ragged
+    blocks too."""
+    fam = random_subspace_family(40 + J, dim, 1, J)
+    cfg = McConfig(samples=3000, seed=41, epsilon_grid=grid)
+    proj = np.abs(sample_ball(_keyed_rng(41), 3000, dim) @ fam.normals[:, 0].T)
+    vol = ball_volume(dim)
+    expected = []
+    for eps in grid:
+        hits = proj <= eps * np.arange(1.0, J + 1.0) ** -2.0
+        expected.append((int(np.count_nonzero(np.any(hits, axis=1))),
+                         vol * (float(np.count_nonzero(hits)) / 3000)))
+    for cells in (1 << 40, J * 37 + 3):
+        monkeypatch.setattr(prevalence, "_BLOCK_CELLS", cells)
+        reports = mc_bad_set_measure(fam, cfg)
+        assert [(r.metadata["bad_count"], r.metadata["sum_estimate"])
+                for r in reports] == expected
+    if grid[0] >= 1.0:  # slab 1 holds the whole ball
+        assert expected[0][0] == 3000
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflow-nan"])
 def test_det_floors_are_the_minimum_of_the_shift_table(scale, monkeypatch):
     """Over ragged blocks and chunks, each floor lies within the expansion's
