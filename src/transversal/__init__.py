@@ -1,86 +1,12 @@
 """Common complements for subspace families with certified transversality decay."""
 
-from .geometry import (
-    DEFAULT_TOL,
-    ConstructionError,
-    OrthonormalFrame,
-    ValidationError,
-    degrees_of_transversality,
-    orthonormalize,
-)
-from .polytope import (
-    Box,
-    McEstimate,
-    box_projection_volume,
-    mc_shadow_volume,
-    slab_measure_bound,
-)
-from .separator import (
-    BOX_CONSTANT,
-    LINE_CONSTANT,
-    NORM_CAP,
-    RAW_MARGIN,
-    ComplementResult,
-    RejectionStats,
-    SubspaceFamily,
-    adapt_basis,
-    certify,
-    common_complement,
-    decay_fit_prefixes,
-    is_well_separating,
-    random_subspace_family,
-    sample_box_separator,
-)
-from .prevalence import (
-    McConfig,
-    McReport,
-    ball_volume,
-    det_slab_coefficient,
-    inverse_bound_check,
-    mc_bad_set_measure,
-    mc_det_lower_bound,
-    mc_inverse_bound,
-    sample_ball,
-    translation_experiment,
-)
+from . import geometry, polytope, prevalence, separator
+from .geometry import *
+from .polytope import *
+from .separator import *
+from .prevalence import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "ConstructionError",
-    "OrthonormalFrame",
-    "ValidationError",
-    "degrees_of_transversality",
-    "orthonormalize",
-    "Box",
-    "McEstimate",
-    "box_projection_volume",
-    "mc_shadow_volume",
-    "slab_measure_bound",
-    "BOX_CONSTANT",
-    "LINE_CONSTANT",
-    "NORM_CAP",
-    "RAW_MARGIN",
-    "ComplementResult",
-    "RejectionStats",
-    "SubspaceFamily",
-    "adapt_basis",
-    "certify",
-    "common_complement",
-    "decay_fit_prefixes",
-    "is_well_separating",
-    "random_subspace_family",
-    "sample_box_separator",
-    "McConfig",
-    "McReport",
-    "ball_volume",
-    "det_slab_coefficient",
-    "inverse_bound_check",
-    "mc_bad_set_measure",
-    "mc_det_lower_bound",
-    "mc_inverse_bound",
-    "sample_ball",
-    "translation_experiment",
-    "__version__",
-]
+__all__ = [*geometry.__all__, *polytope.__all__, *separator.__all__,
+           *prevalence.__all__, "__version__"]

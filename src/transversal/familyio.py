@@ -10,9 +10,10 @@ Input is strict JSON too, decoded by orjson with correctly rounded float
 parsing: NaN and Infinity tokens, numbers that overflow float64 and bytes
 that are not UTF-8 are "not valid JSON".  A family file is decoded member by
 member: its top-level "normals" array is split into member spans, and each
-member goes straight into one (J, k, n) float64 array, so the file's numbers
-never exist as one tree of Python floats.  A document the split does not fit
-is decoded whole, with the same result and the same errors.
+member is decoded into its own float64 array, so the file's numbers never
+exist as one tree of Python floats; SubspaceFamily.from_normals stacks the
+members.  A document the split does not fit is decoded whole, with the same
+result and the same errors.
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ def _member_spans(data: bytes, start: int):
 
 
 def _split_family(data: bytes):
-    """The family document in ``data`` with its normals as one (J, k, n)
-    float64 array, decoded one member at a time; None where the walk does
-    not fit the document.
+    """The family document in ``data`` with its normals as the list of its
+    members, each decoded on its own into a float64 array; None where the
+    walk does not fit the document.
 
     The one literal "normals" key (no backslash outside the array, so no
     key is spelled with an escape) must open an array of numeric arrays
@@ -215,16 +216,8 @@ def _split_family(data: bytes):
     view = memoryview(data)
     try:
         doc = orjson.loads(data[:start] + b"[]" + data[end:])
-        normals = None
-        for j, (begin, stop) in enumerate(spans):
-            block = np.array(orjson.loads(view[begin:stop]), dtype=float)
-            if block.ndim == 1:
-                block = block[None, :]
-            if normals is None:
-                normals = np.empty((len(spans), *block.shape))
-            if block.shape != normals.shape[1:]:
-                return None
-            normals[j] = block
+        normals = [np.array(orjson.loads(view[begin:stop]), dtype=float)
+                   for begin, stop in spans]
     except (json.JSONDecodeError, TypeError, ValueError):
         return None
     if not isinstance(doc, dict) or doc.get("normals") != []:
@@ -238,7 +231,7 @@ def load_family(path):
     family_from_dict."""
     data = Path(path).read_bytes()
     doc = _split_family(data) or _parse(data, path)
-    del data  # freed before family_from_dict copies the normals
+    del data  # freed before family_from_dict stacks the normals
     return family_from_dict(doc)
 
 

@@ -127,9 +127,6 @@ class OrthonormalFrame:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    def __len__(self) -> int:
-        return self.size
-
 
 def _gram_schmidt_frames(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt frames of a (m, k, n) stack of blocks.
@@ -284,10 +281,9 @@ def _degrees(prods: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "DEFAULT_TOL",
-    "ValidationError",
     "ConstructionError",
-    "as_vector",
     "OrthonormalFrame",
-    "orthonormalize",
+    "ValidationError",
     "degrees_of_transversality",
+    "orthonormalize",
 ]

@@ -40,14 +40,6 @@ class Box:
     def dim(self) -> int:
         return self.halfwidths.size
 
-    @property
-    def volume(self) -> float:
-        """prod_i 2 h_i; inf or 0.0 only where the true volume over- or
-        underflows float64."""
-        mant, exp, _, _ = _volume_parts(self.halfwidths)
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(mant, exp))
-
 
 #: Halfwidth mantissas multiplied before each renormalization in
 #: _volume_parts; a product of 512 of them stays above 2^-512.
@@ -201,6 +193,6 @@ __all__ = [
     "Box",
     "McEstimate",
     "box_projection_volume",
-    "slab_measure_bound",
     "mc_shadow_volume",
+    "slab_measure_bound",
 ]

@@ -25,13 +25,13 @@ keyed stream (see geometry) and scale them to ball points in place.  The
 bad-set counts and the determinant slab counts stream them in blocks of
 about _BLOCK_CELLS float64 cells, keeping integer totals; the bad set
 compares each block once, at the largest epsilon, and counts every epsilon
-on the cells that comparison finds.  The determinant floors and the
-sigma_min brackets take each chunk of samples against every shift in one
-GEMM of fixed shape (_shift_tables): det(A + A_j) by multilinearity, and
-the squared column norms of the sums, so for k <= 3 no (samples, J, k, k)
-sums are formed.  So each suite's memory is the draws plus one block or
-chunk, and no result depends on the block size or on the BLAS thread
-count.
+on the cells that comparison finds.  The determinant floors, the k = 1
+inverse floors and the sigma_min brackets take each chunk of samples
+against every shift in one GEMM of fixed shape (_shift_tables): det(A +
+A_j) by multilinearity, and the squared column norms of the sums, so for
+k <= 3 no (samples, J, k, k) sums are formed.  So each suite's memory is
+the draws plus one block or chunk, and no result depends on the block
+size or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -567,15 +567,16 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
     """eps_hat_s = min_j sigma_min(A_s + A_j) * j^2 * delta_j^-(k-1) for an
     (S, k, k) stack, bit-equal to one SVD over all S * J sums.
 
-    At k = 1 (delta^0 = 1) it is min_j |m| j^2 of the sums m, formed in
-    chunks of about _BLOCK_CELLS / J samples, NaN where one overflows, as
-    from LAPACK's 1 x 1 SVD, which rescales and can be 1 ulp off where |m|
-    leaves about [6.7e-139, 1.5e138].  From k = 2 on, _shift_tables gives
-    each chunk's determinants and column norms, and the weighting (x * j^2)
-    * delta^-(k-1) rounds monotonically, so a pair whose weighted
-    _sigma_min_bracket lower end exceeds its sample's smallest weighted
-    upper end cannot hold the minimum; the remaining pairs' sums are formed
-    and go to the same LAPACK SVD, so the floors do not depend on the chunk.
+    At k = 1 (delta^0 = 1) it is min_j |m| j^2 of the sums m, NaN where
+    one overflows, as from LAPACK's 1 x 1 SVD, which rescales and can be
+    1 ulp off where |m| leaves about [6.7e-139, 1.5e138]; the sums are
+    _shift_tables' determinants, which are a + b exactly at k = 1.  From
+    k = 2 on, _shift_tables gives each chunk's determinants and column
+    norms, and the weighting (x * j^2) * delta^-(k-1) rounds monotonically,
+    so a pair whose weighted _sigma_min_bracket lower end exceeds its
+    sample's smallest weighted upper end cannot hold the minimum; the
+    remaining pairs' sums are formed and go to the same LAPACK SVD, so the
+    floors do not depend on the chunk.
     """
     S, k, _ = A.shape
     J = len(A_arr)
@@ -583,14 +584,12 @@ def _sigma_min_floors(A: np.ndarray, A_arr: np.ndarray,
     dpow = delta ** -(k - 1)
     eps_hat = np.empty(S)
     if k == 1:
-        a, b = A[:, 0, 0], A_arr[:, 0, 0]
-        chunk = max(1, _BLOCK_CELLS // J)
-        for start in range(0, S, chunk):
-            s = np.add.outer(a[start:start + chunk], b)
-            np.abs(s, out=s)
-            s[s == np.inf] = np.nan
-            s *= j2
-            eps_hat[start:start + len(s)] = np.min(s, axis=1)
+        for start, sums, _, _ in _shift_tables(A, A_arr):
+            np.abs(sums, out=sums)
+            sums[sums == np.inf] = np.nan
+            with np.errstate(over="ignore"):  # a floor past float64's range is inf
+                sums *= j2[:, None]
+            eps_hat[start:start + sums.shape[1]] = np.min(sums, axis=0)
         return eps_hat
     for start, dets, col_sq, scale in _shift_tables(A, A_arr, norms=True):
         lo, hi = _sigma_min_bracket(dets, col_sq, scale)
@@ -716,14 +715,14 @@ def translation_experiment(base: ComplementResult, family: SubspaceFamily,
 
 
 __all__ = [
-    "ball_volume",
     "McConfig",
     "McReport",
-    "sample_ball",
-    "mc_bad_set_measure",
+    "ball_volume",
     "det_slab_coefficient",
-    "mc_det_lower_bound",
     "inverse_bound_check",
+    "mc_bad_set_measure",
+    "mc_det_lower_bound",
     "mc_inverse_bound",
+    "sample_ball",
     "translation_experiment",
 ]

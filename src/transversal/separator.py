@@ -524,20 +524,18 @@ def random_subspace_family(seed: int, ambient_dim: int, codim: int,
 
 
 __all__ = [
-    "RAW_MARGIN",
-    "NORM_CAP",
     "BOX_CONSTANT",
     "LINE_CONSTANT",
-    "DEFAULT_MAX_TRIES",
-    "DOMINANCE_TOL",
-    "SubspaceFamily",
-    "decay_fit_prefixes",
-    "RejectionStats",
+    "NORM_CAP",
+    "RAW_MARGIN",
     "ComplementResult",
+    "RejectionStats",
+    "SubspaceFamily",
     "adapt_basis",
-    "sample_box_separator",
     "certify",
-    "is_well_separating",
     "common_complement",
+    "decay_fit_prefixes",
+    "is_well_separating",
     "random_subspace_family",
+    "sample_box_separator",
 ]

@@ -40,17 +40,27 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public function and class, and of each
+    public method and property of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield f"{node.name}.{fn.name}", fn.name
+
+
 def test_every_public_definition_is_used_by_the_library():
     modules = _parse_modules()
     used = set().union(*(_referenced_names(tree) for name, tree in modules.items()
                          if name != "__init__"))
-    public = {f"{module}.{node.name}"
-              for module, tree in modules.items()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
-    unused = sorted(name for name in public
-                    if name.split(".")[1] not in used | ALLOWED)
+    unused = sorted(f"{module}.{qualified}"
+                    for module, tree in modules.items()
+                    for qualified, name in _public_definitions(tree)
+                    if name not in used | ALLOWED)
     assert unused == []
 
 

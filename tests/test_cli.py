@@ -456,12 +456,14 @@ def test_construct_one_member_writes_null_fit(single_hyperplane, tmp_path):
     ("det", "--k", 3, "--members", 50),
     ("inverse", "--k", 3, "--members", 50),
     ("badset", "--dim", 8, "--members", 200),
-], ids=["translation", "det", "inverse", "badset"])
+    ("inverse",),
+], ids=["translation", "det", "inverse", "badset", "inverse-default"])
 def test_mc_is_byte_identical_across_blas_thread_counts(args):
     """The translation suite factors small blocks only, det and inverse
-    take their shifted determinants and column norms from GEMMs of one
-    fixed chunk shape, and badset projects each block by one GEMM into a
-    fixed buffer, so their reports do not depend on the BLAS thread count."""
+    (k = 1 at the defaults included) take their shifted determinants and
+    column norms from GEMMs of one fixed chunk shape, and badset projects
+    each block by one GEMM into a fixed buffer, so their reports do not
+    depend on the BLAS thread count."""
     args = ("mc", *args)
     one = run_cli(*args, blas_threads=1)
     two = run_cli(*args, blas_threads=2)
@@ -507,6 +509,23 @@ def test_mc_invalid_input_exits_2_without_traceback(args):
     assert cp.returncode == 2, cp.stderr
     assert "Traceback" not in cp.stderr
     assert cp.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(("det", "--epsilon-grid", "0.1,x"),
+                 "could not parse epsilon grid: could not convert string to float: 'x'",
+                 id="grid-non-numeric"),
+    pytest.param(("det", "--epsilon-grid", ","), "epsilon grid is empty", id="grid-empty"),
+    pytest.param(("translation", "--translation", ";"), "translation is empty",
+                 id="translation-empty"),
+    pytest.param(("translation", "--translation", "1,0,0,0,0,0;0,1"),
+                 "translation rows have inconsistent lengths", id="translation-ragged"),
+])
+def test_mc_malformed_list_flags_exit_2_with_their_message(args, message):
+    cp = run_cli("mc", *args, "--samples", 1000)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -747,6 +766,33 @@ def test_complement_file_errors_are_input_errors(single_hyperplane, tmp_path,
     cp = run_cli("certify", "--family", single_hyperplane, "--complement", cpath)
     assert cp.returncode == 2
     assert cp.stderr == f"error: {message}\n"
+
+
+def test_certify_reads_a_flat_one_vector_basis(single_hyperplane, tmp_path):
+    """A one-vector basis may be written as a flat list: it certifies as
+    the same basis written as one row."""
+    outputs = []
+    for basis in ([[1.0, 0.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]):
+        cpath = tmp_path / "comp.json"
+        cpath.write_text(json.dumps({"ambient_dim": 4, "dim": 1, "basis": basis}))
+        cp = run_cli("certify", "--family", single_hyperplane, "--complement", cpath)
+        assert cp.returncode == 0, cp.stderr
+        outputs.append(cp.stdout)
+    assert outputs[1] == outputs[0] and outputs[0].endswith("verdict,true\n")
+
+
+def test_certify_out_writes_the_printed_profile(codim2_family, tmp_path):
+    """With --out, certify writes exactly the bytes it prints without it,
+    and prints nothing."""
+    path, _ = codim2_family
+    comp = tmp_path / "comp.json"
+    assert run_cli("construct", "--family", path, "--out", comp).returncode == 0
+    printed = run_cli("certify", "--family", path, "--complement", comp)
+    out = tmp_path / "profile.csv"
+    written = run_cli("certify", "--family", path, "--complement", comp, "--out", out)
+    assert printed.returncode == written.returncode == 0, written.stderr
+    assert written.stdout == ""
+    assert out.read_bytes() == printed.stdout.encode()
 
 
 def test_certify_reads_only_basis_and_certified(codim2_family, tmp_path):

@@ -90,7 +90,8 @@ def test_streamed_family_equals_whole_document(tmp_path_factory, seed, layout, n
     doc = {"dim": n, "codim": k, "normals": random_numbers(rng, (J, k, n), ints)}
     text = LAYOUTS[layout](doc)
     split = familyio._split_family(text.encode())
-    assert split["normals"].tobytes() == np.array(doc["normals"], dtype=float).tobytes()
+    assert np.array(split["normals"]).tobytes() == \
+        np.array(doc["normals"], dtype=float).tobytes()
     path = tmp_path_factory.mktemp("layout") / "family.json"
     streamed, whole = both_outcomes(path, text)
     assert streamed == whole
@@ -153,6 +154,8 @@ ODD_DOCUMENTS = {
     "overflowing-number": '{"dim": 3, "codim": 1, "normals": [[[1e400, 1, 0]]]}',
     "integer-past-64-bits": '{"dim": 3, "codim": 1, "normals": [[[18446744073709551616, 1, 0]]]}',
     "float-dim": '{"dim": 3.0, "codim": 1, "normals": [%s]}' % GOOD,
+    "dim-mismatch": '{"dim": 4, "codim": 1, "normals": [%s]}' % GOOD,
+    "truncated-member": '{"dim": 3, "codim": 1, "normals": [[[1, 0, 0]], [[0, 1, 0]',
 }
 
 
@@ -173,12 +176,13 @@ def test_malformed_family_documents_keep_their_messages(tmp_path):
         "flat-member-in-codim-2": "family member 2 has a normal block of shape "
                                   "(1, 3), expected (2, 3)",
         "float-dim": "malformed family document: dim must be an integer, got 3.0",
+        "dim-mismatch": "family normal blocks are 1 x 3, expected 1 x 4",
     }
     for name, message in expected.items():
         streamed, _ = both_outcomes(tmp_path / "family.json", ODD_DOCUMENTS[name])
         assert streamed == ("error", message), name
     for name in ("missing-comma", "trailing-junk", "nan-token", "overflowing-number",
-                 "form-feed-separator", "unclosed-array"):
+                 "form-feed-separator", "unclosed-array", "truncated-member"):
         streamed, _ = both_outcomes(tmp_path / "family.json", ODD_DOCUMENTS[name])
         assert streamed[0] == "error" and "not valid JSON" in streamed[1], name
 
@@ -192,7 +196,7 @@ def test_orjson_round_trips_the_edge_doubles():
     assert decoded.tobytes() == np.array(json.loads(text)).tobytes()
     doc = familyio._split_family(
         ('{"dim": %d, "codim": 1, "normals": [%s]}' % (len(EDGE_DOUBLES), text)).encode())
-    assert doc["normals"].tobytes() == np.array(EDGE_DOUBLES).tobytes()
+    assert np.array(doc["normals"]).tobytes() == np.array(EDGE_DOUBLES).tobytes()
 
 
 @given(lead=st.sampled_from("123456789"),

@@ -12,6 +12,7 @@ from transversal.geometry import (
     OrthonormalFrame,
     ValidationError,
     _sigma_min_2x2,
+    as_vector,
     degrees_of_transversality,
     orthonormalize,
 )
@@ -170,6 +171,23 @@ def test_frame_rejects_non_orthonormal_rows():
 def test_frame_rejects_too_many_vectors():
     with pytest.raises(ValidationError):
         OrthonormalFrame(np.eye(3)[:, :2])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: as_vector(np.zeros((2, 2))),
+                 "expected a nonempty 1-D vector, got shape (2, 2)", id="vector-2d"),
+    pytest.param(lambda: OrthonormalFrame(np.zeros((1, 1, 2))),
+                 "frame must be nonempty and 2-D, got shape (1, 1, 2)", id="frame-3d"),
+    pytest.param(lambda: OrthonormalFrame([[np.nan, 1.0]]),
+                 "frame has non-finite entries", id="frame-nan"),
+    pytest.param(lambda: orthonormalize(np.ones((2, 2, 2))),
+                 "inputs must share a common dimension", id="orthonormalize-3d"),
+    pytest.param(lambda: orthonormalize([[np.inf, 1.0]]),
+                 "non-finite entries", id="orthonormalize-inf"),
+])
+def test_geometry_rejects_invalid_input(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_frame_vectors_are_frozen():

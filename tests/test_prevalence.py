@@ -683,19 +683,27 @@ def test_det_floors_from_k4_are_lu_determinants_bit_for_bit(monkeypatch):
     assert np.array_equal(eps_hat, np.min(table, axis=0))
 
 
-@pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow-nan"])
-def test_k1_inverse_floors_are_per_pair_svd_minima(overflow, monkeypatch):
+@pytest.mark.parametrize("overflow, J, chunk", [
+    pytest.param(False, 7, 64, id="finite"),
+    pytest.param(True, 7, 64, id="overflow-nan"),
+    pytest.param(False, 65, 1024, id="finite-J65"),
+    pytest.param(True, 65, 1024, id="overflow-nan-J65"),
+])
+def test_k1_inverse_floors_are_per_pair_svd_minima(overflow, J, chunk, monkeypatch):
     """At k = 1 each floor is min_j sigma_min(A_s + A_j) j^2 of LAPACK's
-    per-pair SVD, bit for bit, over ragged chunks; a sum that overflows
-    warns, and its sample's floor is NaN, as that SVD makes it."""
-    monkeypatch.setattr(prevalence, "_BLOCK_CELLS", 7 * 37)
-    shifts = np.random.default_rng(28).uniform(-1.0, 1.0, (7, 1, 1))
-    deltas = np.arange(1.0, 8.0) ** -1.0
+    per-pair SVD, bit for bit, over ragged chunks, also where more than 64
+    shifts halve the chunk; a sum that overflows gives its sample's floor
+    NaN, as that SVD makes it, and only the reference SVD warns."""
+    monkeypatch.setattr(prevalence, "_SHIFT_CHUNK", chunk)
+    assert prevalence._shift_chunk(J) == (chunk if J <= 64 else chunk // 2)
+    assert 1000 % prevalence._shift_chunk(J)
+    shifts = np.random.default_rng(28).uniform(-1.0, 1.0, (J, 1, 1))
+    deltas = np.arange(1.0, J + 1.0) ** -1.0
     A = _ball_matrices(_keyed_rng(29), 1000, 1)
     if overflow:
         A[500], shifts[2], deltas[2] = 9e307, 9e307, 1e-308
+    floors = inverse_bound_check(A, shifts, deltas)
     with pytest.warns(RuntimeWarning) if overflow else nullcontext():
-        floors = inverse_bound_check(A, shifts, deltas)
         table = [[np.linalg.svd(a + s, compute_uv=False)[-1] * (j + 1.0) ** 2
                   for j, s in enumerate(shifts)] for a in A]
     assert np.array_equal(floors, np.min(table, axis=1), equal_nan=True)
@@ -779,6 +787,19 @@ def test_bulk_suites_memory_is_bounded(make_call, bound_mb):
                  id="ball-zero-dim"),
     pytest.param(lambda: sample_ball(_keyed_rng(0), -1, 3), "count >= 0",
                  id="ball-negative-count"),
+    pytest.param(lambda: ball_volume(-1), "^dimension must be nonnegative$",
+                 id="ball-volume-negative-dim"),
+    pytest.param(lambda: det_slab_coefficient(np.ones((2, 3)), [0.1, 0.01], 1000, 0),
+                 "^shift matrix must be square$", id="det-non-square-shift"),
+    pytest.param(lambda: inverse_bound_check(np.zeros((3, 2, 2)), np.zeros((1, 3, 3)),
+                                             np.ones(1)),
+                 "^A_list must be a stack of k x k matrices$", id="inverse-shift-size"),
+    pytest.param(lambda: inverse_bound_check(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)),
+                                             np.ones(3)),
+                 "^delta_list length must match A_list$", id="inverse-delta-length"),
+    pytest.param(lambda: inverse_bound_check(np.zeros((3, 2, 2)), np.zeros((1, 2, 2)),
+                                             np.array([1.5])),
+                 r"^deltas must lie in \(0, 1\]$", id="inverse-delta-above-one"),
 ])
 def test_bulk_helpers_reject_invalid_input(call, match):
     with pytest.raises(ValidationError, match=match):
@@ -1008,4 +1029,8 @@ def test_translation_experiment_validates_shapes():
                                radius=1.0, max_exponent=7.0)
     with pytest.raises(ValidationError, match="radius"):
         translation_experiment(base, fam, np.array([[1.0, 0.0]]), cfg, radius=0.0,
+                               max_exponent=7.0)
+    other = common_complement(random_subspace_family(2, 3, 1, 2), seed=1)
+    with pytest.raises(ValidationError, match="^base complement does not match the family$"):
+        translation_experiment(other, fam, np.array([[1.0, 0.0]]), cfg, radius=1.0,
                                max_exponent=7.0)

@@ -1,6 +1,7 @@
 """Rejection samplers, adapted bases, the line bound, and the recursion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -816,3 +817,22 @@ def test_family_takes_normals_whose_gram_overflows():
 def test_family_rejects_mixed_members():
     with pytest.raises(ValidationError, match="member 2"):
         SubspaceFamily.from_normals([e(0, 3)[None, :], e(0, 4)[None, :]])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: SubspaceFamily.from_normals([]),
+                 "family must contain at least one subspace", id="no-members"),
+    pytest.param(lambda: SubspaceFamily(np.eye(2, 3)),
+                 "family normals must form a (J, k, n) array, got shape (2, 3)",
+                 id="normals-2d"),
+    pytest.param(lambda: SubspaceFamily(np.array([[[1.0, 1.0]]])),
+                 "family member 1: normals are not orthonormal (max Gram deviation "
+                 "1.000e+00)", id="direct-non-orthonormal"),
+    pytest.param(lambda: adapt_basis([]), "need at least one vector to adapt",
+                 id="adapt-nothing"),
+    pytest.param(lambda: sample_box_separator([], *box_parameters(1), key=(0,)),
+                 "need at least one vector to separate from", id="separate-nothing"),
+])
+def test_separator_rejects_invalid_input(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
