@@ -22,7 +22,6 @@ stream addressed by the master seed and an integer key (Salmon et al.,
 SC 2011).  No two streams of one command share a key:
 
     ()         bulk samples, shadow oracle
-    (1,)       det floors
     (c,)       translation chunk c
     (7,)       shifts
     (l, t)     construction: recursion level l, trial t

@@ -21,11 +21,11 @@ exceptional:
   closed form at k = 2, one SVD at k >= 3).
 
 The first three, the bulk suites, draw all their samples at once from one
-keyed stream (see geometry) and scale them to ball points in place.  The
-bad-set counts and the determinant slab counts stream them in blocks of
-about _BLOCK_CELLS float64 cells, keeping integer totals; the bad set
-compares each block once, at the largest epsilon, and counts every epsilon
-on the cells that comparison finds.  The determinant floors, the k = 1
+keyed stream, _keyed_rng(seed) (see geometry), and scale them to ball
+points in place.  The bad-set counts stream them in blocks of about
+_BLOCK_CELLS float64 cells, keeping integer totals: each block is compared
+once, at the largest epsilon, and every epsilon is counted on the cells
+that comparison finds.  The determinant floors and slab counts, the k = 1
 inverse floors and the sigma_min brackets take each chunk of samples
 against every shift in one GEMM of fixed shape (_shift_tables): det(A +
 A_j) by multilinearity, and the squared column norms of the sums, so for
@@ -132,20 +132,17 @@ class McReport:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for strict JSON serialization;
-    non-finite floats become None."""
+    """Recursively convert numpy arrays to lists for strict JSON
+    serialization; non-finite floats become None.  A numpy scalar other
+    than float64 (a float) passes through, so serializing it fails loudly."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, np.integer):
-        return obj.item()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
     return obj
 
 
@@ -393,71 +390,47 @@ def mc_bad_set_measure(family: SubspaceFamily, config: McConfig) -> list[McRepor
     return reports
 
 
-def det_slab_coefficient(A_tilde: np.ndarray, eta_grid, samples: int,
-                         seed: int):
-    """Estimate mu({A : |det(A + A_tilde)| <= eta}) over an eta-grid and fit
-    the through-origin slope c_hat.
-
-    A has columns uniform in the unit ball of R^k, so mu lives on a domain
-    of volume vol(B^k)^k; the determinants are counted in blocks of
-    samples.  Returns (c_hat, r_squared, mu_estimates).
-    """
-    A_tilde = np.asarray(A_tilde, dtype=float)
-    if A_tilde.ndim != 2 or A_tilde.shape[0] != A_tilde.shape[1]:
-        raise ValidationError("shift matrix must be square")
-    if not np.all(np.isfinite(A_tilde)):
-        raise ValidationError("shift matrix has non-finite entries")
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples}")
-    k = A_tilde.shape[0]
-    etas = np.asarray(sorted(float(e) for e in eta_grid), dtype=float)
-    if etas.size < 2 or not np.all((etas > 0) & (etas < math.inf)):
-        raise ValidationError("need at least two positive finite eta values")
-    A = _ball_matrices(_keyed_rng(seed), samples, k)
-    counts = [0] * etas.size
-    block = max(1, _BLOCK_CELLS // k ** 2)
-    for start in range(0, samples, block):
-        dets = np.abs(_det(A[start:start + block] + A_tilde))
-        for i, eta in enumerate(etas):
-            counts[i] += int(np.count_nonzero(dets <= eta))
-    domain_vol = ball_volume(k) ** k
-    mu = np.array([domain_vol * count / samples for count in counts])
-    c_hat = float(np.sum(mu * etas) / np.sum(etas ** 2))
-    residuals = mu - c_hat * etas
-    ss_tot = float(np.sum((mu - mu.mean()) ** 2))
-    r_squared = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return c_hat, r_squared, mu
-
-
 def mc_det_lower_bound(A_list, config: McConfig):
     """Determinant floors for randomly shifted coefficient matrices.
 
-    (a) fits the slab coefficient c_hat of mu({|det(A + A_1)| <= eta}) on
-    ``config.epsilon_grid`` (the first shift acts as the fixed reference);
+    One draw of samples A, columns uniform in the unit ball of R^k, from
+    _keyed_rng(config.seed), serves both halves:
+    (a) fits the through-origin slope c_hat of mu({|det(A + A_1)| <= eta})
+    on the eta-grid ``config.epsilon_grid``, which needs at least two
+    entries (the first shift acts as the fixed reference, and mu lives on
+    a domain of volume vol(B^k)^k);
     (b) reports eps_hat = min_j j^2 |det(A + A_j)| per sample and the
     fraction of samples with eps_hat > 0, which should be 1 up to
-    measure-zero ties.  The determinants come from _shift_tables, a chunk
-    of samples against every shift at once; at k = 1, with zero shifts and
-    from k = 4 on they are those of _det(A + A_j), and at k = 2, 3 within
-    the expansion's rounding of them.  Like a minimum over the whole table,
-    eps_hat propagates NaN.
+    measure-zero ties.
+    Both read the determinants of _shift_tables, a chunk of samples against
+    every shift at once, whose row j = 1 gives the slab counts.  At k = 1,
+    with zero shifts and from k = 4 on they are those of _det(A + A_j), and
+    at k = 2, 3 within the expansion's rounding of them.  Like a minimum
+    over the whole table, eps_hat propagates NaN.
 
     Returns (McReport, per-sample eps_hat array); the verdict requires the
     linear fit to have r^2 >= 0.99 and the positive fraction >= 0.99.
     """
     A_arr = _shift_stack(A_list)
     J, k, _ = A_arr.shape
-    c_hat, r_squared, mu = det_slab_coefficient(
-        A_arr[0], config.epsilon_grid, config.samples, config.seed)
-
-    A = _ball_matrices(_keyed_rng(config.seed, 1), config.samples, k)
+    etas = np.array(sorted(config.epsilon_grid))
+    if etas.size < 2:
+        raise ValidationError("need at least two positive finite eta values")
+    A = _ball_matrices(_keyed_rng(config.seed), config.samples, k)
+    counts = np.zeros(etas.size, dtype=np.int64)
     eps_hat = np.empty(config.samples)
     j2 = np.arange(1, J + 1, dtype=float)[:, None] ** 2
     for start, dets, _, _ in _shift_tables(A, A_arr):
         np.abs(dets, out=dets)
+        counts += np.count_nonzero(dets[0] <= etas[:, None], axis=1)
         dets *= j2
         eps_hat[start:start + dets.shape[1]] = np.min(dets, axis=0)
 
+    mu = ball_volume(k) ** k * counts / config.samples
+    c_hat = float(np.sum(mu * etas) / np.sum(etas ** 2))
+    residuals = mu - c_hat * etas
+    ss_tot = float(np.sum((mu - mu.mean()) ** 2))
+    r_squared = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else 1.0
     frac = float(np.count_nonzero(eps_hat > 0)) / config.samples
     stderr = math.sqrt(frac * (1.0 - frac) / config.samples)
     verdict = (r_squared >= 0.99) and (frac >= 0.99)
@@ -470,7 +443,7 @@ def mc_det_lower_bound(A_list, config: McConfig):
         "members": J,
         "c_hat": c_hat,
         "r_squared": r_squared,
-        "eta_grid": sorted(config.epsilon_grid),
+        "eta_grid": etas,
         "mu_estimates": mu,
         "eps_hat_min": float(eps_hat.min()),
         "eps_hat_median": float(np.median(eps_hat)),
@@ -718,7 +691,6 @@ __all__ = [
     "McConfig",
     "McReport",
     "ball_volume",
-    "det_slab_coefficient",
     "inverse_bound_check",
     "mc_bad_set_measure",
     "mc_det_lower_bound",

@@ -1,5 +1,11 @@
 """Shared helpers for the test suite."""
 
+import io
+import os
+import subprocess
+import sys
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
@@ -7,9 +13,54 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from transversal import cli
 from transversal.geometry import DEFAULT_TOL, as_vector
 from transversal.polytope import Box, McEstimate, _volume_parts
 from transversal.separator import BOX_CONSTANT, RAW_MARGIN, SubspaceFamily
+
+
+def _log_env(env, log):
+    """Set TRANSVERSAL_LOG in ``env`` to ``log``, or remove it for None."""
+    if log is None:
+        env.pop("TRANSVERSAL_LOG", None)
+    else:
+        env["TRANSVERSAL_LOG"] = log
+
+
+def run_cli(*args, log=None) -> subprocess.CompletedProcess:
+    """Run ``transversal ARGS`` in this process through cli.main, as the
+    interpreter would: stdout and stderr are captured, the exit code comes
+    from main's return value or SystemExit, and an uncaught exception
+    prints its traceback to stderr and exits 1.  TRANSVERSAL_LOG is
+    ``log`` (unset for None) during the call and restored after it."""
+    argv = [str(arg) for arg in args]
+    saved = os.environ.get("TRANSVERSAL_LOG")
+    out, err = io.StringIO(), io.StringIO()
+    _log_env(os.environ, log)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's exits: --help, usage errors
+                code = 0 if exc.code is None else exc.code
+            except Exception:
+                traceback.print_exc()
+                code = 1
+    finally:
+        _log_env(os.environ, saved)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args, log=None, blas_threads=None) -> subprocess.CompletedProcess:
+    """Run ``python -m transversal ARGS`` in a child process, for the tests
+    whose subject is the process itself: its entry point, exit codes and
+    BLAS thread count."""
+    env = dict(os.environ)
+    _log_env(env, log)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    cmd = [sys.executable, "-m", "transversal", *map(str, args)]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -204,3 +255,20 @@ def exact_singular_values_2x2(M) -> tuple[Decimal, Decimal]:
             return Decimal(0), Decimal(0)
         smax = (dec(F + 2 * det).sqrt() + dec(F - 2 * det).sqrt()) / 2
         return dec(det) / smax, smax
+
+
+def k1_floor_fraction(shifts, eps: float) -> float:
+    """Reference oracle for the k = 1 determinant floors and, with every
+    delta 1, inverse floors: the exact probability that min_j j^2 |a + b_j|
+    <= eps for a uniform on [-1, 1], the k = 1 ball.  That set is the union
+    of the intervals [-b_j - eps/j^2, -b_j + eps/j^2] clipped to [-1, 1],
+    and the probability is the union's length over 2."""
+    b = np.asarray(shifts, dtype=float).ravel()
+    radii = eps / np.arange(1.0, b.size + 1.0) ** 2
+    intervals = sorted(zip(np.clip(-b - radii, -1.0, 1.0), np.clip(-b + radii, -1.0, 1.0)))
+    length, reach = 0.0, -1.0
+    for lo, hi in intervals:
+        if hi > reach:
+            length += hi - max(lo, reach)
+            reach = hi
+    return length / 2.0

@@ -6,9 +6,6 @@ asserting, so a scan of the captured output gives the full scorecard.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -19,6 +16,7 @@ from conftest import (
     line_min_norm,
     null_basis,
     random_unit,
+    run_process,
     triangular_unit_rows,
 )
 
@@ -26,8 +24,8 @@ from transversal import familyio
 from transversal.polytope import Box, box_projection_volume, mc_shadow_volume
 from transversal.prevalence import (
     McConfig,
-    det_slab_coefficient,
     mc_bad_set_measure,
+    mc_det_lower_bound,
     mc_inverse_bound,
     translation_experiment,
 )
@@ -45,12 +43,6 @@ from transversal.separator import (
 def report(index, label, ok):
     print(f"ACCEPTANCE {index} {label}: {'PASS' if ok else 'FAIL'}")
     assert ok
-
-
-def run_cli(*args):
-    cmd = [sys.executable, "-m", "transversal", *map(str, args)]
-    return subprocess.run(cmd, capture_output=True, text=True,
-                          env=dict(os.environ, TRANSVERSAL_LOG="quiet"))
 
 
 def test_acceptance_1_shadow_volumes():
@@ -180,13 +172,13 @@ def test_acceptance_6_badset_linearity():
 
 
 def test_acceptance_7_det_slab_coefficient():
-    c_hat, _, _ = det_slab_coefficient(np.zeros((1, 1)),
-                                       np.geomspace(1e-3, 1e-1, 5),
-                                       samples=100_000, seed=7001)
+    def slab_fit(k, grid, samples, seed):
+        config = McConfig(samples=samples, seed=seed, epsilon_grid=tuple(grid[::-1]))
+        return mc_det_lower_bound(np.zeros((1, k, k)), config)[0].metadata
+
+    c_hat = slab_fit(1, np.geomspace(1e-3, 1e-1, 5), 100_000, 7001)["c_hat"]
     ok = abs(c_hat - 2.0) <= 0.05
-    _, r_squared, _ = det_slab_coefficient(np.zeros((2, 2)),
-                                           np.geomspace(1e-4, 1e-2, 6),
-                                           samples=1_000_000, seed=7002)
+    r_squared = slab_fit(2, np.geomspace(1e-4, 1e-2, 6), 1_000_000, 7002)["r_squared"]
     ok &= r_squared >= 0.99
     report(7, "determinant slab coefficient", ok)
 
@@ -252,11 +244,12 @@ def test_acceptance_10_roundtrip_determinism(tmp_path):
 
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out_a, out_b):
-        cp = run_cli("construct", "--family", fpath, "--seed", 13, "--out", out)
+        cp = run_process("construct", "--family", fpath, "--seed", 13, "--out", out,
+                         log="quiet")
         ok &= cp.returncode == 0
     ok &= out_a.read_bytes() == out_b.read_bytes()
-    cert_a = run_cli("certify", "--family", fpath, "--complement", out_a)
-    cert_b = run_cli("certify", "--family", fpath, "--complement", out_a)
+    cert_a = run_process("certify", "--family", fpath, "--complement", out_a, log="quiet")
+    cert_b = run_process("certify", "--family", fpath, "--complement", out_a, log="quiet")
     ok &= cert_a.returncode == 0 and cert_a.stdout == cert_b.stdout
     rows = [ln.split(",") for ln in cert_a.stdout.strip().splitlines()[1:-1]]
     csv_measured = np.array([float(r[1]) for r in rows])

@@ -1,11 +1,13 @@
-"""Subprocess golden tests for the command-line surface."""
+"""Golden tests for the command-line surface.
+
+Commands run in-process through conftest.run_cli.  A child process runs
+only where the process is the subject: the ``python -m transversal`` entry
+point with one command per exit class (0, 2, 3), and the BLAS thread count.
+"""
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,18 +19,7 @@ from transversal.separator import (
     random_subspace_family,
 )
 
-from conftest import family_to_dict
-
-
-def run_cli(*args, log=None, blas_threads=None):
-    env = dict(os.environ)
-    env.pop("TRANSVERSAL_LOG", None)
-    if log is not None:
-        env["TRANSVERSAL_LOG"] = log
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    cmd = [sys.executable, "-m", "transversal", *map(str, args)]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+from conftest import family_to_dict, run_cli, run_process
 
 
 def write_family(path, family):
@@ -125,8 +116,8 @@ def test_help_screens():
 
 def test_construct_single_hyperplane(single_hyperplane, tmp_path):
     out = tmp_path / "comp.json"
-    cp = run_cli("construct", "--family", single_hyperplane, "--seed", 0,
-                 "--out", out)
+    cp = run_process("construct", "--family", single_hyperplane, "--seed", 0,
+                     "--out", out)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == f"wrote {out}"
     _, certified = familyio.load_complement(out)
@@ -155,7 +146,7 @@ def test_construct_rejects_rank_deficient_family(tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    cp = run_cli("construct", "--family", path, "--out", tmp_path / "x.json")
+    cp = run_process("construct", "--family", path, "--out", tmp_path / "x.json")
     assert cp.returncode == 2
     assert "member 1" in cp.stderr
 
@@ -235,7 +226,7 @@ def test_construct_underflowing_profile_is_construction_error(tmp_path):
     path = tmp_path / "deep.json"
     write_family(path, random_subspace_family(5, 130, 30, 100))
     out = tmp_path / "x.json"
-    cp = run_cli("construct", "--family", path, "--out", out)
+    cp = run_process("construct", "--family", path, "--out", out)
     assert cp.returncode == 3, cp.stderr
     assert "underflows to 0 from index 96" in cp.stderr
     assert not out.exists()
@@ -465,8 +456,8 @@ def test_mc_is_byte_identical_across_blas_thread_counts(args):
     each block by one GEMM into a fixed buffer, so their reports do not
     depend on the BLAS thread count."""
     args = ("mc", *args)
-    one = run_cli(*args, blas_threads=1)
-    two = run_cli(*args, blas_threads=2)
+    one = run_process(*args, blas_threads=1)
+    two = run_process(*args, blas_threads=2)
     assert one.returncode == two.returncode == 0, one.stderr
     assert one.stdout == two.stdout
 
@@ -476,8 +467,8 @@ def test_volume_mc_is_byte_identical_across_blas_thread_counts(normal):
     """The shadow oracle projects each chunk by one GEMM into a fixed
     buffer, so its estimate does not depend on the BLAS thread count."""
     args = ("volume", "--halfwidths", "1,0.5,0.25,0.125", f"--normal={normal}", "--mc")
-    one = run_cli(*args, blas_threads=1)
-    two = run_cli(*args, blas_threads=2)
+    one = run_process(*args, blas_threads=1)
+    two = run_process(*args, blas_threads=2)
     assert one.returncode == two.returncode == 0, one.stderr
     assert one.stdout == two.stdout
 
@@ -516,6 +507,8 @@ def test_mc_invalid_input_exits_2_without_traceback(args):
                  "could not parse epsilon grid: could not convert string to float: 'x'",
                  id="grid-non-numeric"),
     pytest.param(("det", "--epsilon-grid", ","), "epsilon grid is empty", id="grid-empty"),
+    pytest.param(("det", "--epsilon-grid", "0.1"),
+                 "need at least two positive finite eta values", id="det-one-eta"),
     pytest.param(("translation", "--translation", ";"), "translation is empty",
                  id="translation-empty"),
     pytest.param(("translation", "--translation", "1,0,0,0,0,0;0,1"),
@@ -674,6 +667,36 @@ def test_log_env_controls_stderr_only(single_hyperplane, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_in_process_commands_do_not_share_output(single_hyperplane, tmp_path):
+    """main replaces the logger's handler on every call, so a debug run
+    followed by a quiet one in the same process gets its own streams."""
+    out = tmp_path / "c.json"
+    debug = run_cli("construct", "--family", single_hyperplane, "--out", out,
+                    log="debug")
+    quiet = run_cli("certify", "--family", single_hyperplane, "--complement", out)
+    assert debug.returncode == quiet.returncode == 0, quiet.stderr
+    assert debug.stdout == f"wrote {out}\n" and "certified profile" in debug.stderr
+    assert quiet.stderr == "" and quiet.stdout.startswith("j,delta_measured")
+    assert "wrote" not in quiet.stdout
+
+
+def test_certify_default_ceiling_is_5k_plus_1(tmp_path):
+    """At k = 1 the default decay ceiling is 6: a complement whose measured
+    profile is j^-8 fails it, and passes once --max-exponent allows 9."""
+    j = np.arange(1.0, 21.0)
+    normals = np.stack([j ** -8.0, np.sqrt(1.0 - j ** -16.0), np.zeros(20)], axis=1)
+    fpath = tmp_path / "fam.json"
+    write_family(fpath, SubspaceFamily.from_normals(list(normals[:, None, :])))
+    cpath = tmp_path / "comp.json"
+    cpath.write_text(json.dumps({"ambient_dim": 3, "dim": 1, "basis": [[1.0, 0.0, 0.0]]}))
+    default = run_cli("certify", "--family", fpath, "--complement", cpath)
+    wider = run_cli("certify", "--family", fpath, "--complement", cpath,
+                    "--max-exponent", 9)
+    assert default.returncode == wider.returncode == 0, default.stderr
+    assert default.stdout.endswith("\nverdict,false\n")
+    assert wider.stdout.endswith("\nverdict,true\n")
+
+
 def test_invalid_log_level_is_input_error(single_hyperplane, tmp_path):
     cp = run_cli("construct", "--family", single_hyperplane,
                  "--out", tmp_path / "x.json", log="chatty")
@@ -828,11 +851,11 @@ def test_outputs_are_byte_identical_per_blas_thread_count(tmp_path):
         outputs = []
         for rep in range(2):
             out = tmp_path / f"comp-{threads}-{rep}.json"
-            cp = run_cli("construct", "--family", fpath, "--seed", 6, "--out", out,
-                         blas_threads=threads)
+            cp = run_process("construct", "--family", fpath, "--seed", 6, "--out", out,
+                             blas_threads=threads)
             assert cp.returncode == 0, cp.stderr
-            cert = run_cli("certify", "--family", fpath, "--complement", out,
-                           blas_threads=threads)
+            cert = run_process("certify", "--family", fpath, "--complement", out,
+                               blas_threads=threads)
             assert cert.returncode == 0, cert.stderr
             outputs.append((out.read_bytes(), cert.stdout))
         assert outputs[0] == outputs[1]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transversal.cli import main
+from transversal.cli import _random_shifts, main
+from transversal.familyio import dump_json
 from transversal import prevalence
 from transversal.geometry import (
     DEFAULT_TOL,
@@ -30,7 +31,6 @@ from transversal.prevalence import (
     _sigma_min_bracket,
     _to_ball,
     ball_volume,
-    det_slab_coefficient,
     inverse_bound_check,
     mc_bad_set_measure,
     mc_det_lower_bound,
@@ -47,7 +47,7 @@ from transversal.separator import (
     random_subspace_family,
 )
 
-from conftest import fraction_det, householder_frames, random_unit
+from conftest import fraction_det, householder_frames, k1_floor_fraction, random_unit
 
 
 def toy_family():
@@ -117,6 +117,15 @@ def test_mc_report_verdict_must_match_bound():
     rep = McReport(estimate=0.5, stderr=0.1, analytic_bound=1.0, verdict=True,
                    metadata={"arr": np.arange(3), "val": np.float64(1.5)})
     json.dumps(rep.to_dict())  # must be JSON-serializable after conversion
+
+
+def test_mc_report_refuses_numpy_integers():
+    """to_dict converts arrays and floats only, so a numpy integer in the
+    metadata fails to serialize instead of being written as some value."""
+    rep = McReport(estimate=1.0, stderr=0.0, analytic_bound=None, verdict=True,
+                   metadata={"n": np.int64(3)})
+    with pytest.raises(TypeError):
+        dump_json(rep.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +214,18 @@ def test_badset_preconditions():
 # determinant floors
 
 
+def _slab_fit(shift, grid, samples, seed):
+    """(c_hat, r_squared) of mc_det_lower_bound against the one shift, on the
+    increasing eta-grid ``grid``, passed in the decreasing order of McConfig."""
+    config = McConfig(samples=samples, seed=seed, epsilon_grid=tuple(grid[::-1]))
+    meta = mc_det_lower_bound(shift[None], config)[0].metadata
+    return meta["c_hat"], meta["r_squared"]
+
+
 def test_det_coefficient_scalar_oracle():
     """k=1, zero shift: mu({|a| <= eta}) = 2 eta exactly, so c_hat = 2."""
-    c_hat, r2, mu = det_slab_coefficient(
-        np.zeros((1, 1)), np.geomspace(1e-3, 1e-1, 5), samples=100_000, seed=0)
+    c_hat, r2 = _slab_fit(np.zeros((1, 1)), np.geomspace(1e-3, 1e-1, 5),
+                          samples=100_000, seed=0)
     assert c_hat == pytest.approx(2.0, abs=0.05)
     assert r2 >= 0.99
 
@@ -220,8 +237,8 @@ def test_det_coefficient_is_shift_stable():
     chats = []
     for i in range(10):
         G = rng.standard_normal((2, 2))
-        c_hat, r2, _ = det_slab_coefficient(G / np.linalg.norm(G, 2), grid,
-                                            samples=100_000, seed=100 + i)
+        c_hat, r2 = _slab_fit(G / np.linalg.norm(G, 2), grid,
+                              samples=100_000, seed=100 + i)
         assert r2 >= 0.99
         chats.append(c_hat)
     assert max(chats) / min(chats) < 2.0
@@ -268,6 +285,33 @@ def test_closed_form_det_matches_exact_fractions(k):
     # a component-major view, as mc_det_lower_bound passes, gives the same bits
     view = np.moveaxis(np.ascontiguousarray(np.moveaxis(M, 0, -1)), -1, 0)
     assert np.array_equal(_det(view), dets)
+
+
+#: k = 1 shift stacks of the exact-floor checks: 50 shifts uniform in
+#: [-1, 1], 50 zero shifts, and the 50 shifts of +-1 that `mc det` draws.
+_K1_SHIFTS = {
+    "uniform": np.random.default_rng(90).uniform(-1.0, 1.0, (50, 1, 1)),
+    "zero": np.zeros((50, 1, 1)),
+    "cli": _random_shifts(0, 50, 1),
+}
+
+
+@pytest.mark.parametrize("suite", ["det", "inverse"])
+@pytest.mark.parametrize("shifts", _K1_SHIFTS.values(), ids=_K1_SHIFTS.keys())
+def test_k1_floors_match_the_exact_bad_fraction(suite, shifts):
+    """At k = 1 the fraction of the 100 000 floors at or below each eps, of
+    mc_det_lower_bound and of inverse_bound_check with every delta 1, lies
+    within 4 binomial standard errors of conftest's exact k1_floor_fraction."""
+    cfg = McConfig(samples=100_000, seed=91, epsilon_grid=(0.1, 0.01, 0.001))
+    if suite == "det":
+        _, floors = mc_det_lower_bound(shifts, cfg)
+    else:
+        A = _ball_matrices(_keyed_rng(cfg.seed), cfg.samples, 1)
+        floors = inverse_bound_check(A, shifts, np.ones(len(shifts)))
+    for eps in cfg.epsilon_grid:
+        p = k1_floor_fraction(shifts, eps)
+        observed = np.count_nonzero(floors <= eps) / cfg.samples
+        assert abs(observed - p) <= 4.0 * math.sqrt(p * (1.0 - p) / cfg.samples)
 
 
 def test_det_falls_back_to_lapack_for_k_above_3(rng):
@@ -551,21 +595,20 @@ def _bulk_results():
     shifts = rng.standard_normal((5, 3, 3))
     shifts /= np.linalg.norm(shifts, ord=2, axis=(1, 2))[:, None, None]
     report, eps_hat = mc_det_lower_bound(shifts, cfg)
-    c_hat, r2, mu = det_slab_coefficient(shifts[1], cfg.epsilon_grid, 1000, 16)
     floors = inverse_bound_check(_ball_matrices(_keyed_rng(17), 1000, 3), shifts,
                                  np.arange(1.0, 6.0) ** -1.0)
     floors_k1 = inverse_bound_check(_ball_matrices(_keyed_rng(18), 1000, 1),
                                     shifts[:, :1, :1], np.arange(1.0, 6.0) ** -1.0)
     balls = [sample_ball(_keyed_rng(19), 1000, dim).tobytes() for dim in _BALL_DIMS]
     return ([r.to_dict() for r in mc_bad_set_measure(fam, cfg)], report.to_dict(),
-            eps_hat.tobytes(), (c_hat, r2, mu.tobytes()), floors.tobytes(),
+            eps_hat.tobytes(), floors.tobytes(),
             floors_k1.tobytes(), balls)
 
 
 @pytest.mark.parametrize("cells", [
-    # 37 samples per block of the badset (J = 7), det (k = 3), inverse (k = 3,
-    # J = 5) and 30-dim ball kernels; 1 makes every block one sample, through
-    # max(1, .)
+    # 37 samples per block of the badset (J = 7), det's k = 3 ball draws,
+    # inverse (k = 3, J = 5) and 30-dim ball kernels; 1 makes every block one
+    # sample, through max(1, .)
     pytest.param(7 * 37, id="badset-blocks-of-37"),
     pytest.param(9 * 37, id="det-blocks-of-37"),
     pytest.param(45 * 37, id="inverse-blocks-of-37"),
@@ -653,7 +696,7 @@ def test_det_floors_are_the_minimum_of_the_shift_table(scale, monkeypatch):
     shifts /= np.linalg.norm(shifts, ord=2, axis=(1, 2))[:, None, None]
     shifts[3] = scale * np.ones((3, 3))
     cfg = McConfig(samples=1000, seed=25, epsilon_grid=(0.1, 0.01, 0.001))
-    A = _ball_matrices(_keyed_rng(25, 1), 1000, 3)
+    A = _ball_matrices(_keyed_rng(25), 1000, 3)
     with np.errstate(invalid="ignore", over="ignore"):
         _, eps_hat = mc_det_lower_bound(shifts, cfg)
     assert np.all(np.isnan(eps_hat)) == (scale > 1.0)
@@ -678,7 +721,7 @@ def test_det_floors_from_k4_are_lu_determinants_bit_for_bit(monkeypatch):
     shifts = np.random.default_rng(30).standard_normal((5, 4, 4))
     cfg = McConfig(samples=1000, seed=31, epsilon_grid=(0.1, 0.01, 0.001))
     _, eps_hat = mc_det_lower_bound(shifts, cfg)
-    A = _ball_matrices(_keyed_rng(31, 1), 1000, 4)
+    A = _ball_matrices(_keyed_rng(31), 1000, 4)
     table = [(j + 1.0) ** 2 * np.abs(_det(A + s)) for j, s in enumerate(shifts)]
     assert np.array_equal(eps_hat, np.min(table, axis=0))
 
@@ -765,18 +808,24 @@ def test_bulk_suites_memory_is_bounded(make_call, bound_mb):
     assert peak < bound_mb * 2**20
 
 
+#: A valid configuration, for the rows that reject a shift stack.
+_DET_CONFIG = McConfig(samples=1000, seed=0, epsilon_grid=(0.1, 0.01))
+
+
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: det_slab_coefficient(np.eye(2), [0.1, 0.01], 1000, -1),
-                 "seed must be nonnegative", id="det-negative-seed"),
-    pytest.param(lambda: det_slab_coefficient(np.eye(2), [0.1, 0.01], 0, 0),
-                 "samples must be at least 1", id="det-no-samples"),
-    pytest.param(lambda: det_slab_coefficient(np.eye(2), [math.inf, 0.01], 1000, 0),
-                 "positive finite eta", id="det-inf-eta"),
-    pytest.param(lambda: det_slab_coefficient(np.eye(2), [math.nan, 0.01], 1000, 0),
-                 "positive finite eta", id="det-nan-eta"),
-    pytest.param(lambda: det_slab_coefficient(np.full((2, 2), math.nan), [0.1, 0.01],
-                                              1000, 0),
-                 "non-finite", id="det-nan-shift"),
+    pytest.param(lambda: McConfig(samples=1000, seed=-1, epsilon_grid=(0.1, 0.01)),
+                 "^seed must be nonnegative, got -1$", id="det-negative-seed"),
+    pytest.param(lambda: McConfig(samples=0, seed=0, epsilon_grid=(0.1, 0.01)),
+                 "^samples must be at least 1000$", id="det-no-samples"),
+    pytest.param(lambda: McConfig(samples=1000, seed=0, epsilon_grid=(math.inf, 0.01)),
+                 "^epsilon_grid entries must be positive and finite$", id="det-inf-eta"),
+    pytest.param(lambda: McConfig(samples=1000, seed=0, epsilon_grid=(math.nan, 0.01)),
+                 "^epsilon_grid entries must be positive and finite$", id="det-nan-eta"),
+    pytest.param(lambda: mc_det_lower_bound(np.full((1, 2, 2), math.nan), _DET_CONFIG),
+                 "^A_list has non-finite entries$", id="det-nan-shift"),
+    pytest.param(lambda: mc_det_lower_bound(np.eye(2)[None], McConfig(
+                     samples=1000, seed=0, epsilon_grid=(0.1,))),
+                 "^need at least two positive finite eta values$", id="det-one-eta"),
     pytest.param(lambda: inverse_bound_check(np.full((3, 2, 2), math.nan),
                                              np.zeros((1, 2, 2)), np.ones(1)),
                  "non-finite", id="inverse-nan-stack"),
@@ -789,8 +838,8 @@ def test_bulk_suites_memory_is_bounded(make_call, bound_mb):
                  id="ball-negative-count"),
     pytest.param(lambda: ball_volume(-1), "^dimension must be nonnegative$",
                  id="ball-volume-negative-dim"),
-    pytest.param(lambda: det_slab_coefficient(np.ones((2, 3)), [0.1, 0.01], 1000, 0),
-                 "^shift matrix must be square$", id="det-non-square-shift"),
+    pytest.param(lambda: mc_det_lower_bound(np.ones((1, 2, 3)), _DET_CONFIG),
+                 "^A_list must be a stack of square matrices$", id="det-non-square-shift"),
     pytest.param(lambda: inverse_bound_check(np.zeros((3, 2, 2)), np.zeros((1, 3, 3)),
                                              np.ones(1)),
                  "^A_list must be a stack of k x k matrices$", id="inverse-shift-size"),
